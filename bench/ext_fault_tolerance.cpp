@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "sched/simulator.hpp"
+#include "sched/sharded_simulator.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
     double from_zero_cost = 0.0;
     double best_checkpoint_cost = std::numeric_limits<double>::infinity();
     for (const Strategy& strategy : strategies) {
-      sched::FleetSimulator sim(
-          scenario_config(scenario, strategy, seed, fast),
-          sched::builtin_templates(), sched::make_policy("cost"));
+      sched::ShardedFleetSimulator sim(
+          {.base = scenario_config(scenario, strategy, seed, fast)},
+          sched::builtin_templates(), "cost");
       const sched::FleetMetrics m = sim.run();
       m.export_to(obs::Registry::global(),
                   {{"mix", scenario.name}, {"strategy", strategy.name}});

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "sched/simulator.hpp"
+#include "sched/sharded_simulator.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const Scenario& scenario = scenarios[s];
     for (const std::string& policy_name : policies) {
-      sched::FleetSimulator sim(scenario_config(scenario, seed, fast),
-                                sched::builtin_templates(),
-                                sched::make_policy(policy_name));
+      sched::ShardedFleetSimulator sim(
+          {.base = scenario_config(scenario, seed, fast)},
+          sched::builtin_templates(), policy_name);
       const sched::FleetMetrics m = sim.run();
       m.export_to(obs::Registry::global(),
                   {{"mix", scenario.name}, {"policy", policy_name}});

@@ -383,7 +383,8 @@ int cmd_plan(const std::vector<std::string>& args) {
 }
 
 int cmd_fleet_sim(const std::vector<std::string>& args) {
-  sched::SimConfig config;
+  sched::ShardedSimConfig sharded;
+  sched::SimConfig& config = sharded.base;
   config.seed = 1;
   config.duration_seconds = 4.0 * 3600.0;
   config.load.arrival_rate_per_hour = 60.0;
@@ -524,8 +525,6 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
       std::fprintf(stderr, "error: --threads wants a positive integer\n");
       return 2;
     }
-    // The event loop is sequential and seeded; the worker-pool width must
-    // not change any simulated result (scripts/check.sh asserts this).
     util::set_global_thread_count(n);
   }
 
@@ -535,11 +534,7 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
     return 2;
   }
 
-  // Sharded engine knobs (DESIGN.md §13, docs/SIMULATION.md). Passing any
-  // of them selects the sharded simulator; without them the classic
-  // sequential engine runs, byte-for-byte as before.
-  sched::ShardedSimConfig sharded;
-  bool use_sharded = false;
+  // Sharded engine knobs (DESIGN.md §13, docs/SIMULATION.md).
   const std::string shards_flag = flag_value(args, "--shards");
   if (!shards_flag.empty()) {
     sharded.shards = std::atoi(shards_flag.c_str());
@@ -549,7 +544,6 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
                    sched::ShardTopology::kPoolCount);
       return 2;
     }
-    use_sharded = true;
   }
   const std::string handoff_flag = flag_value(args, "--handoff-latency");
   if (!handoff_flag.empty()) {
@@ -558,7 +552,6 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
       std::fprintf(stderr, "error: --handoff-latency wants seconds > 0\n");
       return 2;
     }
-    use_sharded = true;
   }
   const std::string lookahead_flag = flag_value(args, "--lookahead");
   if (!lookahead_flag.empty()) {
@@ -567,10 +560,8 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
       std::fprintf(stderr, "error: --lookahead wants seconds > 0\n");
       return 2;
     }
-    use_sharded = true;
   }
   const bool shard_stats = has_flag(args, "--shard-stats");
-  if (shard_stats) use_sharded = true;
 
   const std::string trace_path = flag_value(args, "--trace");
   const std::string metrics_path = flag_value(args, "--metrics");
@@ -594,39 +585,30 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
                 trace_market->describe().c_str(),
                 config.fleet.spot_bid_fraction);
   }
-  sched::FleetMetrics metrics;
-  if (use_sharded) {
-    sharded.base = config;
-    sharded.threads = util::global_thread_count();
-    std::printf("fleet-sim: sharded engine, %d shard(s), handoff %.3gs, "
-                "lookahead %.3gs\n",
-                sharded.shards, sharded.handoff_latency_seconds,
-                sharded.lookahead_seconds > 0.0
-                    ? sharded.lookahead_seconds
-                    : sharded.handoff_latency_seconds);
-    sched::ShardedFleetSimulator sim(sharded, sched::builtin_templates(),
-                                     policy_name);
-    metrics = sim.run();
-    if (shard_stats) {
-      sim.export_shard_stats(obs::Registry::global(),
-                             {{"policy", policy_name}});
-      for (std::size_t s = 0; s < sim.shard_stats().size(); ++s) {
-        const sched::ShardStats& stats = sim.shard_stats()[s];
-        std::printf("shard %zu: %d pool(s), %llu events, %llu handoffs out, "
-                    "%llu in\n",
-                    s, stats.pools_owned,
-                    static_cast<unsigned long long>(stats.events_processed),
-                    static_cast<unsigned long long>(stats.handoffs_out),
-                    static_cast<unsigned long long>(stats.handoffs_in));
-      }
-      std::printf("windows: %llu, events total: %llu\n",
-                  static_cast<unsigned long long>(sim.windows()),
-                  static_cast<unsigned long long>(sim.total_events()));
+  sharded.threads = util::global_thread_count();
+  std::printf("fleet-sim: sharded engine, %d shard(s), handoff %.3gs, "
+              "lookahead %.3gs\n",
+              sharded.shards, sharded.handoff_latency_seconds,
+              sharded.lookahead_seconds > 0.0
+                  ? sharded.lookahead_seconds
+                  : sharded.handoff_latency_seconds);
+  sched::ShardedFleetSimulator sim(sharded, sched::builtin_templates(),
+                                   policy_name);
+  const sched::FleetMetrics metrics = sim.run();
+  if (shard_stats) {
+    sim.export_shard_stats(obs::Registry::global(), {{"policy", policy_name}});
+    for (std::size_t s = 0; s < sim.shard_stats().size(); ++s) {
+      const sched::ShardStats& stats = sim.shard_stats()[s];
+      std::printf("shard %zu: %d pool(s), %llu events, %llu handoffs out, "
+                  "%llu in\n",
+                  s, stats.pools_owned,
+                  static_cast<unsigned long long>(stats.events_processed),
+                  static_cast<unsigned long long>(stats.handoffs_out),
+                  static_cast<unsigned long long>(stats.handoffs_in));
     }
-  } else {
-    sched::FleetSimulator sim(config, sched::builtin_templates(),
-                              sched::make_policy(policy_name));
-    metrics = sim.run();
+    std::printf("windows: %llu, events total: %llu\n",
+                static_cast<unsigned long long>(sim.windows()),
+                static_cast<unsigned long long>(sim.total_events()));
   }
   std::printf("%s", metrics.render().c_str());
 

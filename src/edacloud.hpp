@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/sharded_simulator.hpp"
-#include "sched/simulator.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/server.hpp"
 #include "tune/tuner.hpp"

@@ -24,7 +24,6 @@ int Fleet::launch(const PoolKey& pool, double now, util::Rng& rng, bool warm) {
   vm.ready_time = warm ? now : now + config_.boot_seconds;
   vm.state = warm ? VmInstance::State::kIdle : VmInstance::State::kBooting;
   vms_.push_back(vm);
-  by_pool_[pool].push_back(vm.id);
   if (warm) idle_by_pool_[pool].insert(vm.id);
   ++counts_[pool].alive;
   ++total_alive_;
@@ -82,13 +81,6 @@ void Fleet::retire(int id, double now) {
   vm.retire_time = now;
   --counts_[vm.pool].alive;
   --total_alive_;
-}
-
-std::vector<PoolKey> Fleet::pools() const {
-  std::vector<PoolKey> keys;
-  keys.reserve(by_pool_.size());
-  for (const auto& [key, ids] : by_pool_) keys.push_back(key);
-  return keys;
 }
 
 std::vector<int> Fleet::idle_in(const PoolKey& pool) const {

@@ -90,8 +90,6 @@ class Fleet {
     return vms_;
   }
 
-  /// Pools that ever existed, in deterministic (family, vcpus) order.
-  [[nodiscard]] std::vector<PoolKey> pools() const;
   /// Idle VM ids in `pool`, ascending (the dispatch order).
   [[nodiscard]] std::vector<int> idle_in(const PoolKey& pool) const;
   /// The live idle-id set for `pool` (ascending), maintained incrementally —
@@ -126,7 +124,6 @@ class Fleet {
 
   FleetConfig config_;
   std::vector<VmInstance> vms_;
-  std::map<PoolKey, std::vector<int>> by_pool_;
   std::map<PoolKey, std::set<int>> idle_by_pool_;
   std::map<PoolKey, PoolCounts> counts_;
   int total_alive_ = 0;

@@ -5,8 +5,8 @@
 // (the current pool's spot price no longer pays), or migrates them to a
 // cheaper (family, vCPU) pool. Evicted attempts additionally re-bid upward
 // before retrying. Decisions are pure functions of (market, configs,
-// template, job, time) — no RNG — so both engines make identical choices
-// and the sharded engine keeps its cross-shard/thread byte-identity.
+// template, job, time) — no RNG — so the simulator keeps its
+// cross-shard/thread byte-identity.
 
 #include <cstdint>
 

@@ -59,7 +59,7 @@ struct FleetMetrics {
   double utilization = 0.0;    // busy seconds / alive seconds
   double total_cost_usd = 0.0; // per-second billing, boot + idle included
   double cost_per_job_usd = 0.0;
-  int peak_vms = 0;
+  int peak_vms = 0;  // sum of per-pool peaks (an upper bound on the global)
   int vms_launched = 0;
   double throughput_per_hour = 0.0;
 
@@ -103,10 +103,6 @@ class MetricsCollector {
   /// sample vectors — and therefore every float accumulation — end up in a
   /// shard-count-independent order).
   void merge_from(const MetricsCollector& other);
-
-  [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
-  [[nodiscard]] std::uint64_t failed() const { return failed_; }
 
   struct FleetStats {
     double busy_seconds = 0.0;

@@ -6,6 +6,14 @@
 
 namespace edacloud::sched {
 
+std::size_t SchedulerPolicy::pick(const std::vector<TaskRef>& queue,
+                                  bool spot_vm) const {
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (task_runnable_on(queue[i], spot_vm)) return i;
+  }
+  return kNoTask;
+}
+
 std::array<PoolKey, core::kJobCount> FifoAnyPolicy::plan(
     const Job& job, const JobTemplate& tmpl) {
   (void)job;
@@ -13,15 +21,6 @@ std::array<PoolKey, core::kJobCount> FifoAnyPolicy::plan(
   std::array<PoolKey, core::kJobCount> pools;
   pools.fill(default_pool_);
   return pools;
-}
-
-std::size_t FifoAnyPolicy::pick(const std::vector<TaskRef>& queue,
-                                const PoolKey& pool, bool spot_vm) const {
-  (void)pool;  // any VM takes the oldest task it is allowed to run
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (task_runnable_on(queue[i], spot_vm)) return i;
-  }
-  return kNoTask;
 }
 
 void CostAwarePolicy::set_fault_context(const FleetConfig& fleet,
@@ -77,46 +76,24 @@ std::array<PoolKey, core::kJobCount> CostAwarePolicy::plan(
   return pools;
 }
 
-std::size_t CostAwarePolicy::pick(const std::vector<TaskRef>& queue,
-                                  const PoolKey& pool, bool spot_vm) const {
-  // Oldest waiting task routed to this pool; strict matching, no stealing.
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (queue[i].preferred == pool && task_runnable_on(queue[i], spot_vm)) {
-      return i;
-    }
-  }
-  return kNoTask;
-}
-
-std::size_t EdfBackfillPolicy::pick(const std::vector<TaskRef>& queue,
-                                    const PoolKey& pool, bool spot_vm) const {
-  std::size_t best_matching = kNoTask;
-  std::size_t best_any = kNoTask;
+std::size_t EdfPolicy::pick(const std::vector<TaskRef>& queue,
+                            bool spot_vm) const {
+  std::size_t best = kNoTask;
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const TaskRef& task = queue[i];
     if (!task_runnable_on(task, spot_vm)) continue;
-    const bool earlier_any =
-        best_any == kNoTask || task.deadline < queue[best_any].deadline ||
-        (task.deadline == queue[best_any].deadline &&
-         task.seq < queue[best_any].seq);
-    if (earlier_any) best_any = i;
-    if (task.preferred != pool) continue;
-    const bool earlier_matching =
-        best_matching == kNoTask ||
-        task.deadline < queue[best_matching].deadline ||
-        (task.deadline == queue[best_matching].deadline &&
-         task.seq < queue[best_matching].seq);
-    if (earlier_matching) best_matching = i;
+    if (best == kNoTask || task.deadline < queue[best].deadline ||
+        (task.deadline == queue[best].deadline && task.seq < queue[best].seq)) {
+      best = i;
+    }
   }
-  // Matching work drains EDF; otherwise backfill the most urgent task from
-  // any pool so the machine never idles while jobs wait.
-  return best_matching != kNoTask ? best_matching : best_any;
+  return best;
 }
 
 std::unique_ptr<SchedulerPolicy> make_policy(const std::string& name) {
   if (name == "fifo") return std::make_unique<FifoAnyPolicy>();
   if (name == "cost") return std::make_unique<CostAwarePolicy>();
-  if (name == "edf") return std::make_unique<EdfBackfillPolicy>();
+  if (name == "edf") return std::make_unique<EdfPolicy>();
   throw std::invalid_argument("unknown policy '" + name +
                               "' (expected fifo | cost | edf)");
 }

@@ -2,8 +2,9 @@
 // Pluggable scheduling policies. A policy makes two decisions:
 //   plan() — at admission, pick the target (family, vCPU) pool for every
 //            stage of the job;
-//   pick() — when a VM in some pool goes idle, choose which waiting stage
-//            task it should run next (or none).
+//   pick() — when a VM in some pool goes idle, choose which task waiting in
+//            that pool's queue it should run next (or none). A pool's queue
+//            only ever holds stages plan() routed to that pool.
 // Running tasks are never preempted by a policy (spot reclaims are the
 // fleet's doing, not the scheduler's).
 
@@ -20,14 +21,13 @@
 
 namespace edacloud::sched {
 
-/// A stage task waiting in the scheduler queue.
+/// A stage task waiting in a pool's queue.
 struct TaskRef {
   std::uint64_t job_id = 0;
   int stage = 0;
   double enqueue_time = 0.0;
   double deadline = 0.0;  // absolute SLO deadline of the owning job
-  PoolKey preferred;      // the pool plan() routed this stage to
-  std::uint64_t seq = 0;  // global enqueue order; the deterministic tie-break
+  std::uint64_t seq = 0;  // pool-local enqueue order; the EDF tie-break
   /// Graceful-degradation flag: this stage burned its spot-eviction budget
   /// and may only start on on-demand VMs.
   bool require_on_demand = false;
@@ -35,8 +35,8 @@ struct TaskRef {
 
 constexpr std::size_t kNoTask = ~std::size_t{0};
 
-/// True when `task` may start on a VM of `pool` whose spot-ness is
-/// `spot_vm` — the one dispatch rule every policy must respect.
+/// True when `task` may start on a VM whose spot-ness is `spot_vm` — the
+/// one dispatch rule every policy must respect.
 [[nodiscard]] inline bool task_runnable_on(const TaskRef& task, bool spot_vm) {
   return !(task.require_on_demand && spot_vm);
 }
@@ -59,19 +59,18 @@ class SchedulerPolicy {
   [[nodiscard]] virtual std::array<PoolKey, core::kJobCount> plan(
       const Job& job, const JobTemplate& tmpl) = 0;
 
-  /// Index into `queue` of the task an idle VM in `pool` should run next
-  /// (kNoTask = leave the VM idle). `queue` is in enqueue order. `spot_vm`
-  /// says whether the candidate VM is spot capacity — tasks whose
+  /// Index into `queue` — the idle VM's own pool queue, in enqueue order —
+  /// of the task the VM should run next (kNoTask = leave the VM idle).
+  /// `spot_vm` says whether the VM is spot capacity — tasks whose
   /// require_on_demand flag is set must not be picked for a spot VM.
+  /// Default: the oldest runnable task.
   [[nodiscard]] virtual std::size_t pick(const std::vector<TaskRef>& queue,
-                                         const PoolKey& pool,
-                                         bool spot_vm = false) const = 0;
+                                         bool spot_vm) const;
 };
 
-/// FIFO-any: one global queue, every stage targets a single big default
-/// pool, and any idle VM anywhere takes the head task. This is the
-/// "just give everyone large machines" baseline the paper's Fig. 6 calls
-/// over-provisioning.
+/// FIFO-any: every stage targets a single big default pool, whose VMs take
+/// the oldest waiting task. This is the "just give everyone large machines"
+/// baseline the paper's Fig. 6 calls over-provisioning.
 class FifoAnyPolicy : public SchedulerPolicy {
  public:
   explicit FifoAnyPolicy(
@@ -81,9 +80,6 @@ class FifoAnyPolicy : public SchedulerPolicy {
   [[nodiscard]] std::string name() const override { return "fifo"; }
   [[nodiscard]] std::array<PoolKey, core::kJobCount> plan(
       const Job& job, const JobTemplate& tmpl) override;
-  [[nodiscard]] std::size_t pick(const std::vector<TaskRef>& queue,
-                                 const PoolKey& pool,
-                                 bool spot_vm = false) const override;
 
  private:
   PoolKey default_pool_;
@@ -92,10 +88,11 @@ class FifoAnyPolicy : public SchedulerPolicy {
 /// Cost-aware: at admission, solve the job's MCKP (greedy heuristic over
 /// the DeploymentOptimizer's stages) against its SLO budget, then route
 /// every stage to the recommended (family, size). Stages wait for their
-/// own pool — the autoscaler grows pools that have queued demand. When the
-/// simulator announces a fault context, the ladders the MCKP prices are
-/// stretched to the retry-inflated *expected* runtimes (cloud::FaultModel),
-/// so unreliable capacity is charged what it actually costs.
+/// own pool, oldest first — the autoscaler grows pools that have queued
+/// demand. When the simulator announces a fault context, the ladders the
+/// MCKP prices are stretched to the retry-inflated *expected* runtimes
+/// (cloud::FaultModel), so unreliable capacity is charged what it actually
+/// costs.
 class CostAwarePolicy : public SchedulerPolicy {
  public:
   explicit CostAwarePolicy(
@@ -108,9 +105,6 @@ class CostAwarePolicy : public SchedulerPolicy {
                          const FaultConfig& faults) override;
   [[nodiscard]] std::array<PoolKey, core::kJobCount> plan(
       const Job& job, const JobTemplate& tmpl) override;
-  [[nodiscard]] std::size_t pick(const std::vector<TaskRef>& queue,
-                                 const PoolKey& pool,
-                                 bool spot_vm = false) const override;
 
   /// The effective-runtime model plan() stretches ladders with (identity
   /// until set_fault_context is called with a lossy configuration).
@@ -124,18 +118,15 @@ class CostAwarePolicy : public SchedulerPolicy {
   cloud::FaultModel fault_model_;  // zero-rate default: no stretch
 };
 
-/// Deadline-aware EDF with preemption-free backfill: MCKP routing like the
-/// cost-aware policy, but the queue drains in earliest-deadline order, and
-/// an idle VM with no matching work backfills the earliest-deadline task
-/// from any pool rather than sitting idle.
-class EdfBackfillPolicy : public CostAwarePolicy {
+/// Deadline-aware EDF: MCKP routing like the cost-aware policy, but each
+/// pool's queue drains in earliest-deadline order (ties by enqueue order).
+class EdfPolicy : public CostAwarePolicy {
  public:
   using CostAwarePolicy::CostAwarePolicy;
 
   [[nodiscard]] std::string name() const override { return "edf"; }
   [[nodiscard]] std::size_t pick(const std::vector<TaskRef>& queue,
-                                 const PoolKey& pool,
-                                 bool spot_vm = false) const override;
+                                 bool spot_vm) const override;
 };
 
 /// Factory for the CLI / bench: "fifo" | "cost" | "edf"; throws on unknown.

@@ -62,7 +62,7 @@ struct ShardEventLater {
   }
 };
 
-/// One shard's event queue. Unlike sched::EventQueue there is no insertion
+/// One shard's event queue. There is deliberately no insertion
 /// sequence number: ordering must not depend on *when* an event was pushed,
 /// because barrier-delivered handoffs arrive in coordinator order while
 /// locally-scheduled events arrive in execution order, and those interleave
@@ -97,8 +97,8 @@ struct JobHandoff {
 
 /// The canonical pool universe and its partition into shards. All three
 /// instance families x the four vCPU sizes = 12 pools, indexed
-/// family-major in (family, vcpus) order — the same order Fleet::pools()
-/// reports — regardless of which pools a run ever launches into.
+/// family-major in (family, vcpus) order — PoolKey's own ordering —
+/// regardless of which pools a run ever launches into.
 class ShardTopology {
  public:
   static constexpr int kFamilyCount = 3;

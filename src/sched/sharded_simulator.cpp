@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -164,7 +166,7 @@ FleetMetrics ShardedFleetSimulator::run() {
     }
     pool.peak_alive = pool.fleet.total_alive();
     // Warm pools tick from t = 0 so an unused pre-provisioned pool still
-    // scales itself down (matching the unsharded engine's behaviour).
+    // scales itself down.
     arm_tick(pool, 0.0);
   }
 
@@ -208,9 +210,9 @@ FleetMetrics ShardedFleetSimulator::run() {
     stats.busy_seconds += pool->fleet.busy_seconds_total();
     stats.alive_seconds += pool->fleet.alive_seconds_total(drained);
     stats.total_cost_usd += pool->fleet.total_cost_usd(drained);
-    // Global instantaneous peak is not pool-decomposable; the sharded
-    // engine reports the sum of per-pool peaks (an upper bound, and a pure
-    // function of pool-local trajectories).
+    // Global instantaneous peak is not pool-decomposable; report the sum of
+    // per-pool peaks (an upper bound, and a pure function of pool-local
+    // trajectories).
     stats.peak_vms += pool->peak_alive;
     stats.vms_launched += static_cast<int>(pool->fleet.instances().size());
   }
@@ -235,9 +237,8 @@ FleetMetrics ShardedFleetSimulator::run() {
 
 void ShardedFleetSimulator::admit_jobs(double window_end) {
   // Admission is coordinator work: arrivals are drawn from the one global
-  // generator stream (alternating make_job / next_arrival_after draws,
-  // exactly like the unsharded engine), so the admitted job sequence is
-  // identical at every shard count.
+  // generator stream (alternating make_job / next_arrival_after draws), so
+  // the admitted job sequence is identical at every shard count.
   std::vector<Job> jobs;
   while (arrivals_open_ && next_arrival_ < window_end) {
     jobs.push_back(generator_.make_job(next_job_id_++, next_arrival_));
@@ -482,8 +483,8 @@ void ShardedFleetSimulator::handle_attempt_killed(PoolRuntime& pool,
     ++job.preemptions;
     ++job.stage_evictions;
     pool.metrics.record_preemption();
-    // Re-bid: same rule as the unsharded engine — an evicted job raises
-    // its bid (a pure function of the old bid) for all later attempts.
+    // Re-bid: an evicted job raises its bid (a pure function of the old
+    // bid) for all later attempts.
     if (config_.base.market.enabled) {
       const double current =
           std::max(config_.base.fleet.spot_bid_fraction, job.bid);
@@ -550,8 +551,8 @@ void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
                                   0, id});
     }
   } else if (delta < 0) {
-    // Retire newest idle machines first (same rule as the unsharded
-    // engine); re-read the set each round since retire() mutates it.
+    // Retire newest idle machines first; re-read the set each round since
+    // retire() mutates it.
     const std::set<int>& idle = pool.fleet.idle_set(pool.key);
     int retire = std::min(-delta, static_cast<int>(idle.size()));
     while (retire-- > 0) pool.fleet.retire(*idle.rbegin(), event.time);
@@ -633,7 +634,6 @@ void ShardedFleetSimulator::enqueue_stage(PoolRuntime& pool,
   task.stage = job.stage;
   task.enqueue_time = now;
   task.deadline = job.slo_deadline;
-  task.preferred = pool.key;
   task.seq = pool.next_task_seq++;
   task.require_on_demand = job.require_on_demand;
   pool.queue.push_back(task);
@@ -648,7 +648,7 @@ void ShardedFleetSimulator::dispatch(PoolRuntime& pool, double now) {
     const int vm_id = *it;
     ++it;  // advance first: a successful pick erases vm_id from the set
     const bool spot_vm = pool.fleet.vm(vm_id).spot;
-    const std::size_t index = pool.policy->pick(pool.queue, pool.key, spot_vm);
+    const std::size_t index = pool.policy->pick(pool.queue, spot_vm);
     if (index == kNoTask) continue;
     const TaskRef task = pool.queue[index];
     pool.queue.erase(pool.queue.begin() + static_cast<std::ptrdiff_t>(index));
@@ -673,8 +673,8 @@ void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
   if (job.first_dispatch_time < 0.0) job.first_dispatch_time = now;
   pool.metrics.record_dispatch(now - task.enqueue_time);
 
-  // Same hazard-draw discipline as the unsharded engine: draws happen
-  // whenever their hazard is armed, never conditionally on another draw.
+  // Hazard draws happen whenever their hazard is armed, never
+  // conditionally on another draw.
   double reclaim_in = kInf;
   if (vm.spot) {
     // The attempt bids the higher of the fleet default and the job's own

@@ -1,10 +1,16 @@
 #pragma once
-// Sharded parallel discrete-event fleet simulator (DESIGN.md §13,
-// docs/SIMULATION.md). The fleet is partitioned by (family, vCPU) pool:
-// every pool — its VMs, queue, autoscaler, RNG streams and metrics — is
-// owned by exactly one shard, and shards execute their event queues
-// concurrently on util::thread_pool inside conservative synchronization
-// windows:
+// The discrete-event cloud fleet simulator (the dynamic half of the paper's
+// problem; DESIGN.md §7/§13, docs/SIMULATION.md): an open-loop stream of
+// EDA flow jobs arrives at an autoscaled fleet of priced VM pools; a
+// pluggable policy routes each flow stage to a pool; spot instances get
+// reclaimed mid-run, VMs can fail to boot or crash mid-task (FaultConfig),
+// and killed stages retry with deterministic exponential backoff, resuming
+// from their last checkpoint.
+//
+// The fleet is partitioned by (family, vCPU) pool: every pool — its VMs,
+// queue, autoscaler, RNG streams and metrics — is owned by exactly one
+// shard, and shards execute their event queues concurrently on
+// util::thread_pool inside conservative synchronization windows:
 //
 //   LBTS       = min over shards (and the pending arrival) of the next
 //                event time — no shard may ever see an event earlier;
@@ -33,14 +39,43 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sched/autoscaler.hpp"
+#include "sched/fault.hpp"
+#include "sched/fleet.hpp"
+#include "sched/job.hpp"
+#include "sched/load_gen.hpp"
+#include "sched/market_policy.hpp"
+#include "sched/metrics.hpp"
+#include "sched/policy.hpp"
 #include "sched/shard.hpp"
-#include "sched/simulator.hpp"
 
 namespace edacloud::sched {
+
+/// Full parameterization of one simulated run. A (SimConfig, seed) pair —
+/// the seed lives inside — determines every event, metric and trace byte.
+struct SimConfig {
+  /// Arrivals stop after this much sim time; in-flight jobs then drain.
+  double duration_seconds = 4 * 3600.0;
+  /// Hard stop for the drain phase (0 = drain until every job finishes).
+  double drain_limit_seconds = 0.0;
+  /// Master seed. Every RNG stream (arrivals, spot assignment, reclaim /
+  /// crash / boot hazards, backoff jitter) derives from it via salted
+  /// splitmix64, so streams never alias each other.
+  std::uint64_t seed = 1;
+  LoadConfig load;
+  FleetConfig fleet;
+  AutoscalerConfig autoscaler;
+  FaultConfig fault;
+  /// Re-bid/migrate market policy; disabled by default (no market ticks).
+  MarketPolicyConfig market;
+  /// Pools pre-provisioned (already booted, idle) at t = 0.
+  std::vector<std::pair<PoolKey, int>> warm_pools;
+};
 
 struct ShardedSimConfig {
   /// Base simulation parameters (load, fleet, autoscaler, faults, seed).
@@ -75,17 +110,29 @@ struct ShardStats {
 class ShardedFleetSimulator {
  public:
   /// `policy_name` is the make_policy() name ("fifo" | "cost" | "edf");
-  /// each shard (and each admission-planning worker slot) gets its own
-  /// instance, configured identically. EDF note: backfill degrades to
-  /// pool-local EDF under sharding — a pool's queue only ever holds tasks
-  /// routed to it, so there is no cross-pool queue to backfill from.
+  /// each pool (and each admission-planning worker slot) gets its own
+  /// instance, configured identically and told the fleet/fault context.
+  /// A pool's queue only ever holds tasks routed to that pool, so picks
+  /// are pool-local at every shard count.
+  /// Throws std::invalid_argument on an unknown policy, a non-positive
+  /// handoff latency or retry budget, or a negative lookahead.
   ShardedFleetSimulator(ShardedSimConfig config,
                         std::vector<JobTemplate> templates,
                         std::string policy_name);
   ~ShardedFleetSimulator();  // out of line: PoolRuntime/Shard are private
 
-  /// Run to completion and return the merged metrics. Single-shot.
+  /// Run to completion (arrival window + drain) and return the merged
+  /// metrics. Single-shot: a second call throws std::logic_error. If the
+  /// global tracer is enabled in kVirtual mode, the virtual clock is
+  /// advanced to the drain time and task attempts / per-pool queue depths
+  /// are emitted as spans and counters.
   FleetMetrics run();
+
+  /// The admission-planning policy (worker slot 0); every other instance
+  /// is configured identically.
+  [[nodiscard]] const SchedulerPolicy& policy() const {
+    return *plan_policies_.front();
+  }
 
   [[nodiscard]] const std::vector<ShardStats>& shard_stats() const {
     return shard_stats_;

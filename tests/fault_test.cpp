@@ -11,7 +11,7 @@
 #include "sched/job.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/simulator.hpp"
+#include "sched/sharded_simulator.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud::sched {
@@ -191,8 +191,8 @@ TEST(FaultInjectionTest, MetricsAndTraceAreByteIdenticalAcrossRuns) {
     obs::Tracer& tracer = obs::Tracer::global();
     tracer.clear();
     tracer.enable(obs::ClockMode::kVirtual);
-    FleetSimulator sim(faulty_sim(21), builtin_templates(),
-                       make_policy("cost"));
+    ShardedFleetSimulator sim({.base = faulty_sim(21)}, builtin_templates(),
+                              "cost");
     const FleetMetrics metrics = sim.run();
     tracer.disable();
     *trace_json = tracer.to_json();
@@ -216,7 +216,7 @@ TEST(FaultInjectionTest, CrashesKillTasksButJobsStillFinish) {
   config.fleet.spot_fraction = 0.0;  // isolate the crash hazard
   config.fault.boot_failure_probability = 0.0;
   config.fault.crash_rate_per_hour = 2.0;
-  FleetSimulator sim(config, builtin_templates(), make_policy("fifo"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "fifo");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.crashes, 0u);
   EXPECT_GT(m.retries, 0u);
@@ -231,7 +231,7 @@ TEST(FaultInjectionTest, BootFailuresSelfHeal) {
   config.fleet.spot_fraction = 0.0;
   config.fault.crash_rate_per_hour = 0.0;
   config.fault.boot_failure_probability = 0.3;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.boot_failures, 0u);
   EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
@@ -242,7 +242,7 @@ TEST(FaultInjectionTest, SingleAttemptBudgetFailsJobsUnderHeavyFaults) {
   config.fleet.spot_fraction = 1.0;
   config.fleet.spot.interruptions_per_hour = 8.0;
   config.fault.max_attempts_per_stage = 1;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.jobs_failed, 0u);
   EXPECT_EQ(m.jobs_completed + m.jobs_failed, m.jobs_submitted);
@@ -255,7 +255,7 @@ TEST(FaultInjectionTest, RepeatedEvictionsFallBackToOnDemand) {
   config.fleet.spot_fraction = 0.5;
   config.fleet.spot.interruptions_per_hour = 10.0;
   config.fault.spot_evictions_before_fallback = 1;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.spot_fallbacks, 0u);
   EXPECT_EQ(m.jobs_completed + m.jobs_failed, m.jobs_submitted);
@@ -270,7 +270,7 @@ TEST(FaultInjectionTest, AllSpotFleetNeverStrandsFallbackTasks) {
   config.fleet.spot_fraction = 1.0;
   config.fleet.spot.interruptions_per_hour = 6.0;
   config.fault.spot_evictions_before_fallback = 1;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_EQ(m.spot_fallbacks, 0u);
   EXPECT_EQ(m.jobs_completed + m.jobs_failed, m.jobs_submitted);
@@ -282,11 +282,11 @@ TEST(FaultInjectionTest, CheckpointingWastesLessThanRestartFromZero) {
   config.fleet.spot.interruptions_per_hour = 4.0;
 
   config.fault.restart = RestartModel::kFromZero;
-  FleetSimulator naive(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator naive({.base = config}, builtin_templates(), "cost");
   const FleetMetrics from_zero = naive.run();
 
   config.fault.restart = RestartModel::kCheckpoint;
-  FleetSimulator smart(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator smart({.base = config}, builtin_templates(), "cost");
   const FleetMetrics checkpointed = smart.run();
 
   EXPECT_GT(from_zero.wasted_seconds, 0.0);
@@ -301,7 +301,7 @@ TEST(FaultInjectionTest, AttemptSpansCarryTheAttemptNumber) {
   tracer.enable(obs::ClockMode::kVirtual);
   SimConfig config = faulty_sim(21);
   config.fleet.spot.interruptions_per_hour = 6.0;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   sim.run();
   tracer.disable();
   const std::string json = tracer.to_json();
@@ -312,10 +312,9 @@ TEST(FaultInjectionTest, AttemptSpansCarryTheAttemptNumber) {
 
 TEST(FaultInjectionTest, CostAwarePolicyPricesTheFaultRate) {
   SimConfig config = faulty_sim(3);
-  auto policy = make_policy("cost");
-  auto* cost_aware = dynamic_cast<CostAwarePolicy*>(policy.get());
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
+  const auto* cost_aware = dynamic_cast<const CostAwarePolicy*>(&sim.policy());
   ASSERT_NE(cost_aware, nullptr);
-  FleetSimulator sim(config, builtin_templates(), std::move(policy));
   // set_fault_context ran in the constructor: effective rate combines the
   // crash hazard with the spot-share-weighted reclaim hazard.
   const cloud::FaultModel& model = cost_aware->fault_model();

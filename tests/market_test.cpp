@@ -19,7 +19,6 @@
 #include "sched/load_gen.hpp"
 #include "sched/market_policy.hpp"
 #include "sched/sharded_simulator.hpp"
-#include "sched/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud {
@@ -366,9 +365,7 @@ TEST(MarketSimTest, RebidPolicyNeverStrandsAllSpotWork) {
   config.fleet.market = market::make_preset_market("storm", 33, 2 * 3600.0);
   config.market.enabled = true;
   config.fault.max_attempts_per_stage = 6;
-  sched::FleetSimulator sim(config, sched::builtin_templates(),
-                            sched::make_policy("cost"));
-  const sched::FleetMetrics metrics = sim.run();
+  const sched::FleetMetrics metrics = run_sharded({.base = config});
   EXPECT_GT(metrics.jobs_submitted, 0u);
   EXPECT_EQ(metrics.jobs_completed + metrics.jobs_failed,
             metrics.jobs_submitted);
@@ -388,9 +385,9 @@ TEST(MarketSimTest, SequentialEngineRunsMigrationsUnderStorm) {
   config.fault.restart = sched::RestartModel::kCheckpoint;
   config.fault.checkpoint_interval_seconds = 120.0;
   config.fault.checkpoint_overhead_seconds = 5.0;
-  sched::FleetSimulator sim(config, sched::builtin_templates(),
-                            sched::make_policy("cost"));
-  const sched::FleetMetrics metrics = sim.run();
+  // One shard on one thread: the engine executes every event in order.
+  const sched::FleetMetrics metrics =
+      run_sharded({.base = config, .threads = 1});
   EXPECT_EQ(metrics.jobs_completed + metrics.jobs_failed,
             metrics.jobs_submitted);
   // Migrated/re-bid work completes: the policy reshapes routing without

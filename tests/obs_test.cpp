@@ -9,7 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/metrics.hpp"
-#include "sched/simulator.hpp"
+#include "sched/sharded_simulator.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edacloud::obs {
@@ -218,8 +218,8 @@ TEST_F(TracerTest, SameSeedFleetSimulationsProduceByteIdenticalTraces) {
     Tracer& tracer = Tracer::global();
     tracer.clear();
     tracer.enable(ClockMode::kVirtual);
-    sched::FleetSimulator sim(config, sched::builtin_templates(),
-                              sched::make_policy("cost"));
+    sched::ShardedFleetSimulator sim({.base = config},
+                                     sched::builtin_templates(), "cost");
     sim.run();
     tracer.disable();
     return tracer.to_json();
@@ -231,7 +231,7 @@ TEST_F(TracerTest, SameSeedFleetSimulationsProduceByteIdenticalTraces) {
   EXPECT_EQ(first, second);
   expect_balanced_json(first);
   EXPECT_NE(first.find("task/"), std::string::npos);
-  EXPECT_NE(first.find("fleet/queue_depth"), std::string::npos);
+  EXPECT_NE(first.find("fleet/queue/"), std::string::npos);
 }
 
 // ---- Registry ---------------------------------------------------------------

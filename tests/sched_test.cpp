@@ -7,38 +7,14 @@
 
 #include "nl/cell_library.hpp"
 #include "sched/autoscaler.hpp"
-#include "sched/event_queue.hpp"
 #include "sched/fleet.hpp"
 #include "sched/job.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/policy.hpp"
-#include "sched/simulator.hpp"
+#include "sched/sharded_simulator.hpp"
 
 namespace edacloud::sched {
 namespace {
-
-// ---- EventQueue -------------------------------------------------------------
-
-TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue queue;
-  queue.push(3.0, EventType::kTaskComplete);
-  queue.push(1.0, EventType::kJobArrival);
-  queue.push(2.0, EventType::kVmBootComplete);
-  EXPECT_EQ(queue.pop().type, EventType::kJobArrival);
-  EXPECT_EQ(queue.pop().type, EventType::kVmBootComplete);
-  EXPECT_EQ(queue.pop().type, EventType::kTaskComplete);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueueTest, SimultaneousEventsFireInInsertionOrder) {
-  EventQueue queue;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    queue.push(5.0, EventType::kJobArrival, i);
-  }
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(queue.pop().job_id, i);
-  }
-}
 
 // ---- JobTemplate ------------------------------------------------------------
 
@@ -307,9 +283,8 @@ TEST(PolicyTest, FifoRoutesEverythingToTheDefaultPoolHead) {
     EXPECT_EQ(pool, big);
   }
   std::vector<TaskRef> queue(3);
-  EXPECT_EQ(policy.pick(queue, {perf::InstanceFamily::kMemoryOptimized, 1}),
-            0u);
-  EXPECT_EQ(policy.pick({}, big), kNoTask);
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/false), 0u);
+  EXPECT_EQ(policy.pick({}, /*spot_vm=*/false), kNoTask);
 }
 
 TEST(PolicyTest, CostAwareLooseSloPicksFewerVcpusThanTightSlo) {
@@ -328,32 +303,31 @@ TEST(PolicyTest, CostAwareLooseSloPicksFewerVcpusThanTightSlo) {
 }
 
 TEST(PolicyTest, CostAwareWaitsForItsOwnPool) {
+  // The queue a VM is handed is its own pool's; the oldest task it may run
+  // goes first, and an on-demand-only task waits for on-demand capacity in
+  // that pool rather than starting on a spot VM.
   CostAwarePolicy policy;
   std::vector<TaskRef> queue(2);
-  queue[0].preferred = {perf::InstanceFamily::kGeneralPurpose, 1};
   queue[0].seq = 0;
-  queue[1].preferred = {perf::InstanceFamily::kMemoryOptimized, 4};
+  queue[0].require_on_demand = true;
   queue[1].seq = 1;
-  EXPECT_EQ(policy.pick(queue, {perf::InstanceFamily::kMemoryOptimized, 4}),
-            1u);
-  EXPECT_EQ(policy.pick(queue, {perf::InstanceFamily::kMemoryOptimized, 8}),
-            kNoTask);
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/false), 0u);
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/true), 1u);
+  queue[1].require_on_demand = true;
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/true), kNoTask);
 }
 
-TEST(PolicyTest, EdfPrefersEarliestDeadlineAndBackfills) {
-  EdfBackfillPolicy policy;
-  const PoolKey mine{perf::InstanceFamily::kGeneralPurpose, 2};
-  const PoolKey other{perf::InstanceFamily::kMemoryOptimized, 8};
+TEST(PolicyTest, EdfPrefersEarliestDeadline) {
+  EdfPolicy policy;
   std::vector<TaskRef> queue(3);
-  queue[0] = TaskRef{0, 0, 0.0, 500.0, mine, 0};
-  queue[1] = TaskRef{1, 0, 0.0, 100.0, mine, 1};
-  queue[2] = TaskRef{2, 0, 0.0, 50.0, other, 2};
-  // A matching VM drains its own pool EDF-first even when another pool's
-  // task is more urgent...
-  EXPECT_EQ(policy.pick(queue, mine), 1u);
-  // ...but a VM with no matching work backfills the most urgent task.
-  const PoolKey idle_pool{perf::InstanceFamily::kGeneralPurpose, 4};
-  EXPECT_EQ(policy.pick(queue, idle_pool), 2u);
+  queue[0] = TaskRef{0, 0, 0.0, 500.0, 0};
+  queue[1] = TaskRef{1, 0, 0.0, 100.0, 1};
+  queue[2] = TaskRef{2, 0, 0.0, 100.0, 2};
+  // Earliest deadline first; equal deadlines drain in enqueue order.
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/false), 1u);
+  queue[1].require_on_demand = true;
+  EXPECT_EQ(policy.pick(queue, /*spot_vm=*/true), 2u);
+  EXPECT_EQ(policy.pick({}, /*spot_vm=*/false), kNoTask);
 }
 
 // ---- Simulator end-to-end ---------------------------------------------------
@@ -377,8 +351,8 @@ SimConfig small_sim(std::uint64_t seed, const TrafficMix& mix,
 }
 
 TEST(SimulatorTest, CompletesEveryAdmittedJob) {
-  FleetSimulator sim(small_sim(3, uniform_mix(), 60.0), builtin_templates(),
-                     make_policy("fifo"));
+  ShardedFleetSimulator sim({.base = small_sim(3, uniform_mix(), 60.0)},
+                            builtin_templates(), "fifo");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.jobs_submitted, 0u);
   EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
@@ -390,8 +364,8 @@ TEST(SimulatorTest, CompletesEveryAdmittedJob) {
 
 TEST(SimulatorTest, SameSeedGivesBitIdenticalMetrics) {
   const auto run_once = [] {
-    FleetSimulator sim(small_sim(99, skewed_mix(), 120.0),
-                       builtin_templates(), make_policy("cost"));
+    ShardedFleetSimulator sim({.base = small_sim(99, skewed_mix(), 120.0)},
+                              builtin_templates(), "cost");
     return sim.run();
   };
   const FleetMetrics a = run_once();
@@ -418,8 +392,8 @@ TEST(SimulatorTest, SameSeedGivesBitIdenticalMetrics) {
 
 TEST(SimulatorTest, DifferentSeedsDiverge) {
   const auto run_seed = [](std::uint64_t seed) {
-    FleetSimulator sim(small_sim(seed, uniform_mix(), 90.0),
-                       builtin_templates(), make_policy("fifo"));
+    ShardedFleetSimulator sim({.base = small_sim(seed, uniform_mix(), 90.0)},
+                              builtin_templates(), "fifo");
     return sim.run();
   };
   const FleetMetrics a = run_seed(1);
@@ -429,8 +403,8 @@ TEST(SimulatorTest, DifferentSeedsDiverge) {
 
 TEST(SimulatorTest, CostAwareIsStrictlyCheaperThanFifoOnSkewedMix) {
   const auto run_policy = [](const std::string& name) {
-    FleetSimulator sim(small_sim(7, skewed_mix(), 180.0),
-                       builtin_templates(), make_policy(name));
+    ShardedFleetSimulator sim({.base = small_sim(7, skewed_mix(), 180.0)},
+                              builtin_templates(), name);
     return sim.run();
   };
   const FleetMetrics fifo = run_policy("fifo");
@@ -444,7 +418,7 @@ TEST(SimulatorTest, ColdFleetPaysBootLatency) {
   SimConfig config = small_sim(5, uniform_mix(), 30.0);
   config.warm_pools.clear();  // nothing provisioned at t = 0
   config.fleet.boot_seconds = 120.0;
-  FleetSimulator sim(config, builtin_templates(), make_policy("fifo"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "fifo");
   const FleetMetrics m = sim.run();
   EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
   // The first stage cannot start before the autoscaler notices the queue
@@ -457,7 +431,7 @@ TEST(SimulatorTest, SpotFleetSuffersPreemptionsButFinishes) {
   SimConfig config = small_sim(17, uniform_mix(), 60.0);
   config.fleet.spot_fraction = 1.0;
   config.fleet.spot.interruptions_per_hour = 6.0;  // brutal reclaim rate
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_GT(m.preemptions, 0u);
   EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
@@ -467,22 +441,22 @@ TEST(SimulatorTest, ZeroInterruptionRateMeansNoPreemptions) {
   SimConfig config = small_sim(17, uniform_mix(), 60.0);
   config.fleet.spot_fraction = 1.0;
   config.fleet.spot.interruptions_per_hour = 0.0;
-  FleetSimulator sim(config, builtin_templates(), make_policy("cost"));
+  ShardedFleetSimulator sim({.base = config}, builtin_templates(), "cost");
   const FleetMetrics m = sim.run();
   EXPECT_EQ(m.preemptions, 0u);
   EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
 }
 
 TEST(SimulatorTest, RunIsSingleShot) {
-  FleetSimulator sim(small_sim(1, uniform_mix(), 30.0), builtin_templates(),
-                     make_policy("fifo"));
+  ShardedFleetSimulator sim({.base = small_sim(1, uniform_mix(), 30.0)},
+                            builtin_templates(), "fifo");
   sim.run();
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
 TEST(SimulatorTest, MetricsRenderMentionsKeyRows) {
-  FleetSimulator sim(small_sim(2, uniform_mix(), 30.0), builtin_templates(),
-                     make_policy("edf"));
+  ShardedFleetSimulator sim({.base = small_sim(2, uniform_mix(), 30.0)},
+                            builtin_templates(), "edf");
   const std::string out = sim.run().render();
   EXPECT_NE(out.find("latency p99"), std::string::npos);
   EXPECT_NE(out.find("cost per job"), std::string::npos);
