@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   for (const core::JobKind job : core::kAllJobs) {
     if (!predictor.trained(job)) {
       std::fprintf(stderr, "training produced no model for %s\n",
-                   core::job_name(job));
+                   core::job_name(job).c_str());
       return 1;
     }
   }

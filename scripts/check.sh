@@ -374,7 +374,7 @@ market_smoke() {
     return 1
   }
 
-  echo "=== market smoke: storm shards-1-vs-8 byte-identity ==="
+  echo "=== market smoke: storm shards-1-vs-8-vs-4x2 byte-identity ==="
   local storm_flags=(--seed 13 --duration 3600 --spot 0.6 --market storm
     --rebid --mix flash --handoff-latency 2)
   "${cli}" fleet-sim "${storm_flags[@]}" --shards 1 --threads 1 \
@@ -383,8 +383,12 @@ market_smoke() {
     --metrics "${tmp}/storm_s8.json" > /dev/null
   "${cli}" fleet-sim "${storm_flags[@]}" --shards 8 --threads 4 \
     --metrics "${tmp}/storm_s8t4.json" > /dev/null
+  # 4 shards x 2 threads is the benchmark's fleet shape.
+  "${cli}" fleet-sim "${storm_flags[@]}" --shards 4 --threads 2 \
+    --metrics "${tmp}/storm_s4t2.json" > /dev/null
   cmp "${tmp}/storm_s1.json" "${tmp}/storm_s8.json"
   cmp "${tmp}/storm_s1.json" "${tmp}/storm_s8t4.json"
+  cmp "${tmp}/storm_s1.json" "${tmp}/storm_s4t2.json"
 
   echo "=== market smoke: flag validation ==="
   "${cli}" fleet-sim --market hurricane > /dev/null 2>&1 && {
@@ -426,7 +430,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-tsan -j
   echo "=== tsan: ctest (concurrency suites) ==="
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|RecipeSpaceTest')
+    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|RecipeSpaceTest')
 fi
 
 # Per-suite inventory: what tier-1 actually ran, so a vanishing suite (a

@@ -4,15 +4,21 @@
 // either keeps them where they are, degrades them to on-demand capacity
 // (the current pool's spot price no longer pays), or migrates them to a
 // cheaper (family, vCPU) pool. Evicted attempts additionally re-bid upward
-// before retrying. Decisions are pure functions of (market, configs,
-// template, job, time) — no RNG — so the simulator keeps its
-// cross-shard/thread byte-identity.
+// before retrying. Decisions are pure functions of (quote, configs,
+// template, job) — no RNG — so the simulator keeps its cross-shard/thread
+// byte-identity.
+//
+// Prices depend only on the tick time, so a tick quotes the market once
+// (MarketQuote: 12 spot prices + 12 blended hourly rates) and every queued
+// task's decision then costs ladder lookups and multiplies, no market calls.
 
+#include <array>
 #include <cstdint>
 
 #include "cloud/market.hpp"
 #include "sched/fleet.hpp"
 #include "sched/job.hpp"
+#include "sched/shard.hpp"
 
 namespace edacloud::sched {
 
@@ -47,24 +53,37 @@ struct MarketDecision {
   PoolKey pool;  // migration target when action == kMigrate
 };
 
-/// Expected $ to run `job`'s current stage remainder on `pool` right now:
-/// the pool's hourly rate blended across its on-demand/spot split at the
-/// current spot price, times the stage's remaining runtime there.
-[[nodiscard]] double market_stage_cost_usd(const cloud::Market& market,
-                                           const FleetConfig& fleet,
+/// Every canonical pool's prices at one instant, indexed by
+/// ShardTopology::pool_index.
+struct MarketQuote {
+  /// Spot price as a fraction of on-demand (Market::price_at).
+  std::array<double, ShardTopology::kPoolCount> spot_price{};
+  /// $/hour blended across the fleet's on-demand/spot split: the on-demand
+  /// slice pays list price, the spot slice pays the spot price capped at
+  /// on-demand (nobody pays above list for reclaimable capacity).
+  std::array<double, ShardTopology::kPoolCount> blended_hourly_usd{};
+};
+
+/// Quote all 12 pools of `market` at sim time `now`.
+[[nodiscard]] MarketQuote quote_market(const cloud::Market& market,
+                                       const FleetConfig& fleet, double now);
+
+/// Expected $ to run `job`'s current stage remainder on `pool` at the
+/// quoted prices: the pool's blended hourly rate times the stage's
+/// remaining runtime there.
+[[nodiscard]] double market_stage_cost_usd(const MarketQuote& quote,
                                            const JobTemplate& tmpl,
                                            const Job& job,
-                                           const PoolKey& pool, double now);
+                                           const PoolKey& pool);
 
 /// The per-task tick decision. `preferred` is the pool the task is
 /// currently routed to. Deterministic: candidate pools are scanned in
 /// canonical (family, vcpus) order with strict-improvement tie-breaks.
-[[nodiscard]] MarketDecision market_decide(const cloud::Market& market,
+[[nodiscard]] MarketDecision market_decide(const MarketQuote& quote,
                                            const FleetConfig& fleet,
                                            const MarketPolicyConfig& policy,
                                            const JobTemplate& tmpl,
                                            const Job& job,
-                                           const PoolKey& preferred,
-                                           double now);
+                                           const PoolKey& preferred);
 
 }  // namespace edacloud::sched

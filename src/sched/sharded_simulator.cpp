@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/thread_pool.hpp"
 
@@ -42,6 +42,13 @@ constexpr std::uint32_t kShardLaneBase = 0xFFFE0000u;
 
 }  // namespace
 
+/// A job resident in a pool (queued, running or backing off) with the
+/// per-stage routing plan it carries between pools.
+struct PoolJob {
+  Job job;
+  std::array<PoolKey, core::kJobCount> plan{};
+};
+
 /// All simulation state owned by one (family, vCPU) pool. Everything in
 /// here is touched only by the owning shard during a window (and by the
 /// single-threaded coordinator between windows), so no locking is needed.
@@ -67,8 +74,10 @@ struct ShardedFleetSimulator::PoolRuntime {
   Autoscaler scaler;
   std::unique_ptr<SchedulerPolicy> policy;  // pick() only; plan() is global
   std::vector<TaskRef> queue;
-  std::map<std::uint64_t, Job> jobs;
-  std::map<std::uint64_t, std::array<PoolKey, core::kJobCount>> plans;
+  /// Resident jobs by id. Lookup only: never iterate this table — hash
+  /// order is not canonical, and letting it reach an event, metric or trace
+  /// would break the byte-identity contract.
+  std::unordered_map<std::uint64_t, PoolJob> jobs;
   std::uint64_t next_task_seq = 0;
   util::Rng fleet_rng;    // spot-tier assignment on launch
   util::Rng spot_rng;     // reclaim timing on spot VMs
@@ -82,6 +91,18 @@ struct ShardedFleetSimulator::PoolRuntime {
   std::vector<obs::TraceEvent> trace_buffer;
   std::string queue_counter_name;
   std::string market_counter_name;
+
+  /// The table entry of resident job `id`; throws std::out_of_range if the
+  /// job is not in this pool.
+  std::unordered_map<std::uint64_t, PoolJob>::iterator resident(
+      std::uint64_t id) {
+    const auto it = jobs.find(id);
+    if (it == jobs.end()) {
+      throw std::out_of_range("job " + std::to_string(id) +
+                              " is not resident in pool " + to_string(key));
+    }
+    return it;
+  }
 };
 
 /// One logical process: an event queue over its pools, the outbox of
@@ -266,24 +287,32 @@ void ShardedFleetSimulator::admit_jobs(double window_end) {
     PoolRuntime& pool = *pools_[static_cast<std::size_t>(dest)];
     const std::uint64_t id = jobs[i].id;
     const double arrival = jobs[i].arrival_time;
-    pool.plans.emplace(id, plans[i]);
-    pool.jobs.emplace(id, std::move(jobs[i]));
+    pool.jobs.emplace(id, PoolJob{std::move(jobs[i]), plans[i]});
     shard_of(pool).events.push(
         {arrival, ShardEventType::kJobDeliver, dest, id, -1});
   }
 }
 
 void ShardedFleetSimulator::execute_window(double window_end) {
-  const auto shard_count = static_cast<std::size_t>(topology_.shard_count());
+  // Only shards with an event before window_end have work. Most windows
+  // hold work for one shard, which parallel_for then runs inline on this
+  // thread with no thread-pool round trip; which thread runs a shard never
+  // changes what it computes.
+  std::vector<Shard*> busy;
+  for (const auto& shard : shards_) {
+    if (!shard->events.empty() && shard->events.peek().time < window_end) {
+      busy.push_back(shard.get());
+    }
+  }
   // Grain 1: each chunk is exactly one shard, so a shard's events are
   // processed by one thread per window (single-writer pool state), and the
   // work a chunk does depends only on its index — the thread-pool
   // bit-identity contract.
-  util::parallel_for(config_.threads, 0, shard_count, 1,
+  util::parallel_for(config_.threads, 0, busy.size(), 1,
                      [&](std::size_t begin, std::size_t end, std::size_t,
                          unsigned) {
                        for (std::size_t s = begin; s < end; ++s) {
-                         run_shard(*shards_[s], window_end);
+                         run_shard(*busy[s], window_end);
                        }
                      });
 }
@@ -356,8 +385,7 @@ void ShardedFleetSimulator::deliver_handoffs() {
             "s; lookahead_seconds must not exceed handoff_latency_seconds");
       }
       const std::uint64_t id = msg.job.id;
-      dest.plans.emplace(id, msg.plan);
-      dest.jobs.emplace(id, std::move(msg.job));
+      dest.jobs.emplace(id, PoolJob{std::move(msg.job), msg.plan});
       dest_shard.events.push(
           {msg.deliver_time, ShardEventType::kJobDeliver, msg.dest_pool, id,
            -1});
@@ -391,7 +419,8 @@ void ShardedFleetSimulator::handle_task_complete(Shard& shard,
                                                  PoolRuntime& pool,
                                                  const ShardEvent& event) {
   VmInstance& vm = pool.fleet.vm(event.vm_id);
-  Job& job = pool.jobs.at(event.job_id);
+  const auto resident = pool.resident(event.job_id);
+  Job& job = resident->second.job;
   trace_attempt(pool, job, vm, event.vm_id, event.time, /*killed=*/false);
 
   const double service = vm.run_service;
@@ -414,28 +443,26 @@ void ShardedFleetSimulator::handle_task_complete(Shard& shard,
     const JobTemplate& tmpl = templates_[job.template_index];
     pool.metrics.record_completion(
         job, job.scale * tmpl.best_total_runtime_seconds());
-    pool.plans.erase(event.job_id);
-    pool.jobs.erase(event.job_id);
   } else {
     // Stage handoff. Every handoff — including to a pool on the same shard,
     // even the same pool — pays the same latency and goes through the
     // outbox, so event times never depend on the pool -> shard map.
     JobHandoff msg;
     msg.deliver_time = event.time + config_.handoff_latency_seconds;
-    msg.plan = pool.plans.at(event.job_id);
+    msg.plan = resident->second.plan;
     msg.dest_pool = ShardTopology::pool_index(msg.plan[job.stage]);
-    msg.job = job;
+    msg.job = std::move(job);
     shard.outbox.push_back(std::move(msg));
-    pool.plans.erase(event.job_id);
-    pool.jobs.erase(event.job_id);
   }
+  pool.jobs.erase(resident);
   dispatch(pool, event.time);
 }
 
 void ShardedFleetSimulator::handle_attempt_killed(PoolRuntime& pool,
                                                   const ShardEvent& event,
                                                   bool spot_reclaim) {
-  Job& job = pool.jobs.at(event.job_id);
+  const auto resident = pool.resident(event.job_id);
+  Job& job = resident->second.job;
   VmInstance& vm = pool.fleet.vm(event.vm_id);
   trace_attempt(pool, job, vm, event.vm_id, event.time, /*killed=*/true);
 
@@ -512,8 +539,7 @@ void ShardedFleetSimulator::handle_attempt_killed(PoolRuntime& pool,
 
   if (job.stage_kills >= fault.max_attempts_per_stage) {
     pool.metrics.record_failure();
-    pool.plans.erase(event.job_id);
-    pool.jobs.erase(event.job_id);
+    pool.jobs.erase(resident);
     dispatch(pool, event.time);
     return;
   }
@@ -574,17 +600,20 @@ void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
 void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
                                                const ShardEvent& event) {
   pool.market_tick_armed = false;
-  const cloud::Market& market = *config_.base.fleet.market;
   Shard& shard = shard_of(pool);
+  // One quote per tick: prices depend only on the tick time, so every
+  // queued task is decided against the same 12 prices.
+  const MarketQuote quote =
+      quote_market(*config_.base.fleet.market, config_.base.fleet, event.time);
 
   std::vector<TaskRef> kept;
   kept.reserve(pool.queue.size());
   for (TaskRef& task : pool.queue) {
-    Job& job = pool.jobs.at(task.job_id);
+    const auto resident = pool.resident(task.job_id);
+    Job& job = resident->second.job;
     const MarketDecision decision =
-        market_decide(market, config_.base.fleet, config_.base.market,
-                      templates_[job.template_index], job, pool.key,
-                      event.time);
+        market_decide(quote, config_.base.fleet, config_.base.market,
+                      templates_[job.template_index], job, pool.key);
     switch (decision.action) {
       case MarketAction::kKeep:
         break;
@@ -602,12 +631,11 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
         JobHandoff msg;
         msg.deliver_time = event.time + config_.handoff_latency_seconds;
         msg.dest_pool = ShardTopology::pool_index(decision.pool);
-        msg.plan = pool.plans.at(task.job_id);
+        msg.plan = resident->second.plan;
         msg.plan[job.stage] = decision.pool;
-        msg.job = job;
+        msg.job = std::move(job);
         shard.outbox.push_back(std::move(msg));
-        pool.plans.erase(task.job_id);
-        pool.jobs.erase(task.job_id);
+        pool.jobs.erase(resident);
         pool.metrics.record_market_migration();
         continue;  // leave the task out of the kept queue
       }
@@ -628,7 +656,7 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
 
 void ShardedFleetSimulator::enqueue_stage(PoolRuntime& pool,
                                           std::uint64_t job_id, double now) {
-  const Job& job = pool.jobs.at(job_id);
+  const Job& job = pool.resident(job_id)->second.job;
   TaskRef task;
   task.job_id = job_id;
   task.stage = job.stage;
@@ -658,7 +686,7 @@ void ShardedFleetSimulator::dispatch(PoolRuntime& pool, double now) {
 
 void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
                                        const TaskRef& task, double now) {
-  Job& job = pool.jobs.at(task.job_id);
+  Job& job = pool.resident(task.job_id)->second.job;
   VmInstance& vm = pool.fleet.vm(vm_id);
   const double work = service_seconds(job, vm);
   const double service =

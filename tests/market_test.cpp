@@ -12,10 +12,12 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cloud/market.hpp"
 #include "market/market.hpp"
 #include "market/price_trace.hpp"
+#include "obs/metrics.hpp"
 #include "sched/load_gen.hpp"
 #include "sched/market_policy.hpp"
 #include "sched/sharded_simulator.hpp"
@@ -249,10 +251,12 @@ TEST(MarketPolicyTest, StageCostScalesWithRemainingCheckpointCredit) {
   sched::Job half = fresh;
   half.stage_progress = 0.5;
   const sched::PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 4};
-  const double fresh_cost = sched::market_stage_cost_usd(
-      *fleet.market, fleet, templates[0], fresh, pool, 0.0);
-  const double half_cost = sched::market_stage_cost_usd(
-      *fleet.market, fleet, templates[0], half, pool, 0.0);
+  const sched::MarketQuote quote =
+      sched::quote_market(*fleet.market, fleet, 0.0);
+  const double fresh_cost =
+      sched::market_stage_cost_usd(quote, templates[0], fresh, pool);
+  const double half_cost =
+      sched::market_stage_cost_usd(quote, templates[0], half, pool);
   EXPECT_GT(fresh_cost, 0.0);
   EXPECT_NEAR(half_cost, 0.5 * fresh_cost, 1e-12);
 }
@@ -269,13 +273,101 @@ TEST(MarketPolicyTest, DecisionsAreDeterministicPureFunctions) {
   job.template_index = 1;
   const sched::PoolKey pool{perf::InstanceFamily::kMemoryOptimized, 8};
   for (double t : {0.0, 1800.0, 7200.0, 20000.0}) {
-    const sched::MarketDecision a =
-        sched::market_decide(*storm, fleet, policy, templates[1], job, pool, t);
-    const sched::MarketDecision b =
-        sched::market_decide(*storm, fleet, policy, templates[1], job, pool, t);
+    const sched::MarketDecision a = sched::market_decide(
+        sched::quote_market(*storm, fleet, t), fleet, policy, templates[1],
+        job, pool);
+    const sched::MarketDecision b = sched::market_decide(
+        sched::quote_market(*storm, fleet, t), fleet, policy, templates[1],
+        job, pool);
     EXPECT_EQ(a.action, b.action);
     EXPECT_EQ(a.pool, b.pool);
   }
+}
+
+TEST(MarketPolicyTest, QuotedDecisionMatchesPerCandidateCost) {
+  // The tick quotes the market once and decides every queued task from the
+  // quote. Reference: price each candidate straight from the market, as a
+  // per-task rule would, and apply the decision rule candidate by
+  // candidate. Costs must agree to the bit, decisions exactly.
+  const auto storm = market::make_preset_market("storm", 11, 8 * 3600.0);
+  const auto& templates = sched::builtin_templates();
+  sched::FleetConfig fleet;
+  fleet.spot_fraction = 0.6;
+  fleet.market = storm;
+  const sched::MarketPolicyConfig policy;
+
+  std::vector<sched::Job> jobs(3);
+  jobs[0].template_index = 1;  // fresh
+  jobs[1].template_index = 2;  // half-checkpointed, larger than nominal
+  jobs[1].stage = 1;
+  jobs[1].stage_progress = 0.5;
+  jobs[1].scale = 1.3;
+  jobs[2].template_index = 0;  // pinned to on-demand capacity
+  jobs[2].stage = 2;
+  jobs[2].require_on_demand = true;
+
+  const double sf = fleet.spot_fraction;
+  const auto runtime_on = [](const sched::JobTemplate& tmpl,
+                             const sched::Job& job, const sched::PoolKey& p) {
+    return tmpl.runtime(static_cast<core::JobKind>(job.stage), p.family,
+                        p.vcpus) *
+           job.scale * (1.0 - job.stage_progress);
+  };
+  int decisions[3] = {0, 0, 0};
+  for (double t = 0.0; t < 8 * 3600.0; t += 450.0) {
+    const sched::MarketQuote quote = sched::quote_market(*storm, fleet, t);
+    for (int incumbent_index = 0;
+         incumbent_index < sched::ShardTopology::kPoolCount;
+         ++incumbent_index) {
+      const sched::PoolKey incumbent =
+          sched::ShardTopology::pool_at(incumbent_index);
+      for (const sched::Job& job : jobs) {
+        const sched::JobTemplate& tmpl = templates[job.template_index];
+        const auto cost_on = [&](const sched::PoolKey& p) {
+          const double price = storm->price_at(p.family, p.vcpus, t);
+          const double cost = fleet.catalog.hourly_usd(p.family, p.vcpus) *
+                              ((1.0 - sf) + sf * std::min(price, 1.0)) *
+                              runtime_on(tmpl, job, p) / 3600.0;
+          EXPECT_EQ(cost, sched::market_stage_cost_usd(quote, tmpl, job, p));
+          return cost;
+        };
+        sched::MarketDecision expected;
+        double best = policy.migrate_margin * cost_on(incumbent);
+        const double slack =
+            policy.migrate_runtime_slack * runtime_on(tmpl, job, incumbent);
+        for (int index = 0; index < sched::ShardTopology::kPoolCount;
+             ++index) {
+          if (index == incumbent_index) continue;
+          const sched::PoolKey candidate = sched::ShardTopology::pool_at(index);
+          if (runtime_on(tmpl, job, candidate) > slack) continue;
+          const double cost = cost_on(candidate);
+          if (cost < best) {
+            best = cost;
+            expected = {sched::MarketAction::kMigrate, candidate};
+          }
+        }
+        if (expected.action != sched::MarketAction::kMigrate &&
+            !job.require_on_demand &&
+            storm->price_at(incumbent.family, incumbent.vcpus, t) >=
+                policy.fallback_price_fraction) {
+          expected.action = sched::MarketAction::kFallback;
+        }
+
+        const sched::MarketDecision actual =
+            sched::market_decide(quote, fleet, policy, tmpl, job, incumbent);
+        ASSERT_EQ(actual.action, expected.action)
+            << "t=" << t << " incumbent=" << sched::to_string(incumbent);
+        if (expected.action == sched::MarketAction::kMigrate) {
+          EXPECT_EQ(actual.pool, expected.pool);
+        }
+        ++decisions[static_cast<int>(actual.action)];
+      }
+    }
+  }
+  // The sweep reached every branch of the rule.
+  EXPECT_GT(decisions[static_cast<int>(sched::MarketAction::kKeep)], 0);
+  EXPECT_GT(decisions[static_cast<int>(sched::MarketAction::kFallback)], 0);
+  EXPECT_GT(decisions[static_cast<int>(sched::MarketAction::kMigrate)], 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,6 +441,61 @@ TEST(MarketShardTest, MovingMarketIsByteIdenticalAcrossThreadCounts) {
   const sched::FleetMetrics serial = run_sharded(market_config(8, 1));
   const sched::FleetMetrics parallel = run_sharded(market_config(8, 8));
   expect_identical(serial, parallel);
+}
+
+// The benchmark's fleet shape: a diurnal mix at 700 jobs/h outgrowing six
+// warm VMs under the storm market, 40% spot with re-bid and migrate on,
+// and checkpointed crashes. Market ticks see queues hundreds deep, and most
+// synchronization windows hold work for a single shard.
+sched::ShardedSimConfig deep_storm_config(int shards, int threads) {
+  sched::ShardedSimConfig config;
+  config.base.seed = 202;
+  config.base.duration_seconds = 3 * 3600.0;
+  config.base.load.arrival_rate_per_hour = 700.0;
+  config.base.load.mix = sched::diurnal_mix();
+  config.base.fleet.spot_fraction = 0.4;
+  config.base.fleet.market =
+      market::make_preset_market("storm", 20260807, 4 * 3600.0);
+  config.base.market.enabled = true;
+  config.base.autoscaler.interval_seconds = 15.0;
+  config.base.fault.restart = sched::RestartModel::kCheckpoint;
+  config.base.fault.checkpoint_interval_seconds = 150.0;
+  config.base.fault.checkpoint_overhead_seconds = 15.0;
+  config.base.fault.crash_rate_per_hour = 0.05;
+  config.base.warm_pools = {
+      {{perf::InstanceFamily::kGeneralPurpose, 8}, 2},
+      {{perf::InstanceFamily::kGeneralPurpose, 1}, 2},
+      {{perf::InstanceFamily::kMemoryOptimized, 1}, 2},
+  };
+  config.shards = shards;
+  config.threads = threads;
+  config.handoff_latency_seconds = 1.0;
+  return config;
+}
+
+TEST(MarketShardTest, DeepStormQueuesExportIdenticallyAtEveryShape) {
+  std::string reference;
+  for (const int shards : {1, 4, 12}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      const sched::FleetMetrics metrics =
+          run_sharded(deep_storm_config(shards, threads));
+      obs::Registry registry;
+      metrics.export_to(registry);
+      const std::string exported = registry.to_json();
+      if (reference.empty()) {
+        reference = exported;
+        // The market and fault paths are live, so identity is not vacuous.
+        EXPECT_GT(metrics.market_migrations, 0u);
+        EXPECT_GT(metrics.market_rebids, 0u);
+        EXPECT_GT(metrics.crashes, 0u);
+        EXPECT_EQ(metrics.jobs_completed + metrics.jobs_failed,
+                  metrics.jobs_submitted);
+      }
+      EXPECT_EQ(exported, reference);
+    }
+  }
 }
 
 TEST(MarketSimTest, RebidPolicyNeverStrandsAllSpotWork) {
