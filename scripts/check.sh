@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification, three times: a plain Release build, an ASan+UBSan
-# build, and a TSan build running the concurrency-heavy suites (the thread
-# pool and the parallel stage engines behind it).
+# Tier-1 verification, three times: a plain Release build (warnings are
+# errors), an ASan+UBSan build, and a TSan build running the
+# concurrency-heavy suites (the thread pool and the parallel stage engines
+# behind it).
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitized passes (plain build + tests only)
 set -euo pipefail
@@ -19,7 +20,8 @@ run_pass() {
   (cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)")
 }
 
-run_pass "plain" build
+# The plain leg is the Release tree everyone builds: keep it warning-free.
+run_pass "plain" build -DEDACLOUD_WERROR=ON
 
 # Observability smoke-run: emit a trace + metrics dump from the real CLI and
 # fail tier-1 if the telemetry is malformed or the same seed stops producing

@@ -132,7 +132,9 @@ std::string write_price_traces(const PriceTraceSet& set) {
   for (const PriceTrace& trace : set.traces) {
     out += "trace ";
     out += perf::to_string(trace.family);
-    out += " " + std::to_string(trace.vcpus) + "\n";
+    out += ' ';
+    out += std::to_string(trace.vcpus);
+    out += '\n';
     for (const PricePoint& point : trace.points) {
       out += format_double(point.time);
       out += " ";

@@ -14,9 +14,15 @@ const char* kPinNames[3] = {"A", "B", "C"};
 std::string net_name(const Netlist& netlist, NodeId id) {
   const auto& inputs = netlist.inputs();
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (inputs[i] == id) return "pi" + std::to_string(i);
+    if (inputs[i] == id) {
+      std::string name = "pi";
+      name += std::to_string(i);
+      return name;
+    }
   }
-  return "n" + std::to_string(id);
+  std::string name = "n";
+  name += std::to_string(id);
+  return name;
 }
 
 }  // namespace

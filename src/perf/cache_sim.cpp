@@ -55,25 +55,4 @@ bool CacheSim::access_impl(std::uint64_t address, bool count_stats) {
   return false;
 }
 
-MemoryHierarchy::MemoryHierarchy(std::uint64_t l1_bytes,
-                                 std::uint64_t llc_bytes)
-    : l1_(l1_bytes, 64, 8), llc_(llc_bytes, 64, 16) {}
-
-int MemoryHierarchy::access(std::uint64_t address) {
-  if (l1_.access(address)) return 0;
-  if (llc_.access(address)) return 1;
-  return 2;
-}
-
-int MemoryHierarchy::access_private(std::uint64_t l1_address,
-                                    std::uint64_t llc_address) {
-  if (l1_.access(l1_address)) return 0;
-  if (llc_.access(llc_address)) return 1;
-  return 2;
-}
-
-void MemoryHierarchy::interfere(std::uint64_t address) {
-  llc_.touch(address);
-}
-
 }  // namespace edacloud::perf

@@ -1,7 +1,8 @@
 #pragma once
-// Set-associative LRU cache simulator and a two-level (L1 + LLC) hierarchy.
-// Stands in for the hardware performance counters the paper read with
-// `perf` (cache-references / cache-misses).
+// Set-associative LRU cache simulator. perf::Instrument chains them into an
+// L1 -> LLC hierarchy per VM configuration; together they stand in for the
+// hardware performance counters the paper read with `perf`
+// (cache-references / cache-misses).
 
 #include <cstdint>
 #include <vector>
@@ -54,32 +55,6 @@ class CacheSim {
   std::vector<Way> sets_;  // set-major layout, ways_ entries per set
   std::uint32_t lru_clock_ = 0;
   CacheStats stats_;
-};
-
-/// L1 -> LLC hierarchy: LLC sees only L1 misses.
-class MemoryHierarchy {
- public:
-  MemoryHierarchy(std::uint64_t l1_bytes, std::uint64_t llc_bytes);
-
-  /// Returns 0 on L1 hit, 1 on LLC hit, 2 on memory access.
-  int access(std::uint64_t address);
-
-  /// Thread-private access: the L1 probe uses the un-offset address (each
-  /// worker core owns a private L1, so per-worker locality is unchanged),
-  /// while the shared LLC sees the worker-offset address (aggregate private
-  /// footprint grows with worker count).
-  int access_private(std::uint64_t l1_address, std::uint64_t llc_address);
-
-  /// Phantom co-runner traffic: contends for LLC capacity only (L1 caches
-  /// are private per vCPU) and leaves the measured stats untouched.
-  void interfere(std::uint64_t address);
-
-  [[nodiscard]] const CacheStats& l1() const { return l1_.stats(); }
-  [[nodiscard]] const CacheStats& llc() const { return llc_.stats(); }
-
- private:
-  CacheSim l1_;
-  CacheSim llc_;
 };
 
 }  // namespace edacloud::perf

@@ -6,13 +6,18 @@
 // counter totals depend on the order events arrive. Sharding one Instrument
 // per worker would make totals a function of the thread count — exactly what
 // the determinism guarantee forbids. Instead, a parallel section records its
-// events into thread-private EventLogs (one per routed net / per level
-// chunk), and the engine replays the logs into the single shared Instrument
-// serially, in an order fixed by the algorithm (commit order, chunk order).
-// The simulators then see a bit-identical event stream at any thread count.
+// events into thread-private EventLogs (one per committed route search /
+// per level chunk), and the engine replays the logs into the single shared
+// Instrument serially, in an order fixed by the algorithm (commit order,
+// chunk order). The simulators then see a bit-identical event stream at any
+// thread count.
 //
-// Uninstrumented runs pass a null log pointer and skip recording entirely,
-// so measured-speedup flows pay nothing for this machinery.
+// Recording costs about as much as the work it records (a maze expansion
+// logs ~25 events), so engines log only work that will be replayed: the
+// router searches every attempt of a round unlogged and re-runs just the
+// committing searches with logs (route/router.cpp). Uninstrumented runs
+// pass a null log pointer and skip recording entirely, so measured-speedup
+// flows pay nothing for this machinery.
 
 #include <cstdint>
 #include <vector>

@@ -1,9 +1,12 @@
 #pragma once
 // Instrumentation facade the EDA engines report events into. One engine run
 // is measured against *all* candidate VM configurations simultaneously:
-// each configuration owns a private simulated memory hierarchy, and
-// multi-tenancy is emulated by phantom co-runner accesses that contend for
-// the LLC slice (see DESIGN.md). Branch and arithmetic-mix counters are
+// each configuration owns a private simulated LLC slice, and multi-tenancy
+// is emulated by phantom co-runner accesses that contend for that slice
+// (see DESIGN.md). The per-vCPU L1 sees neither interference nor worker
+// offsets, so its stream is the same for every configuration; one L1 is
+// simulated per distinct L1 size and its misses fan out to the LLC slices
+// of the configurations sharing it. Branch and arithmetic-mix counters are
 // configuration-independent and shared.
 //
 // Memory simulation is sampled (1-in-N events drive the cache models) to
@@ -78,6 +81,8 @@ class Instrument {
  private:
   void on_memory(std::uint64_t address);
   void on_memory_private(std::uint64_t address, std::uint32_t stream);
+  /// Probe every L1 group once; records the outcome in l1_hit_.
+  void probe_l1s(std::uint64_t address);
 
   std::vector<VmConfig> configs_;
   std::uint32_t sample_period_ = 1;
@@ -90,7 +95,12 @@ class Instrument {
   std::uint64_t stores_ = 0;
 
   std::unique_ptr<BranchPredictor> predictor_;
-  std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies_;
+  // One L1 per distinct l1_bytes (l1_group_ maps config -> L1) and one LLC
+  // slice per config; the LLC sees only accesses that missed its L1.
+  std::vector<CacheSim> l1s_;
+  std::vector<std::size_t> l1_group_;
+  std::vector<std::uint8_t> l1_hit_;
+  std::vector<CacheSim> llcs_;
 
   // Recent real addresses replayed as phantom co-runner traffic.
   static constexpr std::size_t kRingSize = 1024;

@@ -6,7 +6,9 @@ namespace edacloud::perf {
 
 std::string VmConfig::name() const {
   std::string out(to_string(family));
-  out += "-" + std::to_string(vcpus) + "vcpu";
+  out += '-';
+  out += std::to_string(vcpus);
+  out += "vcpu";
   return out;
 }
 

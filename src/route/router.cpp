@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "perf/event_log.hpp"
@@ -460,6 +461,23 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     bool routed = false;
   };
 
+  // One routing attempt against the current grid; events go to `log`
+  // (null = uninstrumented). A pure function of the grid, the connection
+  // and its stream id — Maze scratch is epoch-guarded.
+  auto route_one = [&](std::uint32_t idx, bool use_patterns, Maze& maze,
+                       perf::EventLog* log) {
+    Attempt attempt;
+    if (use_patterns &&
+        patterns.route(connections[idx], attempt.edges, log)) {
+      attempt.pattern = true;
+      attempt.routed = true;
+      return attempt;
+    }
+    attempt.expansions = maze.route(connections[idx], attempt.edges, idx, log);
+    attempt.routed = attempt.expansions > 0;
+    return attempt;
+  };
+
   auto commit = [&](std::uint32_t idx, Attempt&& attempt, int op_iteration,
                     bool count_routed) {
     if (count_routed) ++result.routed_count;
@@ -484,45 +502,59 @@ RoutingResult GridRouter::run(const Netlist& netlist,
       ++rounds;
       const std::size_t n = pending.size();
       std::vector<Attempt> attempts(n);
-      std::vector<perf::EventLog> logs(ins != nullptr ? n : 0);
       util::parallel_for(
           threads, 0, n, kBatchGrain,
           [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
               unsigned slot) {
             Maze& maze = maze_for(slot);
             for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-              const std::uint32_t idx = pending[i];
-              perf::EventLog* log = ins != nullptr ? &logs[i] : nullptr;
-              Attempt& attempt = attempts[i];
-              if (use_patterns &&
-                  patterns.route(connections[idx], attempt.edges, log)) {
-                attempt.pattern = true;
-                attempt.routed = true;
-                continue;
-              }
-              attempt.expansions =
-                  maze.route(connections[idx], attempt.edges, idx, log);
-              attempt.routed = attempt.expansions > 0;
+              attempts[i] = route_one(pending[i], use_patterns, maze, nullptr);
             }
           });
 
-      // Serial deterministic commit.
+      // Serial deterministic commit decision.
+      std::vector<std::size_t> winners;
       std::vector<std::uint32_t> deferred;
       BboxMask committed_mask;
-      bool any_committed = false;
       for (std::size_t i = 0; i < n; ++i) {
-        Attempt& attempt = attempts[i];
+        const Attempt& attempt = attempts[i];
         result.total_expansions += attempt.expansions;
         if (!attempt.routed) continue;  // unroutable: dropped, as in serial
         const BboxMask mask = make_path_mask(attempt.edges, grid);
-        if (any_committed && committed_mask.overlaps(mask)) {
+        if (committed_mask.overlaps(mask)) {
           deferred.push_back(pending[i]);
           continue;
         }
         committed_mask.merge(mask);
-        any_committed = true;
-        if (ins != nullptr) ins->replay(logs[i]);
-        commit(pending[i], std::move(attempt), op_iteration, count_routed);
+        winners.push_back(i);
+      }
+
+      // Instrumented runs log only the searches that commit: the winners
+      // are routed again, still against the frozen grid, so each log is
+      // exactly the one its first-pass search would have recorded.
+      std::vector<perf::EventLog> logs(ins != nullptr ? winners.size() : 0);
+      util::parallel_for(
+          threads, 0, logs.size(), kBatchGrain,
+          [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
+              unsigned slot) {
+            Maze& maze = maze_for(slot);
+            for (std::size_t w = chunk_begin; w < chunk_end; ++w) {
+              const std::size_t i = winners[w];
+              const Attempt again =
+                  route_one(pending[i], use_patterns, maze, &logs[w]);
+              if (again.edges != attempts[i].edges ||
+                  again.expansions != attempts[i].expansions) {
+                throw std::logic_error(
+                    "route: instrumented re-route diverged from its first "
+                    "pass");
+              }
+            }
+          });
+
+      for (std::size_t w = 0; w < winners.size(); ++w) {
+        const std::size_t i = winners[w];
+        if (ins != nullptr) ins->replay(logs[w]);
+        commit(pending[i], std::move(attempts[i]), op_iteration, count_routed);
       }
       pending = std::move(deferred);
     }
@@ -533,17 +565,8 @@ RoutingResult GridRouter::run(const Netlist& netlist,
           maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
       for (std::uint32_t idx : pending) {
         perf::EventLog log;
-        perf::EventLog* logp = ins != nullptr ? &log : nullptr;
-        Attempt attempt;
-        if (use_patterns &&
-            patterns.route(connections[idx], attempt.edges, logp)) {
-          attempt.pattern = true;
-          attempt.routed = true;
-        } else {
-          attempt.expansions =
-              maze.route(connections[idx], attempt.edges, idx, logp);
-          attempt.routed = attempt.expansions > 0;
-        }
+        Attempt attempt =
+            route_one(idx, use_patterns, maze, ins != nullptr ? &log : nullptr);
         result.total_expansions += attempt.expansions;
         if (!attempt.routed) continue;
         if (ins != nullptr) ins->replay(log);

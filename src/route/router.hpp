@@ -20,7 +20,9 @@
 // to the next round against the updated grid. Commit order — and therefore
 // usage, history, QoR and the replayed perf-event stream — depends only on
 // the connection order, never the thread count, so results are bit-identical
-// at any width.
+// at any width. Instrumented rounds search unlogged first and then re-run
+// only the committing searches with event logs, still against the frozen
+// grid, so deferred attempts record nothing.
 
 #include <cstdint>
 #include <vector>

@@ -83,34 +83,6 @@ TEST(CacheSimTest, MissRateComputation) {
   EXPECT_DOUBLE_EQ(stats.miss_rate(), 0.3);
 }
 
-TEST(MemoryHierarchyTest, LevelsFilterAccesses) {
-  MemoryHierarchy hierarchy(8 * 1024, 64 * 1024);
-  EXPECT_EQ(hierarchy.access(0), 2);  // cold: miss both levels
-  EXPECT_EQ(hierarchy.access(0), 0);  // L1 hit
-  EXPECT_EQ(hierarchy.l1().accesses, 2u);
-  EXPECT_EQ(hierarchy.llc().accesses, 1u);  // only the L1 miss
-}
-
-TEST(MemoryHierarchyTest, LlcCatchesL1Evictions) {
-  MemoryHierarchy hierarchy(1024, 1024 * 1024);
-  // Touch 8 KiB (evicts most of 1 KiB L1), then re-touch the start.
-  for (std::uint64_t addr = 0; addr < 8 * 1024; addr += 64) {
-    hierarchy.access(addr);
-  }
-  const auto llc_misses = hierarchy.llc().misses;
-  hierarchy.access(0);  // L1 miss, LLC hit
-  EXPECT_EQ(hierarchy.llc().misses, llc_misses);
-}
-
-TEST(MemoryHierarchyTest, InterfereOccupiesLlcOnly) {
-  MemoryHierarchy hierarchy(8 * 1024, 8 * 1024);
-  hierarchy.interfere(0);
-  EXPECT_EQ(hierarchy.l1().accesses, 0u);
-  EXPECT_EQ(hierarchy.llc().accesses, 0u);  // no stats
-  // The interfering line is resident: an access misses L1 but hits LLC.
-  EXPECT_EQ(hierarchy.access(0), 1);
-}
-
 TEST(VmConfigTest, LadderScalesLlcWithVcpus) {
   for (auto family : {InstanceFamily::kGeneralPurpose,
                       InstanceFamily::kMemoryOptimized,

@@ -181,12 +181,57 @@ TEST(PatternRouteTest, RespectsCongestionLimit) {
   EXPECT_LT(result.pattern_routed, result.connection_count);
 }
 
+/// The benchmark's characterization ladder: general-purpose and
+/// memory-optimized at 1/2/4/8 vCPUs (8 configs, one shared L1 geometry).
+std::vector<perf::VmConfig> bench_ladder() {
+  std::vector<perf::VmConfig> configs;
+  for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
+                            perf::InstanceFamily::kMemoryOptimized}) {
+    const auto ladder = perf::vm_ladder(family);
+    configs.insert(configs.end(), ladder.begin(), ladder.end());
+  }
+  return configs;
+}
+
+TEST(RouterTest, InstrumentedCountersPinnedOnBenchLadder) {
+  // Every counter of an instrumented route on the benchmark's ladder,
+  // pinned: instrumentation speed work must leave them byte-identical.
+  const PlacedDesign design = prepare(workloads::gen_alu(16));
+  RouterOptions options;
+  options.threads = 2;
+  const auto result = GridRouter(options).run(design.netlist,
+                                              design.placement, bench_ladder());
+  // Every config shares the 8 KiB L1, so only llc_misses varies along the
+  // ladder. Shared fields: {int, fp, avx, loads, stores, branches,
+  // branch_misses, l1_accesses, l1_misses, llc_accesses}.
+  constexpr std::uint64_t kShared[10] = {781886, 196245, 0,      149473,
+                                         14199,  140950, 15126,  163672,
+                                         59432,  59432};
+  // llc_misses, in bench_ladder() order.
+  constexpr std::uint64_t kLlcMisses[8] = {3348, 3908, 4996, 7240,
+                                           3348, 3908, 4992, 7020};
+  EXPECT_EQ(result.total_expansions, 121861u);
+  ASSERT_EQ(result.profile.counts.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    SCOPED_TRACE(result.profile.configs[i].name());
+    const auto& c = result.profile.counts[i];
+    const std::uint64_t shared[10] = {
+        c.int_ops,  c.fp_ops,   c.avx_ops,       c.loads,
+        c.stores,   c.branches, c.branch_misses, c.l1_accesses,
+        c.l1_misses, c.llc_accesses};
+    for (std::size_t f = 0; f < 10; ++f) {
+      EXPECT_EQ(shared[f], kShared[f]) << "field " << f;
+    }
+    EXPECT_EQ(c.llc_misses, kLlcMisses[i]);
+  }
+}
+
 TEST(RouterTest, BitIdenticalAcrossThreadCounts) {
   // The determinism guarantee of the batched parallel router: QoR and the
   // per-config perf-counter totals must be exactly equal at any thread
-  // count (two registry-style designs, threads=1 vs threads=4).
-  const std::vector<perf::VmConfig> configs = {
-      perf::make_vm(perf::InstanceFamily::kGeneralPurpose, 4)};
+  // count (two registry-style designs on the 8-config ladder, threads 1, 2
+  // and 4 — the instrumented two-pass rounds and the shared-L1 fan-out).
+  const std::vector<perf::VmConfig> configs = bench_ladder();
   for (const nl::Aig& aig :
        {workloads::gen_alu(16), workloads::gen_multiplier(12)}) {
     const PlacedDesign design = prepare(aig);
@@ -194,32 +239,38 @@ TEST(RouterTest, BitIdenticalAcrossThreadCounts) {
     options.threads = 1;
     const auto serial =
         GridRouter(options).run(design.netlist, design.placement, configs);
-    options.threads = 4;
-    const auto parallel =
-        GridRouter(options).run(design.netlist, design.placement, configs);
+    ASSERT_EQ(serial.profile.counts.size(), configs.size());
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE(threads);
+      options.threads = threads;
+      const auto parallel =
+          GridRouter(options).run(design.netlist, design.placement, configs);
 
-    EXPECT_EQ(serial.routed_count, parallel.routed_count);
-    EXPECT_EQ(serial.wirelength_gedges, parallel.wirelength_gedges);
-    EXPECT_EQ(serial.overflowed_edges, parallel.overflowed_edges);
-    EXPECT_EQ(serial.total_expansions, parallel.total_expansions);
-    EXPECT_EQ(serial.wave_count, parallel.wave_count);
-    EXPECT_EQ(serial.connection_edges, parallel.connection_edges);
+      EXPECT_EQ(serial.routed_count, parallel.routed_count);
+      EXPECT_EQ(serial.wirelength_gedges, parallel.wirelength_gedges);
+      EXPECT_EQ(serial.overflowed_edges, parallel.overflowed_edges);
+      EXPECT_EQ(serial.total_expansions, parallel.total_expansions);
+      EXPECT_EQ(serial.wave_count, parallel.wave_count);
+      EXPECT_EQ(serial.connection_edges, parallel.connection_edges);
 
-    ASSERT_EQ(serial.profile.counts.size(), 1u);
-    ASSERT_EQ(parallel.profile.counts.size(), 1u);
-    const auto& a = serial.profile.counts[0];
-    const auto& b = parallel.profile.counts[0];
-    EXPECT_EQ(a.int_ops, b.int_ops);
-    EXPECT_EQ(a.fp_ops, b.fp_ops);
-    EXPECT_EQ(a.avx_ops, b.avx_ops);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.branch_misses, b.branch_misses);
-    EXPECT_EQ(a.l1_accesses, b.l1_accesses);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.llc_accesses, b.llc_accesses);
-    EXPECT_EQ(a.llc_misses, b.llc_misses);
+      ASSERT_EQ(parallel.profile.counts.size(), configs.size());
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].name());
+        const auto& a = serial.profile.counts[i];
+        const auto& b = parallel.profile.counts[i];
+        EXPECT_EQ(a.int_ops, b.int_ops);
+        EXPECT_EQ(a.fp_ops, b.fp_ops);
+        EXPECT_EQ(a.avx_ops, b.avx_ops);
+        EXPECT_EQ(a.loads, b.loads);
+        EXPECT_EQ(a.stores, b.stores);
+        EXPECT_EQ(a.branches, b.branches);
+        EXPECT_EQ(a.branch_misses, b.branch_misses);
+        EXPECT_EQ(a.l1_accesses, b.l1_accesses);
+        EXPECT_EQ(a.l1_misses, b.l1_misses);
+        EXPECT_EQ(a.llc_accesses, b.llc_accesses);
+        EXPECT_EQ(a.llc_misses, b.llc_misses);
+      }
+    }
   }
 }
 

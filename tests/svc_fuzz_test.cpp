@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "svc/json.hpp"
@@ -153,8 +154,9 @@ TEST(SvcFuzzTest, RandomValueTreesRoundTripExactly) {
     pool.push_back(JsonValue::of(rng.next_double(-1e6, 1e6)));
     pool.push_back(JsonValue::of(static_cast<double>(
         static_cast<std::int64_t>(rng.next_below(1u << 30)) - (1 << 29))));
-    pool.push_back(JsonValue::of(std::string("s") +
-                                 std::to_string(rng.next_below(1000))));
+    std::string text = "s";
+    text += std::to_string(rng.next_below(1000));
+    pool.push_back(JsonValue::of(std::move(text)));
     for (int step = 0; step < 12; ++step) {
       if (rng.next_bool(0.5)) {
         JsonValue array = JsonValue::array();
@@ -167,8 +169,10 @@ TEST(SvcFuzzTest, RandomValueTreesRoundTripExactly) {
         JsonValue object = JsonValue::object();
         const std::size_t n = rng.next_below(4);
         for (std::size_t i = 0; i < n; ++i) {
-          object.set("k" + std::to_string(rng.next_below(6)),
-                     pool[rng.next_below(pool.size())]);
+          const JsonValue& value = pool[rng.next_below(pool.size())];
+          std::string key = "k";
+          key += std::to_string(rng.next_below(6));
+          object.set(key, value);
         }
         pool.push_back(object);
       }
