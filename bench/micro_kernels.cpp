@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
-// AIG construction + rewriting, cut enumeration + mapping, CG placement
-// solve, A* maze routing, STA sweeps, cache/branch simulators, MCKP DP and
-// GCN forward pass. These quantify the substrate itself rather than a
-// paper figure.
+// AIG construction + rewriting, cut enumeration + mapping, the tuner's
+// recipe-lattice synthesis, CG placement solve, A* maze routing, STA
+// sweeps, cache/branch simulators, MCKP DP and GCN forward pass. These
+// quantify the substrate itself rather than a paper figure.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include "route/router.hpp"
 #include "sta/sta.hpp"
 #include "synth/engine.hpp"
+#include "tune/recipe_space.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
 
@@ -59,6 +60,30 @@ void BM_TechMap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TechMap)->Arg(8)->Arg(16);
+
+void BM_RecipeSpaceSynthesis(benchmark::State& state) {
+  // The tuner's synthesis path: the plan benchmark's 28-recipe space (24
+  // grid points + 4 seeded draws) as one recipe lattice, serially.
+  const auto aig = state.range(0) == 0 ? workloads::gen_alu(8)
+                                       : workloads::gen_cavlc(8, 3);
+  tune::RecipeSpace space;
+  space.random_samples = 4;
+  const auto recipes = tune::enumerate_recipes(space);
+  const synth::SynthesisEngine engine(library());
+  synth::LatticeCounts counts;
+  for (auto _ : state) {
+    const auto lattice = engine.synthesize_all(aig, recipes, 1);
+    counts = lattice.counts;
+    benchmark::DoNotOptimize(lattice.leaves.data());
+  }
+  state.SetLabel(aig.name());
+  state.counters["recipes"] = static_cast<double>(recipes.size());
+  state.counters["cut_sets"] = static_cast<double>(counts.cut_sets);
+  state.counters["leaves"] = static_cast<double>(counts.leaves);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(recipes.size()));
+}
+BENCHMARK(BM_RecipeSpaceSynthesis)->Arg(0)->Arg(1);
 
 void BM_PlaceCg(benchmark::State& state) {
   const auto aig = make_design(static_cast<int>(state.range(0)));

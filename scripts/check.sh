@@ -256,6 +256,15 @@ tune_smoke() {
   "${cli}" tune "${tune_flags[@]}" --threads 8 --batch 64 \
     --export "${tmp}/tune_t8.txt" > /dev/null
   cmp "${tmp}/tune_t1.txt" "${tmp}/tune_t8.txt"
+  # cavlc's rewrite reaches a fixpoint, so deep recipes share lattice
+  # leaves with shallow ones.
+  local fixpoint_flags=(cavlc 16 --deadline 60 --samples 8 --seed 5
+    --train-designs 2 --train-epochs 2)
+  "${cli}" tune "${fixpoint_flags[@]}" --threads 1 --batch 3 \
+    --export "${tmp}/fixpoint_t1.txt" > /dev/null
+  "${cli}" tune "${fixpoint_flags[@]}" --threads 8 --batch 64 \
+    --export "${tmp}/fixpoint_t8.txt" > /dev/null
+  cmp "${tmp}/fixpoint_t1.txt" "${tmp}/fixpoint_t8.txt"
   grep -q '^edacloud-tune-export v1$' "${tmp}/tune_t1.txt" || {
     echo "tune smoke: export missing version header" >&2
     return 1
@@ -432,7 +441,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-tsan -j
   echo "=== tsan: ctest (concurrency suites) ==="
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|RecipeSpaceTest')
+    -R 'ThreadPool|RouterTest.BitIdentical|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|SynthLatticeTest|RecipeSpaceTest')
 fi
 
 # Per-suite inventory: what tier-1 actually ran, so a vanishing suite (a

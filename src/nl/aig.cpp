@@ -160,4 +160,24 @@ std::vector<bool> Aig::live_nodes() const {
   return alive;
 }
 
+bool Aig::operator==(const Aig& other) const {
+  return name_ == other.name_ && inputs_ == other.inputs_ &&
+         outputs_ == other.outputs_ && fanin0_ == other.fanin0_ &&
+         fanin1_ == other.fanin1_;
+}
+
+std::uint64_t Aig::content_hash() const {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
+  const auto add = [&hash](std::uint64_t word) {
+    hash ^= word;
+    hash *= 0x100000001B3ULL;
+  };
+  for (const char c : name_) add(static_cast<unsigned char>(c));
+  for (const auto* words : {&inputs_, &outputs_, &fanin0_, &fanin1_}) {
+    add(words->size());
+    for (const std::uint32_t word : *words) add(word);
+  }
+  return hash;
+}
+
 }  // namespace edacloud::nl

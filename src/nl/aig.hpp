@@ -92,6 +92,14 @@ class Aig {
   /// rewriting. Index by node id; entry true if alive.
   [[nodiscard]] std::vector<bool> live_nodes() const;
 
+  /// Structural equality: name, inputs, outputs and both fanin arrays. The
+  /// strash table is a function of the fanins, so it is not compared.
+  [[nodiscard]] bool operator==(const Aig& other) const;
+
+  /// 64-bit hash over exactly the fields operator== compares (equal AIGs
+  /// hash equal), so interning can compare hashes before structures.
+  [[nodiscard]] std::uint64_t content_hash() const;
+
  private:
   struct FaninKey {
     Literal a;

@@ -1,9 +1,11 @@
 #include "synth/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edacloud::synth {
 
@@ -56,6 +58,14 @@ TaskId add_levelized_pass(TaskGraph& graph, const std::vector<double>& levels,
   return barrier;
 }
 
+/// The inverter-fusion leaf: fuse the netlist and restate its size.
+void fuse(MapResult& mapped) {
+  mapped.netlist = fuse_inverters(mapped.netlist);
+  const auto stats = mapped.netlist.stats();
+  mapped.cell_count = stats.instance_count;
+  mapped.mapped_area_um2 = stats.total_area_um2;
+}
+
 }  // namespace
 
 MapResult SynthesisEngine::synthesize(const Aig& input,
@@ -66,13 +76,131 @@ MapResult SynthesisEngine::synthesize(const Aig& input,
   }
   if (recipe.balance) current = balance(current, nullptr);
   MapResult mapped = mapper_.map(current, recipe.mode, nullptr);
-  if (recipe.fuse) {
-    mapped.netlist = fuse_inverters(mapped.netlist);
-    const auto stats = mapped.netlist.stats();
-    mapped.cell_count = stats.instance_count;
-    mapped.mapped_area_um2 = stats.total_area_um2;
-  }
+  if (recipe.fuse) fuse(mapped);
   return mapped;
+}
+
+RecipeLattice SynthesisEngine::synthesize_all(
+    const Aig& input, const std::vector<SynthRecipe>& recipes,
+    int threads) const {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  // Distinct AIGs in first-use order, with the memoized result of each
+  // pass applied to them and the leaf slots of the maps they feed.
+  struct Node {
+    Aig aig;
+    std::uint64_t hash = 0;
+    std::size_t rewritten = kNone;
+    std::size_t balanced = kNone;
+    std::array<std::array<std::size_t, 2>, 2> leaf{
+        {{kNone, kNone}, {kNone, kNone}}};  // [mode][fuse]
+  };
+  std::vector<Node> nodes;
+  const auto intern = [&nodes](Aig aig) {
+    const std::uint64_t hash = aig.content_hash();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].hash == hash && nodes[i].aig == aig) return i;
+    }
+    nodes.push_back({std::move(aig), hash});
+    return nodes.size() - 1;
+  };
+  RecipeLattice lattice;
+  LatticeCounts& counts = lattice.counts;
+
+  // Rewrite chain: chain[k] is the AIG after k passes. A pass already run
+  // on an interned AIG is not run again, so once rewrite returns an equal
+  // AIG (a fixpoint) the chain extends for free.
+  int max_passes = 0;
+  for (const SynthRecipe& recipe : recipes) {
+    max_passes = std::max(max_passes, recipe.rewrite_passes);
+  }
+  std::vector<std::size_t> chain = {intern(cleanup(input))};
+  while (chain.size() <= static_cast<std::size_t>(max_passes)) {
+    const std::size_t from = chain.back();
+    if (nodes[from].rewritten == kNone) {
+      const std::size_t next = intern(rewrite(nodes[from].aig, nullptr));
+      ++counts.rewrites;
+      nodes[from].rewritten = next;
+    }
+    chain.push_back(nodes[from].rewritten);
+  }
+  const auto chain_end = [&chain](const SynthRecipe& recipe) {
+    return chain[static_cast<std::size_t>(std::max(0, recipe.rewrite_passes))];
+  };
+
+  // Balance each distinct chain AIG a recipe asks for, once.
+  std::vector<std::size_t> to_balance;
+  for (const SynthRecipe& recipe : recipes) {
+    const std::size_t from = chain_end(recipe);
+    if (!recipe.balance ||
+        std::find(to_balance.begin(), to_balance.end(), from) !=
+            to_balance.end()) {
+      continue;
+    }
+    to_balance.push_back(from);
+  }
+  std::vector<Aig> balanced(to_balance.size());
+  util::parallel_for(threads, 0, to_balance.size(), 1,
+                     [&](std::size_t begin, std::size_t end, std::size_t,
+                         unsigned) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         balanced[i] = balance(nodes[to_balance[i]].aig,
+                                               nullptr);
+                       }
+                     });
+  counts.balances = to_balance.size();
+  for (std::size_t i = 0; i < to_balance.size(); ++i) {
+    const std::size_t id = intern(std::move(balanced[i]));
+    nodes[to_balance[i]].balanced = id;
+  }
+
+  // Leaves: one per distinct (mapped AIG, mode, fuse), numbered in recipe
+  // order; each recipe points at its leaf.
+  std::vector<std::size_t> to_map;
+  lattice.leaf_of.reserve(recipes.size());
+  for (const SynthRecipe& recipe : recipes) {
+    const std::size_t from = chain_end(recipe);
+    const std::size_t target = recipe.balance ? nodes[from].balanced : from;
+    std::size_t& leaf = nodes[target].leaf[static_cast<int>(recipe.mode)]
+                                          [recipe.fuse ? 1 : 0];
+    if (leaf == kNone) {
+      if (std::find(to_map.begin(), to_map.end(), target) == to_map.end()) {
+        to_map.push_back(target);
+      }
+      leaf = counts.leaves++;
+    }
+    lattice.leaf_of.push_back(leaf);
+  }
+
+  // Map fan-out: per distinct AIG, one cut enumeration shared by every
+  // requested mode; the cut sets die with the chunk.
+  lattice.leaves.resize(counts.leaves);
+  util::parallel_for(
+      threads, 0, to_map.size(), 1,
+      [&](std::size_t begin, std::size_t end, std::size_t, unsigned) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const Node& node = nodes[to_map[i]];
+          const std::vector<CutSet> cuts = enumerate_cuts(node.aig, nullptr);
+          for (const MapMode mode : {MapMode::kArea, MapMode::kDelay}) {
+            const auto& slots = node.leaf[static_cast<int>(mode)];
+            if (slots[0] == kNone && slots[1] == kNone) continue;
+            MapResult mapped = mapper_.map(node.aig, cuts, mode, nullptr);
+            if (slots[1] == kNone) {
+              lattice.leaves[slots[0]] = std::move(mapped);
+              continue;
+            }
+            if (slots[0] != kNone) lattice.leaves[slots[0]] = mapped;
+            fuse(mapped);
+            lattice.leaves[slots[1]] = std::move(mapped);
+          }
+        }
+      });
+  counts.cut_sets = to_map.size();
+  for (const std::size_t id : to_map) {
+    for (const auto& slots : nodes[id].leaf) {
+      if (slots[0] != kNone || slots[1] != kNone) ++counts.maps;
+    }
+  }
+  return lattice;
 }
 
 SynthesisResult SynthesisEngine::run(
@@ -109,10 +237,7 @@ SynthesisResult SynthesisEngine::run(
   }();
   if (recipe.fuse) {
     TRACE_SPAN("synth/fuse", "synth");
-    result.mapped.netlist = fuse_inverters(result.mapped.netlist);
-    const auto stats = result.mapped.netlist.stats();
-    result.mapped.cell_count = stats.instance_count;
-    result.mapped.mapped_area_um2 = stats.total_area_um2;
+    fuse(result.mapped);
   }
   run_span.counter("and_nodes", static_cast<double>(current.and_count()));
   run_span.counter("cells", static_cast<double>(result.mapped.cell_count));

@@ -132,7 +132,14 @@ void TechMapper::build_matcher() {
 
 MapResult TechMapper::map(const Aig& aig, MapMode mode,
                           perf::Instrument* instrument) const {
-  const auto cuts = enumerate_cuts(aig, instrument);
+  return map(aig, enumerate_cuts(aig, instrument), mode, instrument);
+}
+
+MapResult TechMapper::map(const Aig& aig, const std::vector<CutSet>& cuts,
+                          MapMode mode, perf::Instrument* instrument) const {
+  if (cuts.size() != aig.node_count()) {
+    throw std::invalid_argument("map: cut sets do not match the AIG");
+  }
   const auto fanouts = aig.fanout_counts();
   const auto alive = aig.live_nodes();
 

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "nl/aig.hpp"
 #include "nl/cell_library.hpp"
@@ -33,7 +34,15 @@ class TechMapper {
  public:
   explicit TechMapper(const nl::CellLibrary& library);
 
+  /// enumerate_cuts(aig) followed by the cover selection below.
   [[nodiscard]] MapResult map(const nl::Aig& aig, MapMode mode,
+                              perf::Instrument* instrument = nullptr) const;
+
+  /// Cover selection (area-flow or arrival DP) and netlist emission over
+  /// precomputed `cuts` — exactly enumerate_cuts(aig), so one cut set can
+  /// serve both modes.
+  [[nodiscard]] MapResult map(const nl::Aig& aig,
+                              const std::vector<CutSet>& cuts, MapMode mode,
                               perf::Instrument* instrument = nullptr) const;
 
   /// Number of distinct truth tables the matcher can realize directly.

@@ -1,7 +1,6 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 
@@ -141,38 +140,37 @@ TuneResult RecipeTuner::tune(const nl::Aig& design, double deadline_seconds,
   }
   const std::size_t count = recipes.size();
 
-  // Phase 1 — synthesize every recipe for real QoR and its netlist feature
-  // graph, slot-per-recipe on the deterministic pool (disjoint writes; the
-  // engines are bit-identical at any width by the PR-3 contract).
-  struct SynthSlot {
-    double area_um2 = 0.0;
-    std::size_t cell_count = 0;
+  // Phase 1 — synthesize the recipe lattice once (shared pass prefixes, a
+  // rewrite fixpoint ends the chain, one cut set per distinct AIG; see
+  // SynthesisEngine::synthesize_all), then build each distinct leaf's
+  // netlist feature graph once, slot-per-leaf on the deterministic pool.
+  // Recipes that reach the same leaf share its sample and key.
+  struct LeafSlot {
     ml::GraphSample sample;
     ml::ContentKey key;
-    double eval_ms = 0.0;
   };
-  std::vector<SynthSlot> slots(count);
+  synth::RecipeLattice lattice;
+  std::vector<LeafSlot> leaves;
   {
-    TRACE_SPAN("tune/synthesize", "tune");
+    TRACE_SPAN_VAR(span, "tune/synthesize", "tune");
+    lattice = synth::SynthesisEngine(*library_).synthesize_all(
+        design, recipes, options_.threads);
+    leaves.resize(lattice.leaves.size());
     util::parallel_for(
-        options_.threads, 0, count, 1,
+        options_.threads, 0, leaves.size(), 1,
         [&](std::size_t begin, std::size_t end, std::size_t, unsigned) {
-          synth::SynthesisEngine engine(*library_);
           for (std::size_t i = begin; i < end; ++i) {
-            const auto start = std::chrono::steady_clock::now();
-            const synth::MapResult mapped =
-                engine.synthesize(design, recipes[i]);
-            SynthSlot& slot = slots[i];
-            slot.area_um2 = mapped.mapped_area_um2;
-            slot.cell_count = mapped.cell_count;
-            slot.sample = ml::sample_from_graph(
-                nl::graph_from_netlist(mapped.netlist));
-            slot.key = ml::content_key(slot.sample);
-            slot.eval_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
+            leaves[i].sample = ml::sample_from_graph(
+                nl::graph_from_netlist(lattice.leaves[i].netlist));
+            leaves[i].key = ml::content_key(leaves[i].sample);
           }
         });
+    const synth::LatticeCounts& work = lattice.counts;
+    span.counter("rewrites", static_cast<double>(work.rewrites));
+    span.counter("balances", static_cast<double>(work.balances));
+    span.counter("cut_sets", static_cast<double>(work.cut_sets));
+    span.counter("maps", static_cast<double>(work.maps));
+    span.counter("leaves", static_cast<double>(work.leaves));
   }
   const ml::GraphSample aig_sample =
       ml::sample_from_graph(nl::graph_from_aig(design));
@@ -235,15 +233,16 @@ TuneResult RecipeTuner::tune(const nl::Aig& design, double deadline_seconds,
     std::vector<const ml::GraphSample*> netlist_samples(count);
     std::vector<ml::ContentKey> netlist_keys(count);
     for (std::size_t i = 0; i < count; ++i) {
-      netlist_samples[i] = &slots[i].sample;
-      netlist_keys[i] = slots[i].key;
+      const LeafSlot& leaf = leaves[lattice.leaf_of[i]];
+      netlist_samples[i] = &leaf.sample;
+      netlist_keys[i] = leaf.key;
     }
     for (std::size_t i = 0; i < count; ++i) {
       RecipeEvaluation& eval = result.evaluations[i];
       eval.recipe = recipes[i];
       eval.key = recipe_key(recipes[i]);
-      eval.area_um2 = slots[i].area_um2;
-      eval.cell_count = slots[i].cell_count;
+      eval.area_um2 = lattice.result(i).mapped_area_um2;
+      eval.cell_count = lattice.result(i).cell_count;
       eval.ladders[static_cast<int>(core::JobKind::kSynthesis)] = synth_ladder;
     }
     for (const core::JobKind job :
@@ -333,17 +332,19 @@ TuneResult RecipeTuner::tune(const nl::Aig& design, double deadline_seconds,
               });
   }
 
-  // Observability: counters + the per-recipe evaluation-time histogram
-  // (observed serially — HistogramMetric is not internally locked).
+  // Observability: run, cache and exact lattice work counters.
   obs::Registry& registry = obs::Registry::global();
   registry.counter("tune.runs").add(1);
   registry.counter("tune.recipes_evaluated").add(count);
   registry.counter("tune.predict_batches").add(predict_batches);
   registry.counter("tune.cache.hits").add(result.cache_hits);
   registry.counter("tune.cache.misses").add(result.cache_misses);
-  auto& eval_histogram =
-      registry.histogram("tune.recipe_eval_ms", {}, 0.0, 2000.0, 64);
-  for (const SynthSlot& slot : slots) eval_histogram.observe(slot.eval_ms);
+  const synth::LatticeCounts& work = lattice.counts;
+  registry.counter("tune.lattice.rewrites").add(work.rewrites);
+  registry.counter("tune.lattice.balances").add(work.balances);
+  registry.counter("tune.lattice.cut_sets").add(work.cut_sets);
+  registry.counter("tune.lattice.maps").add(work.maps);
+  registry.counter("tune.lattice.leaves").add(work.leaves);
   registry.gauge("tune.last_savings_usd").set(result.savings_vs_fixed_usd());
 
   return result;

@@ -15,10 +15,11 @@
 //
 // Hard contract (same as every subsystem before it): for a fixed seed the
 // TuneResult — including its canonical export_text() bytes — is identical
-// at any thread count and any predict batch size. Synthesis runs
-// slot-per-recipe on the deterministic pool, cache lookups happen in
-// canonical recipe order, and predict_batch is bit-identical to serial by
-// the PR-6 contract.
+// at any thread count and any predict batch size. Synthesis runs once per
+// design as a recipe lattice (SynthesisEngine::synthesize_all: shared pass
+// prefixes, interned AIGs, disjoint slots on the deterministic pool), cache
+// lookups happen in canonical recipe order, and predict_batch is
+// bit-identical to serial by the PR-6 contract.
 
 #include <cstdint>
 #include <memory>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nl/aig.hpp"
 #include "util/rng.hpp"
 
@@ -131,6 +133,67 @@ TEST(AigTest, DeMorganEquivalence) {
   util::Rng rng(3);
   const auto out = aig.simulate({rng(), rng()});
   EXPECT_EQ(out[0], out[1]);
+}
+
+/// a & b and (a & b) | c, built in the given order of AND operands.
+Aig small_aig(const std::string& name, bool swap_operands) {
+  Aig aig(name);
+  const Literal a = aig.add_input();
+  const Literal b = aig.add_input();
+  const Literal c = aig.add_input();
+  const Literal ab = swap_operands ? aig.and_of(b, a) : aig.and_of(a, b);
+  aig.add_output(ab);
+  aig.add_output(aig.or_of(ab, c));
+  return aig;
+}
+
+TEST(AigTest, EqualityIsStructural) {
+  const Aig first = small_aig("x", false);
+  const Aig second = small_aig("x", true);  // strash canonicalizes order
+  EXPECT_TRUE(first == second);
+  EXPECT_EQ(first.content_hash(), second.content_hash());
+  const Aig copy = first;
+  EXPECT_TRUE(copy == first);
+  EXPECT_EQ(copy.content_hash(), first.content_hash());
+}
+
+TEST(AigTest, EqualityComparesName) {
+  const Aig first = small_aig("x", false);
+  const Aig renamed = small_aig("y", false);
+  EXPECT_FALSE(first == renamed);
+  EXPECT_NE(first.content_hash(), renamed.content_hash());
+}
+
+TEST(AigTest, EqualitySeesOutputComplement) {
+  Aig plain("x");
+  Aig negated("x");
+  for (Aig* aig : {&plain, &negated}) {
+    const Literal a = aig->add_input();
+    const Literal b = aig->add_input();
+    const Literal ab = aig->and_of(a, b);
+    aig->add_output(aig == &plain ? ab : literal_not(ab));
+  }
+  EXPECT_FALSE(plain == negated);
+  EXPECT_NE(plain.content_hash(), negated.content_hash());
+}
+
+TEST(AigTest, EqualitySeesFaninsAndNodeCount) {
+  Aig and_gate("x");
+  Aig nor_gate("x");
+  Aig grown("x");
+  for (Aig* aig : {&and_gate, &nor_gate, &grown}) {
+    const Literal a = aig->add_input();
+    const Literal b = aig->add_input();
+    const Literal out = aig == &nor_gate
+                            ? aig->and_of(literal_not(a), literal_not(b))
+                            : aig->and_of(a, b);
+    if (aig == &grown) (void)aig->and_of(a, literal_not(b));  // dead node
+    aig->add_output(out);
+  }
+  EXPECT_FALSE(and_gate == nor_gate);
+  EXPECT_NE(and_gate.content_hash(), nor_gate.content_hash());
+  EXPECT_FALSE(and_gate == grown);
+  EXPECT_NE(and_gate.content_hash(), grown.content_hash());
 }
 
 }  // namespace

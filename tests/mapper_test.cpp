@@ -104,6 +104,34 @@ TEST(TechMapperTest, DelayModeNotWorseInDepth) {
   EXPECT_TRUE(map_equivalent(aig, delay.netlist, 5));
 }
 
+TEST(TechMapperTest, MapFromSharedCutsEqualsMap) {
+  // One cut enumeration serves both modes: map(aig, cuts, mode) must emit
+  // exactly what map(aig, mode) emits, node for node.
+  const Aig aig = workloads::gen_alu(8);
+  const TechMapper mapper(library());
+  const std::vector<CutSet> cuts = enumerate_cuts(aig);
+  for (const MapMode mode : {MapMode::kArea, MapMode::kDelay}) {
+    const MapResult whole = mapper.map(aig, mode);
+    const MapResult shared = mapper.map(aig, cuts, mode);
+    EXPECT_EQ(shared.mapped_area_um2, whole.mapped_area_um2);
+    EXPECT_EQ(shared.cell_count, whole.cell_count);
+    EXPECT_EQ(shared.matched_cut_count, whole.matched_cut_count);
+    EXPECT_EQ(shared.fallback_count, whole.fallback_count);
+    EXPECT_EQ(shared.netlist.inputs(), whole.netlist.inputs());
+    EXPECT_EQ(shared.netlist.outputs(), whole.netlist.outputs());
+    ASSERT_EQ(shared.netlist.node_count(), whole.netlist.node_count());
+    for (nl::NodeId id = 0; id < whole.netlist.node_count(); ++id) {
+      EXPECT_EQ(shared.netlist.node(id).kind, whole.netlist.node(id).kind);
+      EXPECT_EQ(shared.netlist.node(id).cell, whole.netlist.node(id).cell);
+      EXPECT_EQ(shared.netlist.node(id).fanins,
+                whole.netlist.node(id).fanins);
+    }
+  }
+  // Cut sets of a different AIG are refused, not silently misread.
+  EXPECT_THROW((void)mapper.map(workloads::gen_adder(4), cuts, MapMode::kArea),
+               std::invalid_argument);
+}
+
 TEST(FuseInvertersTest, FusesAndInvToNand) {
   const nl::CellLibrary& lib = library();
   nl::Netlist n("t", &lib);

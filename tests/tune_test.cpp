@@ -215,6 +215,44 @@ TEST(TuneTest, SameSeedByteIdenticalAcrossBatchSizes) {
   }
 }
 
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(TuneTest, ExportTextPinnedAcrossLattice) {
+  // The export bytes of the full 28-recipe space on two designs (cavlc's
+  // rewrite reaches a fixpoint), pinned to the values the per-recipe
+  // synthesis loop produced before the recipe lattice replaced it.
+  struct Pin {
+    nl::Aig design;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {workloads::gen_cavlc(16, 3), 13970, 2871607029671349651ULL},
+      {workloads::gen_alu(8), 13388, 18374403743005004312ULL},
+  };
+  for (const int threads : {1, 4}) {
+    TunerOptions options;
+    options.space.random_samples = 4;
+    options.space.seed = 11;
+    options.threads = threads;
+    for (const Pin& pin : pins) {
+      RecipeTuner tuner(library(), trained_predictor(), options);
+      const std::string text = tuner.tune(pin.design, 120.0).export_text();
+      EXPECT_EQ(text.size(), pin.size)
+          << pin.design.name() << " threads " << threads;
+      EXPECT_EQ(fnv1a(text), pin.hash)
+          << pin.design.name() << " threads " << threads;
+    }
+  }
+}
+
 TEST(TuneTest, DefaultRecipeIsAlwaysEvaluated) {
   const nl::Aig design = workloads::gen_parity(8);
   // A space that cannot contain the default recipe (grid rewrite 0 only,
