@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
-// sweeps, cache/branch simulators, MCKP DP and GCN forward pass. These
-// quantify the substrate itself rather than a paper figure.
+// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP and
+// GCN forward pass. These quantify the substrate itself rather than a paper
+// figure.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "nl/star_graph.hpp"
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
+#include "perf/instrument.hpp"
 #include "perf/task_graph.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
@@ -125,7 +127,26 @@ void BM_StaSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_StaSweep)->Arg(8)->Arg(16);
 
-void BM_CacheSim(benchmark::State& state) {
+// The two cache roles of perf::Instrument. The L1 (8 KiB, 8-way) sees
+// every sampled access and mostly hits; the LLC slice (96 KiB, 16-way)
+// sees only L1 misses, a stream that mostly misses.
+void BM_CacheSimL1(benchmark::State& state) {
+  perf::CacheSim cache(8 * 1024, 64, 8);
+  util::Rng rng(1);
+  std::vector<std::uint64_t> addresses(4096);
+  for (auto& a : addresses) {
+    a = rng.next_bool(0.9) ? rng.next_below(6 * 1024)
+                           : rng.next_below(1 << 22);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.access(addresses[i++ & 4095]));
+  }
+  state.counters["miss_rate"] = cache.stats().miss_rate();
+}
+BENCHMARK(BM_CacheSimL1);
+
+void BM_CacheSimLlc(benchmark::State& state) {
   perf::CacheSim cache(96 * 1024, 64, 16);
   util::Rng rng(1);
   std::vector<std::uint64_t> addresses(4096);
@@ -134,8 +155,40 @@ void BM_CacheSim(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.access(addresses[i++ & 4095]));
   }
+  state.counters["miss_rate"] = cache.stats().miss_rate();
 }
-BENCHMARK(BM_CacheSim);
+BENCHMARK(BM_CacheSimLlc);
+
+// Counter simulation alone: the event logs of one instrumented gen_alu(16)
+// route, replayed into a fresh Instrument over the 8-config benchmark
+// ladder (general-purpose and memory-optimized, 1-8 vCPUs). Building the
+// Instrument is timed too: every instrumented stage run pays it.
+void BM_InstrumentReplay(benchmark::State& state) {
+  std::vector<perf::VmConfig> configs;
+  for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
+                            perf::InstanceFamily::kMemoryOptimized}) {
+    const auto ladder = perf::vm_ladder(family);
+    configs.insert(configs.end(), ladder.begin(), ladder.end());
+  }
+  synth::SynthesisEngine engine(library());
+  const auto mapped =
+      engine.synthesize(workloads::gen_alu(16), synth::default_recipe());
+  place::QuadraticPlacer placer;
+  const auto placement = placer.place(mapped.netlist);
+  std::vector<perf::EventLog> logs;
+  (void)route::GridRouter().run(mapped.netlist, placement, configs, &logs);
+  std::size_t events = 0;
+  for (const auto& log : logs) events += log.size();
+  for (auto _ : state) {
+    perf::Instrument instrument(configs);
+    for (const auto& log : logs) instrument.replay(log);
+    benchmark::DoNotOptimize(instrument.counts(configs.size() - 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+  state.counters["events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_InstrumentReplay)->Unit(benchmark::kMillisecond);
 
 void BM_BranchSim(benchmark::State& state) {
   perf::BranchPredictor predictor;

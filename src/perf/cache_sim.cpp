@@ -1,5 +1,6 @@
 #include "perf/cache_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -27,32 +28,27 @@ CacheSim::CacheSim(std::uint64_t size_bytes, std::uint32_t line_bytes,
   set_count_ = static_cast<std::uint32_t>(sets);
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(line_bytes_)));
-  sets_.assign(static_cast<std::size_t>(set_count_) * ways_, Way{});
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
+  // Every stack starts as invalid ~0 entries.
+  tags_.assign(static_cast<std::size_t>(set_count_) * ways_, ~0ULL);
 }
 
 bool CacheSim::access_impl(std::uint64_t address, bool count_stats) {
   if (count_stats) ++stats_.accesses;
   const std::uint64_t line = address >> line_shift_;
   const std::uint32_t set = static_cast<std::uint32_t>(line) & (set_count_ - 1);
-  const std::uint64_t tag = line / set_count_;
-  Way* base = &sets_[static_cast<std::size_t>(set) * ways_];
-  ++lru_clock_;
-  std::uint32_t victim = 0;
-  std::uint32_t victim_lru = ~0U;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (base[w].tag == tag) {
-      base[w].lru = lru_clock_;
-      return true;
-    }
-    if (base[w].lru < victim_lru) {
-      victim_lru = base[w].lru;
-      victim = w;
-    }
+  const std::uint64_t tag = line >> set_shift_;
+  std::uint64_t* stack = &tags_[static_cast<std::size_t>(set) * ways_];
+  std::uint32_t depth = 0;
+  while (depth < ways_ && stack[depth] != tag) ++depth;
+  const bool hit = depth < ways_;
+  if (!hit) {
+    if (count_stats) ++stats_.misses;
+    depth = ways_ - 1;  // the LRU entry is dropped
   }
-  if (count_stats) ++stats_.misses;
-  base[victim].tag = tag;
-  base[victim].lru = lru_clock_;
-  return false;
+  std::copy_backward(stack, stack + depth, stack + depth + 1);
+  stack[0] = tag;
+  return hit;
 }
 
 }  // namespace edacloud::perf

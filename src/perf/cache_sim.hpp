@@ -2,7 +2,8 @@
 // Set-associative LRU cache simulator. perf::Instrument chains them into an
 // L1 -> LLC hierarchy per VM configuration; together they stand in for the
 // hardware performance counters the paper read with `perf`
-// (cache-references / cache-misses).
+// (cache-references / cache-misses). Each set is kept as a most-recently-
+// used-first stack of tags, so replacement needs no per-way timestamps.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +21,9 @@ struct CacheStats {
 };
 
 /// Set-associative cache with true-LRU replacement. Address space is a
-/// flat 64-bit byte space; tags are derived from line addresses.
+/// flat 64-bit byte space; tags are derived from line addresses. Each set is
+/// a stack of tags, most recently used first: a hit moves its tag to the
+/// front, a miss pushes the new tag on and drops the bottom (LRU) entry.
 class CacheSim {
  public:
   /// size/line must be powers of two; ways >= 1. size >= line * ways.
@@ -42,18 +45,13 @@ class CacheSim {
  private:
   bool access_impl(std::uint64_t address, bool count_stats);
 
-  struct Way {
-    std::uint64_t tag = ~0ULL;
-    std::uint32_t lru = 0;  // higher = more recently used
-  };
-
   std::uint64_t size_bytes_;
   std::uint32_t line_bytes_;
   std::uint32_t ways_;
   std::uint32_t set_count_;
   std::uint32_t line_shift_;
-  std::vector<Way> sets_;  // set-major layout, ways_ entries per set
-  std::uint32_t lru_clock_ = 0;
+  std::uint32_t set_shift_;  // log2(set_count_)
+  std::vector<std::uint64_t> tags_;  // set-major, ways_ tags per set, MRU first
   CacheStats stats_;
 };
 

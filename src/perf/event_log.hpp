@@ -14,7 +14,7 @@
 //
 // Recording costs about as much as the work it records (a maze expansion
 // logs ~25 events), so engines log only work that will be replayed: the
-// router searches every attempt of a round unlogged and re-runs just the
+// router searches the attempts of a round unlogged and re-runs just the
 // committing searches with logs (route/router.cpp). Uninstrumented runs
 // pass a null log pointer and skip recording entirely, so measured-speedup
 // flows pay nothing for this machinery.

@@ -39,7 +39,6 @@ void Instrument::probe_l1s(std::uint64_t address) {
 }
 
 void Instrument::on_memory(std::uint64_t address) {
-  if (event_counter_++ % sample_period_ != 0) return;
   ring_[ring_head_] = address;
   ring_head_ = (ring_head_ + 1) % kRingSize;
   probe_l1s(address);
@@ -73,7 +72,6 @@ void Instrument::on_memory(std::uint64_t address) {
 
 void Instrument::on_memory_private(std::uint64_t address,
                                    std::uint32_t stream) {
-  if (event_counter_++ % sample_period_ != 0) return;
   ring_[ring_head_] = address;
   ring_head_ = (ring_head_ + 1) % kRingSize;
   // The L1 probe uses the un-offset address (each worker core owns a

@@ -43,12 +43,12 @@ class Instrument {
   void load(std::uint64_t address) {
     if (!enabled()) return;
     ++loads_;
-    on_memory(address);
+    if (sampled()) on_memory(address);
   }
   void store(std::uint64_t address) {
     if (!enabled()) return;
     ++stores_;
-    on_memory(address);
+    if (sampled()) on_memory(address);
   }
   /// Access to thread-PRIVATE state (per-worker scratch arrays). With k
   /// vCPUs the work is spread over k private copies, so the address is
@@ -58,7 +58,7 @@ class Instrument {
   void load_private(std::uint64_t address, std::uint32_t stream) {
     if (!enabled()) return;
     ++loads_;
-    on_memory_private(address, stream);
+    if (sampled()) on_memory_private(address, stream);
   }
 
   /// Feed a recorded event stream back in, in its recorded order. Parallel
@@ -79,6 +79,15 @@ class Instrument {
   [[nodiscard]] OpCounts counts(std::size_t index) const;
 
  private:
+  /// Counts one memory event; true for the 1-in-N events that drive the
+  /// cache models (the first, then every sample_period_-th).
+  bool sampled() {
+    ++event_counter_;
+    if (--sample_countdown_ != 0) return false;
+    sample_countdown_ = sample_period_;
+    return true;
+  }
+  // Sampled memory events only.
   void on_memory(std::uint64_t address);
   void on_memory_private(std::uint64_t address, std::uint32_t stream);
   /// Probe every L1 group once; records the outcome in l1_hit_.
@@ -86,7 +95,8 @@ class Instrument {
 
   std::vector<VmConfig> configs_;
   std::uint32_t sample_period_ = 1;
-  std::uint64_t event_counter_ = 0;
+  std::uint32_t sample_countdown_ = 1;
+  std::uint64_t event_counter_ = 0;  // memory events seen
 
   std::uint64_t int_ops_ = 0;
   std::uint64_t fp_ops_ = 0;

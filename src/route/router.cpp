@@ -47,34 +47,41 @@ struct BboxMask {
   void merge(const BboxMask& other) {
     for (int i = 0; i < kMaskWords; ++i) bits[i] |= other.bits[i];
   }
+  void set(std::uint32_t bit) { bits[bit >> 6] |= 1ULL << (bit & 63); }
+  [[nodiscard]] bool test(std::uint32_t bit) const {
+    return ((bits[bit >> 6] >> (bit & 63)) & 1) != 0;
+  }
 };
+
+/// Coarse mask coordinate of grid coordinate `v`.
+std::uint32_t coarse(std::uint32_t v, int grid) {
+  return std::min<std::uint32_t>(kMaskSide - 1,
+                                 v * kMaskSide / std::max(1, grid));
+}
+
+/// Mask bit of the coarse cell holding grid cell (x, y).
+std::uint32_t coarse_bit(std::uint32_t x, std::uint32_t y, int grid) {
+  return coarse(y, grid) * kMaskSide + coarse(x, grid);
+}
 
 /// Mask of the coarse cells actually crossed by a routed path — far
 /// thinner than the bounding box, so independent nets pack densely.
 BboxMask make_path_mask(const std::vector<std::uint32_t>& edges, int grid) {
   BboxMask mask;
-  const int h_edges = grid * (grid - 1);
-  const auto coarse = [grid](int v) {
-    return std::min(kMaskSide - 1, v * kMaskSide / std::max(1, grid));
-  };
-  auto set_cell = [&mask, &coarse](int x, int y) {
-    const std::uint32_t bit =
-        static_cast<std::uint32_t>(coarse(y)) * kMaskSide +
-        static_cast<std::uint32_t>(coarse(x));
-    mask.bits[bit >> 6] |= 1ULL << (bit & 63);
-  };
+  const std::uint32_t side = static_cast<std::uint32_t>(grid);
+  const std::uint32_t h_edges = side * (side - 1);
   for (std::uint32_t e : edges) {
-    if (static_cast<int>(e) < h_edges) {
-      const int y = static_cast<int>(e) / (grid - 1);
-      const int x = static_cast<int>(e) % (grid - 1);
-      set_cell(x, y);
-      set_cell(x + 1, y);
+    if (e < h_edges) {
+      const std::uint32_t y = e / (side - 1);
+      const std::uint32_t x = e % (side - 1);
+      mask.set(coarse_bit(x, y, grid));
+      mask.set(coarse_bit(x + 1, y, grid));
     } else {
-      const int v = static_cast<int>(e) - h_edges;
-      const int x = v / (grid - 1);
-      const int y = v % (grid - 1);
-      set_cell(x, y);
-      set_cell(x, y + 1);
+      const std::uint32_t v = e - h_edges;
+      const std::uint32_t x = v / (side - 1);
+      const std::uint32_t y = v % (side - 1);
+      mask.set(coarse_bit(x, y, grid));
+      mask.set(coarse_bit(x, y + 1, grid));
     }
   }
   return mask;
@@ -82,18 +89,13 @@ BboxMask make_path_mask(const std::vector<std::uint32_t>& edges, int grid) {
 
 BboxMask make_mask(const Connection& connection, int grid) {
   BboxMask mask;
-  const auto coarse = [grid](std::uint32_t v) {
-    return std::min<std::uint32_t>(kMaskSide - 1,
-                                   v * kMaskSide / std::max(1, grid));
-  };
-  const std::uint32_t lx = coarse(connection.bbox_lo_x);
-  const std::uint32_t hx = coarse(connection.bbox_hi_x);
-  const std::uint32_t ly = coarse(connection.bbox_lo_y);
-  const std::uint32_t hy = coarse(connection.bbox_hi_y);
+  const std::uint32_t lx = coarse(connection.bbox_lo_x, grid);
+  const std::uint32_t hx = coarse(connection.bbox_hi_x, grid);
+  const std::uint32_t ly = coarse(connection.bbox_lo_y, grid);
+  const std::uint32_t hy = coarse(connection.bbox_hi_y, grid);
   for (std::uint32_t y = ly; y <= hy; ++y) {
     for (std::uint32_t x = lx; x <= hx; ++x) {
-      const std::uint32_t bit = y * kMaskSide + x;
-      mask.bits[bit >> 6] |= 1ULL << (bit & 63);
+      mask.set(y * kMaskSide + x);
     }
   }
   return mask;
@@ -351,13 +353,19 @@ class Maze {
 
 RoutingResult GridRouter::run(const Netlist& netlist,
                               const place::Placement& placement,
-                              const std::vector<perf::VmConfig>& configs) const {
+                              const std::vector<perf::VmConfig>& configs,
+                              std::vector<perf::EventLog>* replayed) const {
   Instrument instrument_storage;
   Instrument* ins = nullptr;
   if (!configs.empty()) {
     instrument_storage = Instrument(configs);
     ins = &instrument_storage;
   }
+  // Every instrumentation event reaches `ins` through here, as a log.
+  auto replay = [&](const perf::EventLog& log) {
+    ins->replay(log);
+    if (replayed != nullptr) replayed->push_back(log);
+  };
 
   RoutingResult result;
 
@@ -451,14 +459,35 @@ RoutingResult GridRouter::run(const Netlist& netlist,
   // the connection order, never the thread count. Every round commits at
   // least the first pending connection; after kMaxBatchRounds the heavily
   // conflicting stragglers are finished serially against live state.
+  //
+  // A round is decided in fixed slices of kSlice pending attempts. Every
+  // path crosses the coarse cells of both its endpoints, so an attempt
+  // whose source or target cell is already in the round's committed mask
+  // would fail the overlap test whatever path it found: it is deferred
+  // without a search. The rest of the slice is searched in parallel, then
+  // decided serially.
   constexpr int kMaxBatchRounds = 6;
   constexpr std::size_t kBatchGrain = 8;  // fixed: chunking must not depend
                                           // on the thread count
+  constexpr std::size_t kSlice = 32;      // fixed; outputs do not depend on it
   struct Attempt {
     std::vector<std::uint32_t> edges;
     std::uint64_t expansions = 0;
     bool pattern = false;
     bool routed = false;
+  };
+  struct BatchStats {
+    int rounds = 0;
+    std::uint64_t searched = 0;     // first-pass and straggler searches run
+    std::uint64_t prefiltered = 0;  // attempts deferred without a search
+  };
+
+  auto endpoint_committed = [&](const BboxMask& committed,
+                                std::uint32_t idx) {
+    const Connection& c = connections[idx];
+    const std::uint32_t side = static_cast<std::uint32_t>(grid);
+    return committed.test(coarse_bit(c.source % side, c.source / side, grid)) ||
+           committed.test(coarse_bit(c.target % side, c.target / side, grid));
   };
 
   // One routing attempt against the current grid; events go to `log`
@@ -492,41 +521,61 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     routed_edges[idx] = std::move(attempt.edges);
   };
 
-  // Routes `pending` to completion; returns the number of parallel rounds.
+  // Routes `pending` to completion.
   auto route_batch = [&](std::vector<std::uint32_t> pending,
                          bool allow_patterns, int op_iteration,
                          bool count_routed) {
     const bool use_patterns = allow_patterns && options_.pattern_route;
-    int rounds = 0;
-    while (!pending.empty() && rounds < kMaxBatchRounds) {
-      ++rounds;
+    BatchStats stats;
+    std::vector<std::size_t> searching;
+    while (!pending.empty() && stats.rounds < kMaxBatchRounds) {
+      ++stats.rounds;
       const std::size_t n = pending.size();
       std::vector<Attempt> attempts(n);
-      util::parallel_for(
-          threads, 0, n, kBatchGrain,
-          [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
-              unsigned slot) {
-            Maze& maze = maze_for(slot);
-            for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-              attempts[i] = route_one(pending[i], use_patterns, maze, nullptr);
-            }
-          });
-
-      // Serial deterministic commit decision.
       std::vector<std::size_t> winners;
       std::vector<std::uint32_t> deferred;
       BboxMask committed_mask;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Attempt& attempt = attempts[i];
-        result.total_expansions += attempt.expansions;
-        if (!attempt.routed) continue;  // unroutable: dropped, as in serial
-        const BboxMask mask = make_path_mask(attempt.edges, grid);
-        if (committed_mask.overlaps(mask)) {
-          deferred.push_back(pending[i]);
-          continue;
+      for (std::size_t begin = 0; begin < n; begin += kSlice) {
+        const std::size_t end = std::min(n, begin + kSlice);
+        searching.clear();
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!endpoint_committed(committed_mask, pending[i])) {
+            searching.push_back(i);
+          }
         }
-        committed_mask.merge(mask);
-        winners.push_back(i);
+        stats.searched += searching.size();
+        stats.prefiltered += (end - begin) - searching.size();
+        util::parallel_for(
+            threads, 0, searching.size(), kBatchGrain,
+            [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
+                unsigned slot) {
+              Maze& maze = maze_for(slot);
+              for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
+                const std::size_t i = searching[k];
+                attempts[i] =
+                    route_one(pending[i], use_patterns, maze, nullptr);
+              }
+            });
+
+        // Serial deterministic commit decision. An attempt searched above
+        // can still be endpoint-covered by a commit earlier in this slice;
+        // its search is then not read, so it counts no expansions.
+        for (std::size_t i = begin; i < end; ++i) {
+          if (endpoint_committed(committed_mask, pending[i])) {
+            deferred.push_back(pending[i]);
+            continue;
+          }
+          const Attempt& attempt = attempts[i];
+          result.total_expansions += attempt.expansions;
+          if (!attempt.routed) continue;  // unroutable: dropped, as in serial
+          const BboxMask mask = make_path_mask(attempt.edges, grid);
+          if (committed_mask.overlaps(mask)) {
+            deferred.push_back(pending[i]);
+            continue;
+          }
+          committed_mask.merge(mask);
+          winners.push_back(i);
+        }
       }
 
       // Instrumented runs log only the searches that commit: the winners
@@ -553,7 +602,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
 
       for (std::size_t w = 0; w < winners.size(); ++w) {
         const std::size_t i = winners[w];
-        if (ins != nullptr) ins->replay(logs[w]);
+        if (ins != nullptr) replay(logs[w]);
         commit(pending[i], std::move(attempts[i]), op_iteration, count_routed);
       }
       pending = std::move(deferred);
@@ -567,13 +616,14 @@ RoutingResult GridRouter::run(const Netlist& netlist,
         perf::EventLog log;
         Attempt attempt =
             route_one(idx, use_patterns, maze, ins != nullptr ? &log : nullptr);
+        ++stats.searched;
         result.total_expansions += attempt.expansions;
         if (!attempt.routed) continue;
-        if (ins != nullptr) ins->replay(log);
+        if (ins != nullptr) replay(log);
         commit(idx, std::move(attempt), op_iteration, count_routed);
       }
     }
-    return rounds;
+    return stats;
   };
 
   // ---- initial routing ----------------------------------------------------------
@@ -582,9 +632,13 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     initial_span.counter("connections",
                          static_cast<double>(connections.size()));
     initial_span.counter("threads", static_cast<double>(threads));
-    const int rounds = route_batch(order, /*allow_patterns=*/true,
-                                   /*op_iteration=*/0, /*count_routed=*/true);
-    initial_span.counter("batch_rounds", static_cast<double>(rounds));
+    const BatchStats stats =
+        route_batch(order, /*allow_patterns=*/true, /*op_iteration=*/0,
+                    /*count_routed=*/true);
+    initial_span.counter("batch_rounds", static_cast<double>(stats.rounds));
+    initial_span.counter("searched", static_cast<double>(stats.searched));
+    initial_span.counter("prefiltered",
+                         static_cast<double>(stats.prefiltered));
     initial_span.counter("routed", static_cast<double>(result.routed_count));
   }
 
@@ -596,6 +650,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     // Find overflowed edges, accumulate history.
     std::vector<bool> overflowed(edge_count, false);
     std::size_t overflow_count = 0;
+    perf::EventLog scan_log;
     for (std::size_t e = 0; e < edge_count; ++e) {
       const bool over = state.usage[e] > state.capacity[e];
       if (over) {
@@ -604,10 +659,12 @@ RoutingResult GridRouter::run(const Netlist& netlist,
         state.history[e] += 1.0f;
       }
       if (ins != nullptr && e % 16 == 0) {
-        ins->load(kGridBase + e * 48);
-        ins->branch(kGridBase ^ 0x4, over);
+        scan_log.load(kGridBase + e * 48);
+        scan_log.branch(kGridBase ^ 0x4, over);
       }
     }
+    if (ins != nullptr) replay(scan_log);
+    scan_log.clear();
     result.overflowed_edges = overflow_count;
     ripup_span.counter("overflowed_edges",
                        static_cast<double>(overflow_count));
@@ -626,16 +683,20 @@ RoutingResult GridRouter::run(const Netlist& netlist,
           break;
         }
       }
-      if (ins != nullptr) ins->branch(kGridBase ^ 0x5, crosses);
+      if (ins != nullptr) scan_log.branch(kGridBase ^ 0x5, crosses);
       if (!crosses) continue;
       for (std::uint32_t edge : edges) --state.usage[edge];
       edges.clear();
       ripped.push_back(idx);
     }
-    const int rounds =
+    if (ins != nullptr) replay(scan_log);
+    const BatchStats stats =
         route_batch(std::move(ripped), /*allow_patterns=*/false,
                     iteration + 1, /*count_routed=*/false);
-    ripup_span.counter("batch_rounds", static_cast<double>(rounds));
+    ripup_span.counter("batch_rounds", static_cast<double>(stats.rounds));
+    ripup_span.counter("searched", static_cast<double>(stats.searched));
+    ripup_span.counter("prefiltered",
+                       static_cast<double>(stats.prefiltered));
   }
   result.rrr_iterations = iteration;
 

@@ -20,14 +20,19 @@
 // to the next round against the updated grid. Commit order — and therefore
 // usage, history, QoR and the replayed perf-event stream — depends only on
 // the connection order, never the thread count, so results are bit-identical
-// at any width. Instrumented rounds search unlogged first and then re-run
-// only the committing searches with event logs, still against the frozen
-// grid, so deferred attempts record nothing.
+// at any width. A round is decided in fixed slices of pending attempts; an
+// attempt whose source or target coarse cell an earlier commit of the round
+// already covers is deferred without a search (its path would cross that
+// cell), and only the rest of the slice is searched. Instrumented rounds
+// search unlogged first and then re-run only the committing searches with
+// event logs, still against the frozen grid, so deferred attempts record
+// nothing.
 
 #include <cstdint>
 #include <vector>
 
 #include "nl/netlist.hpp"
+#include "perf/event_log.hpp"
 #include "perf/runtime_model.hpp"
 #include "place/placer.hpp"
 
@@ -62,7 +67,9 @@ struct RoutingResult {
   std::uint64_t wirelength_gedges = 0;  // total grid edges used
   std::size_t overflowed_edges = 0;     // after the final iteration
   int rrr_iterations = 0;
-  std::uint64_t total_expansions = 0;   // A* node pops
+  /// A* node pops of the searches the commit decisions read (attempts
+  /// deferred for a covered endpoint count none).
+  std::uint64_t total_expansions = 0;
   std::size_t pattern_routed = 0;       // connections served by L-patterns
   std::size_t wave_count = 0;           // parallel wave depth
   /// Per-connection grid-edge lists (backtrack order); consumed by the
@@ -76,9 +83,13 @@ class GridRouter {
   explicit GridRouter(RouterOptions options = {}) : options_(options) {}
 
   /// Route the placed netlist; instrumented when configs is non-empty.
+  /// An instrumented run appends a copy of every event log it replays, in
+  /// replay order, to `replayed` when that is non-null (kernel benchmarks
+  /// time the replay alone from these).
   [[nodiscard]] RoutingResult run(
       const nl::Netlist& netlist, const place::Placement& placement,
-      const std::vector<perf::VmConfig>& configs) const;
+      const std::vector<perf::VmConfig>& configs,
+      std::vector<perf::EventLog>* replayed = nullptr) const;
 
   [[nodiscard]] const RouterOptions& options() const { return options_; }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "obs/trace.hpp"
+#include "perf/instrument.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "synth/engine.hpp"
@@ -210,7 +212,7 @@ TEST(RouterTest, InstrumentedCountersPinnedOnBenchLadder) {
   // llc_misses, in bench_ladder() order.
   constexpr std::uint64_t kLlcMisses[8] = {3348, 3908, 4996, 7240,
                                            3348, 3908, 4992, 7020};
-  EXPECT_EQ(result.total_expansions, 121861u);
+  EXPECT_EQ(result.total_expansions, 34627u);
   ASSERT_EQ(result.profile.counts.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     SCOPED_TRACE(result.profile.configs[i].name());
@@ -223,6 +225,36 @@ TEST(RouterTest, InstrumentedCountersPinnedOnBenchLadder) {
       EXPECT_EQ(shared[f], kShared[f]) << "field " << f;
     }
     EXPECT_EQ(c.llc_misses, kLlcMisses[i]);
+  }
+}
+
+TEST(RouterTest, ReplayedLogsReproduceCounters) {
+  // The logs an instrumented run hands back are its whole event stream:
+  // replayed into a fresh Instrument they give the run's counters.
+  const PlacedDesign design = prepare(workloads::gen_alu(8));
+  const std::vector<perf::VmConfig> configs = bench_ladder();
+  std::vector<perf::EventLog> logs;
+  const auto result =
+      GridRouter().run(design.netlist, design.placement, configs, &logs);
+  ASSERT_FALSE(logs.empty());
+  perf::Instrument instrument(configs);
+  for (const perf::EventLog& log : logs) instrument.replay(log);
+  ASSERT_EQ(result.profile.counts.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE(configs[i].name());
+    const auto& a = result.profile.counts[i];
+    const auto b = instrument.counts(i);
+    EXPECT_EQ(a.int_ops, b.int_ops);
+    EXPECT_EQ(a.fp_ops, b.fp_ops);
+    EXPECT_EQ(a.avx_ops, b.avx_ops);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.branch_misses, b.branch_misses);
+    EXPECT_EQ(a.l1_accesses, b.l1_accesses);
+    EXPECT_EQ(a.l1_misses, b.l1_misses);
+    EXPECT_EQ(a.llc_accesses, b.llc_accesses);
+    EXPECT_EQ(a.llc_misses, b.llc_misses);
   }
 }
 
@@ -272,6 +304,103 @@ TEST(RouterTest, BitIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+/// FNV-1a over every connection's edge list (length, then edges).
+std::uint64_t hash_paths(
+    const std::vector<std::vector<std::uint32_t>>& paths) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& path : paths) {
+    mix(path.size());
+    for (std::uint32_t edge : path) mix(edge);
+  }
+  return hash;
+}
+
+TEST(RouterTest, RoutedPathsPinned) {
+  // The routed paths themselves, pinned at every thread count: search
+  // scheduling work must not move a single edge. The congested case runs
+  // the L-pattern fast path, rip-up rounds and the straggler tail.
+  struct Case {
+    const char* name;
+    nl::Aig aig;
+    int edge_capacity;
+    bool pattern_route;
+    std::uint64_t paths_hash;
+    std::uint64_t wirelength;
+    std::size_t overflowed;
+    int rrr_iterations;
+  };
+  const Case cases[] = {
+      {"alu16", workloads::gen_alu(16), 32, false, 6172838559175872517ULL,
+       7570, 3, 3},
+      {"mul12-congested", workloads::gen_multiplier(12), 6, true,
+       13167286407286474063ULL, 13268, 914, 3},
+  };
+  for (const Case& pin : cases) {
+    SCOPED_TRACE(pin.name);
+    const PlacedDesign design = prepare(pin.aig);
+    RouterOptions options;
+    options.edge_capacity = pin.edge_capacity;
+    options.pattern_route = pin.pattern_route;
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      options.threads = threads;
+      const auto result =
+          GridRouter(options).run(design.netlist, design.placement, {});
+      EXPECT_EQ(hash_paths(result.connection_edges), pin.paths_hash);
+      EXPECT_EQ(result.wirelength_gedges, pin.wirelength);
+      EXPECT_EQ(result.overflowed_edges, pin.overflowed);
+      EXPECT_EQ(result.rrr_iterations, pin.rrr_iterations);
+    }
+  }
+}
+
+TEST(RouterTest, SearchCountersOnSpansAreExact) {
+  // `searched` and `prefiltered` on the route spans are exact counts:
+  // equal at every thread count, and every routed connection was searched.
+  const PlacedDesign design = prepare(workloads::gen_alu(16));
+  obs::Tracer& tracer = obs::Tracer::global();
+  std::vector<std::vector<double>> per_width;
+  for (const int threads : {1, 4}) {
+    tracer.clear();
+    tracer.enable(obs::ClockMode::kVirtual);
+    RouterOptions options;
+    options.threads = threads;
+    const auto result =
+        GridRouter(options).run(design.netlist, design.placement, {});
+    tracer.disable();
+    std::vector<double> counts;
+    for (const obs::TraceEvent& event : tracer.snapshot()) {
+      if (event.name != "route/initial" && event.name != "route/ripup") {
+        continue;
+      }
+      double searched = -1.0;
+      double prefiltered = -1.0;
+      for (const obs::TraceArg& arg : event.args) {
+        if (arg.key == "searched") searched = arg.value;
+        if (arg.key == "prefiltered") prefiltered = arg.value;
+      }
+      ASSERT_GE(searched, 0.0) << event.name;
+      ASSERT_GE(prefiltered, 0.0) << event.name;
+      if (event.name == "route/initial") {
+        EXPECT_GE(searched, static_cast<double>(result.routed_count));
+        EXPECT_GT(prefiltered, 0.0);
+      }
+      counts.push_back(searched);
+      counts.push_back(prefiltered);
+    }
+    per_width.push_back(counts);
+  }
+  tracer.clear();
+  ASSERT_FALSE(per_width[0].empty());
+  EXPECT_EQ(per_width[0], per_width[1]);
 }
 
 TEST(RouterTest, EmptyNetlistRoutesTrivially) {
