@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/dataset.hpp"
 #include "core/predictor.hpp"
 #include "ml/batch.hpp"
 #include "nl/cell_library.hpp"
@@ -90,25 +89,9 @@ int main(int argc, char** argv) {
   // Train the same way svc::Service does — the bench measures inference
   // throughput, not accuracy.
   const nl::CellLibrary library = nl::make_generic_14nm_library();
-  std::vector<workloads::BenchmarkSpec> train_specs;
-  for (const auto& info : workloads::families()) {
-    if (train_specs.size() >= (fast ? 2u : 4u)) break;
-    workloads::BenchmarkSpec spec;
-    spec.family = info.name;
-    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
-    spec.seed = 7;
-    train_specs.push_back(spec);
-  }
-  core::DatasetOptions dataset_options;
-  dataset_options.max_recipes = 1;
-  dataset_options.max_netlists = train_specs.size();
-  const core::Dataset dataset =
-      core::DatasetBuilder(library, dataset_options).build(train_specs);
-  core::PredictorOptions predictor_options;
-  predictor_options.gcn = ml::GcnConfig::fast();
-  predictor_options.gcn.epochs = fast ? 2 : 4;
-  core::RuntimePredictor predictor(predictor_options);
-  (void)predictor.train(dataset);
+  const core::RuntimePredictor predictor =
+      core::train_startup_predictor(library, fast ? 2 : 4, 1, fast ? 2 : 4, 7)
+          .predictor;
   if (!predictor.trained(kJob)) {
     std::fprintf(stderr, "training produced no model\n");
     return 1;

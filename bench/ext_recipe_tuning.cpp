@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/dataset.hpp"
 #include "core/predictor.hpp"
 #include "nl/cell_library.hpp"
 #include "svc/json.hpp"
@@ -57,25 +56,9 @@ int main(int argc, char** argv) {
   // Train the predictor the way the serving layer does. The bench measures
   // tuner throughput and the joint-vs-fixed deployment gap, not accuracy.
   const nl::CellLibrary library = nl::make_generic_14nm_library();
-  std::vector<workloads::BenchmarkSpec> train_specs;
-  for (const auto& info : workloads::families()) {
-    if (train_specs.size() >= (fast ? 4u : 6u)) break;
-    workloads::BenchmarkSpec spec;
-    spec.family = info.name;
-    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
-    spec.seed = 7;
-    train_specs.push_back(spec);
-  }
-  core::DatasetOptions dataset_options;
-  dataset_options.max_recipes = 2;
-  dataset_options.max_netlists = 2 * train_specs.size();
-  const core::Dataset dataset =
-      core::DatasetBuilder(library, dataset_options).build(train_specs);
-  core::PredictorOptions predictor_options;
-  predictor_options.gcn = ml::GcnConfig::fast();
-  predictor_options.gcn.epochs = fast ? 4 : 12;
-  core::RuntimePredictor predictor(predictor_options);
-  (void)predictor.train(dataset);
+  const core::RuntimePredictor predictor =
+      core::train_startup_predictor(library, fast ? 4 : 6, 2, fast ? 4 : 12, 7)
+          .predictor;
   for (const core::JobKind job : core::kAllJobs) {
     if (!predictor.trained(job)) {
       std::fprintf(stderr, "training produced no model for %s\n",

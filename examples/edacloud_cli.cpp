@@ -1,37 +1,9 @@
 // edacloud — unified command-line front end over the library.
 //
-//   edacloud_cli gen   <family> <size> [--aag out.aag] [--dot out.dot]
-//   edacloud_cli synth <in.aag> [--recipe NAME] [--verilog out.v]
-//   edacloud_cli flow  <family> <size> [--trace F] [--metrics F]
-//   edacloud_cli plan  <family> <size> <deadline> [--spot]
-//   edacloud_cli lib   [--out lib.lib]            # dump the built-in library
-//   edacloud_cli fleet-sim [--arrival-rate R] [--policy P] [--seed N]
-//                          [--duration S] [--mix M] [--spot F]
-//                          [--interruption-rate R] [--crash-rate R]
-//                          [--boot-fail P] [--restart MODEL]
-//                          [--checkpoint-interval S] [--checkpoint-overhead S]
-//                          [--max-attempts N] [--threads N]
-//                          [--shards N] [--handoff-latency S]
-//                          [--lookahead S] [--shard-stats]
-//                          [--trace F] [--metrics F]
-//   edacloud_cli predict <family> <size> [--job NAME] [--batch N]
-//                        [--cache N] [--threads N] [--repeat N]
-//                        [--train-designs N] [--train-epochs N] [--verify]
-//   edacloud_cli tune    [<family> <size>] [--designs fam:size[,...]]
-//                        [--deadline S] [--budget USD] [--samples N]
-//                        [--seed N] [--threads N] [--batch N] [--cache N]
-//                        [--train-designs N] [--train-epochs N] [--spot]
-//                        [--export F] [--trace F] [--metrics F]
-//   edacloud_cli serve   [--port N] [--threads N] [--seed N] [--max-conns N]
-//                        [--max-queue N] [--deadline-ms MS]
-//                        [--train-designs N] [--train-epochs N]
-//                        [--batch-max N] [--batch-linger-ms MS]
-//                        [--predict-cache N] [--trace F] [--metrics F]
-//   edacloud_cli loadgen --port N [--host H] [--mode closed|open] [--qps R]
-//                        [--conns N] [--requests N] [--duration S]
-//                        [--warmup S] [--seed N]
-//                        [--mix predict|predict-heavy|echo|mixed]
-//                        [--deadline-ms MS] [--export F]
+// Each subcommand declares its positionals and flags once, in kCommands at
+// the end of this file. util::parse_args checks every command line against
+// its table, and the top-level usage and `<command> --help` print from the
+// same tables. Run with no arguments for the command list.
 //
 // --trace writes a Chrome trace_event JSON file (open in Perfetto or
 // chrome://tracing); --metrics writes the unified metrics registry as JSON
@@ -48,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,6 +31,7 @@
 #include "nl/liberty.hpp"
 #include "nl/verilog.hpp"
 #include "sta/sta.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -68,128 +40,9 @@ using namespace edacloud;
 
 namespace {
 
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage:\n"
-               "  edacloud_cli gen   <family> <size> [--aag F] [--dot F]\n"
-               "  edacloud_cli synth <in.aag> [--recipe NAME] [--verilog F]\n"
-               "  edacloud_cli flow  <family> <size> [--trace F] "
-               "[--metrics F]\n"
-               "                     [--threads N]\n"
-               "  edacloud_cli plan  <family> <size> <deadline_s> [--spot]\n"
-               "  edacloud_cli lib   [--out F]\n"
-               "  edacloud_cli fleet-sim [--arrival-rate JOBS_PER_HOUR]\n"
-               "                         [--policy fifo|cost|edf] [--seed N]\n"
-               "                         [--duration SECONDS]\n"
-               "                         [--mix uniform|skewed|bursty|\n"
-               "                                diurnal|flash]\n"
-               "                         [--spot FRACTION]\n"
-               "                         [--market static|drift|storm]\n"
-               "                         [--market-trace F] [--bid FRACTION]\n"
-               "                         [--market-interval S] [--rebid]\n"
-               "                         [--interruption-rate PER_HOUR]\n"
-               "                         [--crash-rate PER_HOUR]\n"
-               "                         [--boot-fail PROBABILITY]\n"
-               "                         [--restart credit|zero|checkpoint]\n"
-               "                         [--checkpoint-interval SECONDS]\n"
-               "                         [--checkpoint-overhead SECONDS]\n"
-               "                         [--max-attempts N] [--threads N]\n"
-               "                         [--shards N] [--handoff-latency S]\n"
-               "                         [--lookahead S] [--shard-stats]\n"
-               "                         [--trace F] [--metrics F]\n"
-               "  edacloud_cli predict <family> <size> [--job NAME]\n"
-               "                       [--batch N] [--cache N] [--threads N]\n"
-               "                       [--repeat N] [--train-designs N]\n"
-               "                       [--train-epochs N] [--verify]\n"
-               "  edacloud_cli tune    [<family> <size>]\n"
-               "                       [--designs fam:size[,fam:size...]]\n"
-               "                       [--deadline S] [--budget USD]\n"
-               "                       [--samples N] [--seed N]\n"
-               "                       [--threads N] [--batch N] [--cache N]\n"
-               "                       [--train-designs N] [--train-epochs N]\n"
-               "                       [--spot] [--export F] [--trace F]\n"
-               "                       [--metrics F]\n"
-               "  edacloud_cli serve   [--port N] [--threads N] [--seed N]\n"
-               "                       [--max-conns N] [--max-queue N]\n"
-               "                       [--deadline-ms MS] [--train-designs N]\n"
-               "                       [--train-epochs N] [--batch-max N]\n"
-               "                       [--batch-linger-ms MS]\n"
-               "                       [--predict-cache N] [--trace F]\n"
-               "                       [--metrics F]\n"
-               "  edacloud_cli loadgen --port N [--host H]\n"
-               "                       [--mode closed|open] [--qps R]\n"
-               "                       [--conns N] [--requests N]\n"
-               "                       [--duration S] [--warmup S] [--seed N]\n"
-               "                       [--mix predict|predict-heavy|echo|"
-               "mixed]\n"
-               "                       [--deadline-ms MS] [--export F]\n"
-               "Every subcommand accepts --help.\n"
-               "families:");
-  for (const auto& info : workloads::families()) {
-    std::fprintf(out, " %s", info.name.c_str());
-  }
-  std::fprintf(out, "\n");
-}
+using util::Args;
 
-int usage() {
-  print_usage(stderr);
-  return 2;
-}
-
-/// The flags a subcommand understands. Value flags consume the next
-/// argument; switch flags stand alone.
-struct FlagSpec {
-  std::vector<std::string> value_flags;
-  std::vector<std::string> switch_flags;
-};
-
-bool spec_has(const std::vector<std::string>& flags, const std::string& arg) {
-  for (const auto& flag : flags) {
-    if (flag == arg) return true;
-  }
-  return false;
-}
-
-/// Reject anything that looks like a flag but isn't in the subcommand's
-/// spec, and value flags missing their argument. Returns 0 when the
-/// argument list is well-formed, 2 (after printing the problem + usage)
-/// otherwise.
-int check_flags(const std::string& command,
-                const std::vector<std::string>& args, const FlagSpec& spec) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg.rfind("--", 0) != 0) continue;  // positional
-    if (spec_has(spec.value_flags, arg)) {
-      if (i + 1 >= args.size() || args[i + 1].rfind("--", 0) == 0) {
-        std::fprintf(stderr, "error: %s %s wants a value\n", command.c_str(),
-                     arg.c_str());
-        return usage();
-      }
-      ++i;  // skip the value
-      continue;
-    }
-    if (spec_has(spec.switch_flags, arg)) continue;
-    std::fprintf(stderr, "error: unknown flag '%s' for '%s'\n", arg.c_str(),
-                 command.c_str());
-    return usage();
-  }
-  return 0;
-}
-
-std::string flag_value(const std::vector<std::string>& args,
-                       const std::string& flag) {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) return args[i + 1];
-  }
-  return "";
-}
-
-bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
-  for (const auto& arg : args) {
-    if (arg == flag) return true;
-  }
-  return false;
-}
+// ---- Subcommands ------------------------------------------------------------
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream file(path);
@@ -210,24 +63,57 @@ nl::Aig generate_or_die(const std::string& family, int size) {
   return workloads::generate(spec);
 }
 
-int cmd_gen(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const nl::Aig aig = generate_or_die(args[0], std::atoi(args[1].c_str()));
+/// Start the tracer on `clock` when --trace was given.
+void start_trace(const Args& args, obs::ClockMode clock) {
+  if (!args.text("--trace").empty()) obs::Tracer::global().enable(clock);
+}
+
+/// Write the --trace and --metrics files asked for; false on an I/O error.
+bool write_telemetry(const Args& args) {
+  const std::string trace_path = args.text("--trace");
+  if (!trace_path.empty()) {
+    obs::Tracer::global().disable();
+    if (!obs::Tracer::global().write_json(trace_path)) return false;
+    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
+                obs::Tracer::global().event_count());
+  }
+  const std::string metrics_path = args.text("--metrics");
+  if (!metrics_path.empty()) {
+    if (!obs::Registry::global().write(metrics_path)) return false;
+    std::printf("wrote %s (%zu metrics)\n", metrics_path.c_str(),
+                obs::Registry::global().size());
+  }
+  return true;
+}
+
+void print_cache_stats(const ml::PredictionCache::Stats& stats,
+                       long long capacity) {
+  std::printf("cache: %llu hits, %llu misses, %llu insertions, "
+              "%llu evictions (capacity %lld)\n",
+              static_cast<unsigned long long>(stats.hits),
+              static_cast<unsigned long long>(stats.misses),
+              static_cast<unsigned long long>(stats.insertions),
+              static_cast<unsigned long long>(stats.evictions), capacity);
+}
+
+int cmd_gen(const Args& args) {
+  const nl::Aig aig =
+      generate_or_die(args.positionals[0], args.number<int>(1));
   std::printf("%s: %zu inputs, %zu outputs, %zu AND nodes, depth %u\n",
               aig.name().c_str(), aig.input_count(), aig.output_count(),
               aig.and_count(), aig.depth());
-  const std::string aag = flag_value(args, "--aag");
+  const std::string aag = args.text("--aag");
   if (!aag.empty() && !write_file(aag, nl::write_aiger(aig))) return 1;
-  const std::string dot = flag_value(args, "--dot");
+  const std::string dot = args.text("--dot");
   if (!dot.empty() && !write_file(dot, nl::write_dot(aig))) return 1;
   return 0;
 }
 
-int cmd_synth(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  std::ifstream in(args[0]);
+int cmd_synth(const Args& args) {
+  const std::string& path = args.positionals[0];
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", args[0].c_str());
+    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
     return 1;
   }
   std::stringstream buffer;
@@ -239,7 +125,7 @@ int cmd_synth(const std::vector<std::string>& args) {
   }
 
   synth::SynthRecipe recipe = synth::default_recipe();
-  const std::string recipe_name = flag_value(args, "--recipe");
+  const std::string recipe_name = args.text("--recipe");
   if (!recipe_name.empty()) {
     bool found = false;
     for (const auto& candidate : synth::standard_recipes()) {
@@ -263,7 +149,7 @@ int cmd_synth(const std::vector<std::string>& args) {
               recipe.name.c_str(), stats.instance_count,
               stats.total_area_um2, stats.logic_depth);
 
-  const std::string verilog = flag_value(args, "--verilog");
+  const std::string verilog = args.text("--verilog");
   if (!verilog.empty() &&
       !write_file(verilog, nl::write_verilog(mapped.netlist))) {
     return 1;
@@ -271,38 +157,27 @@ int cmd_synth(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_flow(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const std::string trace_path = flag_value(args, "--trace");
-  const std::string metrics_path = flag_value(args, "--metrics");
-  if (!trace_path.empty()) {
-    obs::Tracer::global().enable(obs::ClockMode::kWall);
-  }
+int cmd_flow(const Args& args) {
+  start_trace(args, obs::ClockMode::kWall);
   // With --metrics the flow runs instrumented against both VM ladders so
   // the registry carries per-stage runtime/counter measurements, not just
   // the QoR table below.
   std::vector<perf::VmConfig> configs;
-  if (!metrics_path.empty()) {
+  if (!args.text("--metrics").empty()) {
     for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
                               perf::InstanceFamily::kMemoryOptimized}) {
       for (const auto& vm : perf::vm_ladder(family)) configs.push_back(vm);
     }
   }
 
-  const nl::Aig aig = generate_or_die(args[0], std::atoi(args[1].c_str()));
+  const nl::Aig aig =
+      generate_or_die(args.positionals[0], args.number<int>(1));
   const nl::CellLibrary library = nl::make_generic_14nm_library();
   core::FlowOptions flow_options;
-  const std::string threads = flag_value(args, "--threads");
-  if (!threads.empty()) {
-    // Results are bit-identical at any thread count; this only changes how
-    // fast the parallel stages (routing, STA) run on this host.
-    const int n = std::atoi(threads.c_str());
-    if (n < 1) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return 2;
-    }
-    util::set_global_thread_count(n);
-    flow_options.threads = n;
+  // Results are bit-identical at any thread count; this only changes how
+  // fast the parallel stages (routing, STA) run on this host.
+  if (args.read("--threads", flow_options.threads)) {
+    util::set_global_thread_count(flow_options.threads);
   }
   core::EdaFlow flow(library, flow_options);
   const auto result = flow.run(aig, configs);
@@ -329,25 +204,13 @@ int cmd_flow(const std::vector<std::string>& args) {
   table.add_row({"dynamic power (uW)",
                  util::format_fixed(result.timing.dynamic_power_uw, 2)});
   std::printf("%s", table.render().c_str());
-
-  if (!trace_path.empty()) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().write_json(trace_path)) return 1;
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                obs::Tracer::global().event_count());
-  }
-  if (!metrics_path.empty()) {
-    if (!obs::Registry::global().write(metrics_path)) return 1;
-    std::printf("wrote %s (%zu metrics)\n", metrics_path.c_str(),
-                obs::Registry::global().size());
-  }
-  return 0;
+  return write_telemetry(args) ? 0 : 1;
 }
 
-int cmd_plan(const std::vector<std::string>& args) {
-  if (args.size() < 3) return usage();
-  const nl::Aig aig = generate_or_die(args[0], std::atoi(args[1].c_str()));
-  const double deadline = std::atof(args[2].c_str());
+int cmd_plan(const Args& args) {
+  const nl::Aig aig =
+      generate_or_die(args.positionals[0], args.number<int>(1));
+  const double deadline = args.number<double>(2);
 
   const nl::CellLibrary library = nl::make_generic_14nm_library();
   core::Characterizer characterizer(library);
@@ -358,7 +221,7 @@ int cmd_plan(const std::vector<std::string>& args) {
     if (row != nullptr) ladders[static_cast<int>(job)] = row->runtime_seconds;
   }
   core::DeploymentOptimizer optimizer;
-  if (has_flag(args, "--spot")) optimizer.enable_spot(cloud::SpotModel{});
+  if (args.has("--spot")) optimizer.enable_spot(cloud::SpotModel{});
   const auto plan = optimizer.optimize(ladders, deadline);
   if (!plan.feasible) {
     const auto stages = optimizer.build_stages(ladders);
@@ -382,7 +245,7 @@ int cmd_plan(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_fleet_sim(const std::vector<std::string>& args) {
+int cmd_fleet_sim(const Args& args) {
   sched::ShardedSimConfig sharded;
   sched::SimConfig& config = sharded.base;
   config.seed = 1;
@@ -397,15 +260,11 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
   };
 
   std::string policy_name = "cost";
-  const std::string rate = flag_value(args, "--arrival-rate");
-  if (!rate.empty()) config.load.arrival_rate_per_hour = std::atof(rate.c_str());
-  const std::string policy = flag_value(args, "--policy");
-  if (!policy.empty()) policy_name = policy;
-  const std::string seed = flag_value(args, "--seed");
-  if (!seed.empty()) config.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  const std::string duration = flag_value(args, "--duration");
-  if (!duration.empty()) config.duration_seconds = std::atof(duration.c_str());
-  const std::string mix = flag_value(args, "--mix");
+  args.read("--arrival-rate", config.load.arrival_rate_per_hour);
+  args.read("--policy", policy_name);
+  args.read("--seed", config.seed);
+  args.read("--duration", config.duration_seconds);
+  const std::string mix = args.text("--mix");
   if (!mix.empty()) {
     try {
       config.load.mix = sched::mix_by_name(mix);
@@ -414,49 +273,30 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  const std::string spot = flag_value(args, "--spot");
-  if (!spot.empty()) config.fleet.spot_fraction = std::atof(spot.c_str());
+  args.read("--spot", config.fleet.spot_fraction);
 
   // Spot-market selection (DESIGN.md §15, docs/MARKETS.md). "static" is
   // the classic flat model; presets generate seeded price weather;
   // --market-trace replays a canonical trace file exactly.
   std::shared_ptr<market::TraceMarket> trace_market;
-  const std::string market_name = flag_value(args, "--market");
-  const std::string market_trace = flag_value(args, "--market-trace");
+  const std::string market_name = args.text("--market");
+  const std::string market_trace = args.text("--market-trace");
   if (!market_name.empty() && !market_trace.empty()) {
     std::fprintf(stderr,
                  "error: --market and --market-trace are mutually "
                  "exclusive\n");
     return 2;
   }
-  const std::string bid = flag_value(args, "--bid");
-  if (!bid.empty()) {
-    config.fleet.spot_bid_fraction = std::atof(bid.c_str());
-    if (config.fleet.spot_bid_fraction <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --bid wants a positive fraction of on-demand\n");
-      return 2;
-    }
-  }
-  const std::string market_interval = flag_value(args, "--market-interval");
-  if (!market_interval.empty()) {
-    config.market.interval_seconds = std::atof(market_interval.c_str());
-    if (config.market.interval_seconds <= 0.0) {
-      std::fprintf(stderr, "error: --market-interval wants seconds > 0\n");
-      return 2;
-    }
-  }
-  config.market.enabled = has_flag(args, "--rebid");
+  args.read("--bid", config.fleet.spot_bid_fraction);
+  args.read("--market-interval", config.market.interval_seconds);
+  config.market.enabled = args.has("--rebid");
   if (!market_name.empty() && market_name != "static") {
     try {
       trace_market = market::make_preset_market(market_name, config.seed,
                                                 config.duration_seconds);
     } catch (const std::invalid_argument&) {
-      std::string known = "static";
-      for (const std::string& preset : market::preset_market_names()) {
-        known += " | " + preset;
-      }
-      std::fprintf(stderr, "error: --market wants %s\n", known.c_str());
+      std::fprintf(stderr, "error: --market wants static | %s\n",
+                   util::join(market::preset_market_names(), " | ").c_str());
       return 2;
     }
   } else if (!market_trace.empty()) {
@@ -475,101 +315,33 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
 
   // Fault-injection knobs (see DESIGN.md §10). The event loop stays fully
   // deterministic with any of these enabled.
-  const std::string interruption = flag_value(args, "--interruption-rate");
-  if (!interruption.empty()) {
-    config.fleet.spot.interruptions_per_hour = std::atof(interruption.c_str());
-  }
-  const std::string crash = flag_value(args, "--crash-rate");
-  if (!crash.empty()) {
-    config.fault.crash_rate_per_hour = std::atof(crash.c_str());
-  }
-  const std::string boot_fail = flag_value(args, "--boot-fail");
-  if (!boot_fail.empty()) {
-    config.fault.boot_failure_probability = std::atof(boot_fail.c_str());
-  }
-  const std::string ckpt_interval = flag_value(args, "--checkpoint-interval");
-  if (!ckpt_interval.empty()) {
-    config.fault.checkpoint_interval_seconds = std::atof(ckpt_interval.c_str());
-  }
-  const std::string ckpt_overhead = flag_value(args, "--checkpoint-overhead");
-  if (!ckpt_overhead.empty()) {
-    config.fault.checkpoint_overhead_seconds = std::atof(ckpt_overhead.c_str());
-  }
-  const std::string attempts = flag_value(args, "--max-attempts");
-  if (!attempts.empty()) {
-    config.fault.max_attempts_per_stage = std::atoi(attempts.c_str());
-    if (config.fault.max_attempts_per_stage < 1) {
-      std::fprintf(stderr, "error: --max-attempts wants a positive integer\n");
-      return 2;
-    }
-  }
-  const std::string restart = flag_value(args, "--restart");
+  args.read("--interruption-rate", config.fleet.spot.interruptions_per_hour);
+  args.read("--crash-rate", config.fault.crash_rate_per_hour);
+  args.read("--boot-fail", config.fault.boot_failure_probability);
+  args.read("--checkpoint-interval", config.fault.checkpoint_interval_seconds);
+  args.read("--checkpoint-overhead", config.fault.checkpoint_overhead_seconds);
+  args.read("--max-attempts", config.fault.max_attempts_per_stage);
+  const std::string restart = args.text("--restart");
   if (restart == "credit") {
     config.fault.restart = sched::RestartModel::kFractionCredit;
   } else if (restart == "zero") {
     config.fault.restart = sched::RestartModel::kFromZero;
-  } else if (restart == "checkpoint") {
-    config.fault.restart = sched::RestartModel::kCheckpoint;
-  } else if (!restart.empty()) {
-    std::fprintf(stderr,
-                 "error: --restart wants credit, zero or checkpoint\n");
-    return 2;
-  } else if (!ckpt_interval.empty()) {
+  } else if (restart == "checkpoint" ||
+             (restart.empty() && args.has("--checkpoint-interval"))) {
     // A checkpoint interval without an explicit model means checkpointing.
     config.fault.restart = sched::RestartModel::kCheckpoint;
   }
-  const std::string threads = flag_value(args, "--threads");
-  if (!threads.empty()) {
-    const int n = std::atoi(threads.c_str());
-    if (n < 1) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return 2;
-    }
-    util::set_global_thread_count(n);
-  }
-
-  if (config.load.arrival_rate_per_hour <= 0.0 ||
-      config.duration_seconds <= 0.0) {
-    std::fprintf(stderr, "error: arrival rate and duration must be > 0\n");
-    return 2;
-  }
+  int threads = 0;
+  if (args.read("--threads", threads)) util::set_global_thread_count(threads);
 
   // Sharded engine knobs (DESIGN.md §13, docs/SIMULATION.md).
-  const std::string shards_flag = flag_value(args, "--shards");
-  if (!shards_flag.empty()) {
-    sharded.shards = std::atoi(shards_flag.c_str());
-    if (sharded.shards < 1 ||
-        sharded.shards > sched::ShardTopology::kPoolCount) {
-      std::fprintf(stderr, "error: --shards wants 1..%d\n",
-                   sched::ShardTopology::kPoolCount);
-      return 2;
-    }
-  }
-  const std::string handoff_flag = flag_value(args, "--handoff-latency");
-  if (!handoff_flag.empty()) {
-    sharded.handoff_latency_seconds = std::atof(handoff_flag.c_str());
-    if (sharded.handoff_latency_seconds <= 0.0) {
-      std::fprintf(stderr, "error: --handoff-latency wants seconds > 0\n");
-      return 2;
-    }
-  }
-  const std::string lookahead_flag = flag_value(args, "--lookahead");
-  if (!lookahead_flag.empty()) {
-    sharded.lookahead_seconds = std::atof(lookahead_flag.c_str());
-    if (sharded.lookahead_seconds <= 0.0) {
-      std::fprintf(stderr, "error: --lookahead wants seconds > 0\n");
-      return 2;
-    }
-  }
-  const bool shard_stats = has_flag(args, "--shard-stats");
+  args.read("--shards", sharded.shards);
+  args.read("--handoff-latency", sharded.handoff_latency_seconds);
+  args.read("--lookahead", sharded.lookahead_seconds);
 
-  const std::string trace_path = flag_value(args, "--trace");
-  const std::string metrics_path = flag_value(args, "--metrics");
-  if (!trace_path.empty()) {
-    // Virtual clock: span timestamps are simulated seconds, so same-seed
-    // runs serialize to byte-identical trace files.
-    obs::Tracer::global().enable(obs::ClockMode::kVirtual);
-  }
+  // Virtual clock: span timestamps are simulated seconds, so same-seed
+  // runs serialize to byte-identical trace files.
+  start_trace(args, obs::ClockMode::kVirtual);
 
   std::printf(
       "fleet-sim: mix=%s policy=%s rate=%.0f/h duration=%.0fs seed=%llu "
@@ -595,7 +367,7 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
   sched::ShardedFleetSimulator sim(sharded, sched::builtin_templates(),
                                    policy_name);
   const sched::FleetMetrics metrics = sim.run();
-  if (shard_stats) {
+  if (args.has("--shard-stats")) {
     sim.export_shard_stats(obs::Registry::global(), {{"policy", policy_name}});
     for (std::size_t s = 0; s < sim.shard_stats().size(); ++s) {
       const sched::ShardStats& stats = sim.shard_stats()[s];
@@ -612,13 +384,7 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
   }
   std::printf("%s", metrics.render().c_str());
 
-  if (!trace_path.empty()) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().write_json(trace_path)) return 1;
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                obs::Tracer::global().event_count());
-  }
-  if (!metrics_path.empty()) {
+  if (!args.text("--metrics").empty()) {
     metrics.export_to(obs::Registry::global(),
                       {{"policy", policy_name},
                        {"mix", config.load.mix.name}});
@@ -626,11 +392,8 @@ int cmd_fleet_sim(const std::vector<std::string>& args) {
       market::export_market_gauges(*trace_market, obs::Registry::global(),
                                    {{"market", trace_market->name()}});
     }
-    if (!obs::Registry::global().write(metrics_path)) return 1;
-    std::printf("wrote %s (%zu metrics)\n", metrics_path.c_str(),
-                obs::Registry::global().size());
   }
-  return 0;
+  return write_telemetry(args) ? 0 : 1;
 }
 
 // Local timing helper for cmd_predict — milliseconds across a callable.
@@ -650,17 +413,12 @@ double time_ms(Fn&& fn) {
 // --verify asserts the two paths produce bit-identical runtimes (exit 1
 // otherwise); scripts/check.sh runs exactly that as its batched-inference
 // smoke leg.
-int cmd_predict(const std::vector<std::string>& args) {
-  if (args.size() < 2) return usage();
-  const std::string family = args[0];
-  const int base_size = std::atoi(args[1].c_str());
-  if (base_size < 1) {
-    std::fprintf(stderr, "error: predict wants a positive <size>\n");
-    return 2;
-  }
+int cmd_predict(const Args& args) {
+  const std::string& family = args.positionals[0];
+  const int base_size = args.number<int>(1);
 
   core::JobKind job = core::JobKind::kSynthesis;
-  const std::string job_flag = flag_value(args, "--job");
+  const std::string job_flag = args.text("--job");
   if (!job_flag.empty()) {
     bool found = false;
     for (const core::JobKind candidate : core::kAllJobs) {
@@ -677,87 +435,26 @@ int cmd_predict(const std::vector<std::string>& args) {
   }
 
   int batch = 8;
-  const std::string batch_flag = flag_value(args, "--batch");
-  if (!batch_flag.empty()) {
-    batch = std::atoi(batch_flag.c_str());
-    if (batch < 1) {
-      std::fprintf(stderr, "error: --batch wants a positive integer\n");
-      return 2;
-    }
-  }
+  args.read("--batch", batch);
   long long cache_capacity = 256;
-  const std::string cache_flag = flag_value(args, "--cache");
-  if (!cache_flag.empty()) {
-    cache_capacity = std::atoll(cache_flag.c_str());
-    if (cache_capacity < 0) {
-      std::fprintf(stderr, "error: --cache wants a non-negative capacity\n");
-      return 2;
-    }
-  }
+  args.read("--cache", cache_capacity);
   int repeat = 1;
-  const std::string repeat_flag = flag_value(args, "--repeat");
-  if (!repeat_flag.empty()) {
-    repeat = std::atoi(repeat_flag.c_str());
-    if (repeat < 1) {
-      std::fprintf(stderr, "error: --repeat wants a positive integer\n");
-      return 2;
-    }
-  }
-  const std::string threads = flag_value(args, "--threads");
-  if (!threads.empty()) {
-    const int n = std::atoi(threads.c_str());
-    if (n < 1) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return 2;
-    }
-    // Results are bit-identical at any width (the PR 3 kernel contract,
-    // which --verify cross-checks against the serial path).
-    util::set_global_thread_count(n);
-  }
+  args.read("--repeat", repeat);
+  // Results are bit-identical at any width (the batched-kernel contract,
+  // which --verify cross-checks against the serial path).
+  int threads = 0;
+  if (args.read("--threads", threads)) util::set_global_thread_count(threads);
   std::size_t train_designs = 4;
-  const std::string train_designs_flag = flag_value(args, "--train-designs");
-  if (!train_designs_flag.empty()) {
-    const long long n = std::atoll(train_designs_flag.c_str());
-    if (n < 1) {
-      std::fprintf(stderr,
-                   "error: --train-designs wants a positive integer\n");
-      return 2;
-    }
-    train_designs = static_cast<std::size_t>(n);
-  }
+  args.read("--train-designs", train_designs);
   int train_epochs = 6;
-  const std::string train_epochs_flag = flag_value(args, "--train-epochs");
-  if (!train_epochs_flag.empty()) {
-    train_epochs = std::atoi(train_epochs_flag.c_str());
-    if (train_epochs < 1) {
-      std::fprintf(stderr, "error: --train-epochs wants a positive integer\n");
-      return 2;
-    }
-  }
-  const bool verify = has_flag(args, "--verify");
+  args.read("--train-epochs", train_epochs);
+  const bool verify = args.has("--verify");
 
-  // Train the same way svc::Service::initialize does: first N families at
-  // their smallest corpus size, fast GCN config.
+  // Train the same way svc::Service::initialize does.
   const nl::CellLibrary library = nl::make_generic_14nm_library();
-  std::vector<workloads::BenchmarkSpec> specs;
-  for (const auto& info : workloads::families()) {
-    if (specs.size() >= train_designs) break;
-    workloads::BenchmarkSpec spec;
-    spec.family = info.name;
-    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
-    spec.seed = 7;
-    specs.push_back(spec);
-  }
-  core::DatasetOptions dataset_options;
-  dataset_options.max_recipes = 1;
-  dataset_options.max_netlists = specs.size();
-  const core::Dataset dataset =
-      core::DatasetBuilder(library, dataset_options).build(specs);
-  core::PredictorOptions predictor_options;
-  predictor_options.gcn = ml::GcnConfig::fast();
-  predictor_options.gcn.epochs = train_epochs;
-  core::RuntimePredictor predictor(predictor_options);
-  (void)predictor.train(dataset);
+  const core::RuntimePredictor predictor =
+      core::train_startup_predictor(library, train_designs, 1, train_epochs, 7)
+          .predictor;
   if (!predictor.trained(job)) {
     std::fprintf(stderr, "error: no trained model for job '%s'\n",
                  core::job_name(job).c_str());
@@ -856,12 +553,12 @@ int cmd_predict(const std::vector<std::string>& args) {
   util::Table table({"Design", "Job", "1 vCPU (s)", "2 vCPUs (s)",
                      "4 vCPUs (s)", "8 vCPUs (s)"});
   for (int k = 0; k < kVariants && k < batch; ++k) {
-    table.add_row({family + ":" + std::to_string(pool_sizes[k]),
-                   core::job_name(job),
-                   util::format_fixed(batched[static_cast<std::size_t>(k)][0], 1),
-                   util::format_fixed(batched[static_cast<std::size_t>(k)][1], 1),
-                   util::format_fixed(batched[static_cast<std::size_t>(k)][2], 1),
-                   util::format_fixed(batched[static_cast<std::size_t>(k)][3], 1)});
+    std::vector<std::string> row = {
+        family + ":" + std::to_string(pool_sizes[k]), core::job_name(job)};
+    for (const double seconds : batched[static_cast<std::size_t>(k)]) {
+      row.push_back(util::format_fixed(seconds, 1));
+    }
+    table.add_row(row);
   }
   std::printf("%s", table.render().c_str());
   std::printf(
@@ -869,16 +566,7 @@ int cmd_predict(const std::vector<std::string>& args) {
       "(%.2fx)\n",
       batch, repeat, serial_ms, batched_ms,
       batched_ms > 0.0 ? serial_ms / batched_ms : 0.0);
-  if (cache_capacity > 0) {
-    const auto stats = cache.stats();
-    std::printf("cache: %llu hits, %llu misses, %llu insertions, "
-                "%llu evictions (capacity %lld)\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.insertions),
-                static_cast<unsigned long long>(stats.evictions),
-                cache_capacity);
-  }
+  if (cache_capacity > 0) print_cache_stats(cache.stats(), cache_capacity);
   return 0;
 }
 
@@ -889,22 +577,13 @@ int cmd_predict(const std::vector<std::string>& args) {
 // the fixed-default-recipe baseline. --export writes the canonical
 // TuneResult dump — byte-identical at any --threads / --batch value for a
 // fixed seed, which the check.sh tune smoke leg diffs.
-int cmd_tune(const std::vector<std::string>& args) {
+int cmd_tune(const Args& args) {
   // Designs: positional <family> <size> and/or --designs fam:size[,...].
   std::vector<std::pair<std::string, int>> designs;
-  if (!args.empty() && args[0].rfind("--", 0) != 0) {
-    if (args.size() < 2 || args[1].rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: tune wants <family> <size>\n");
-      return 2;
-    }
-    const int size = std::atoi(args[1].c_str());
-    if (size < 1) {
-      std::fprintf(stderr, "error: tune wants a positive <size>\n");
-      return 2;
-    }
-    designs.emplace_back(args[0], size);
+  if (!args.positionals.empty()) {
+    designs.emplace_back(args.positionals[0], args.number<int>(1));
   }
-  const std::string designs_flag = flag_value(args, "--designs");
+  const std::string designs_flag = args.text("--designs");
   if (!designs_flag.empty()) {
     std::vector<std::string> items;
     std::string current;
@@ -953,131 +632,41 @@ int cmd_tune(const std::vector<std::string>& args) {
   }
 
   double deadline_s = 2000.0;
-  const std::string deadline_flag = flag_value(args, "--deadline");
-  if (!deadline_flag.empty()) {
-    deadline_s = std::atof(deadline_flag.c_str());
-    if (deadline_s <= 0.0) {
-      std::fprintf(stderr, "error: --deadline wants a positive number of "
-                   "seconds\n");
-      return 2;
-    }
-  }
+  args.read("--deadline", deadline_s);
   double budget_usd = 0.0;
-  const std::string budget_flag = flag_value(args, "--budget");
-  if (!budget_flag.empty()) {
-    budget_usd = std::atof(budget_flag.c_str());
-    if (budget_usd <= 0.0) {
-      std::fprintf(stderr, "error: --budget wants a positive dollar "
-                   "amount\n");
-      return 2;
-    }
-  }
+  args.read("--budget", budget_usd);
   long long samples = 16;
-  const std::string samples_flag = flag_value(args, "--samples");
-  if (!samples_flag.empty()) {
-    samples = std::atoll(samples_flag.c_str());
-    if (samples < 0 || samples > 512) {
-      std::fprintf(stderr, "error: --samples wants an integer in "
-                   "[0, 512]\n");
-      return 2;
-    }
-  }
+  args.read("--samples", samples);
   long long seed = 1;
-  const std::string seed_flag = flag_value(args, "--seed");
-  if (!seed_flag.empty()) {
-    seed = std::atoll(seed_flag.c_str());
-    if (seed < 0) {
-      std::fprintf(stderr, "error: --seed wants a non-negative integer\n");
-      return 2;
-    }
-  }
+  args.read("--seed", seed);
   long long batch = 64;
-  const std::string batch_flag = flag_value(args, "--batch");
-  if (!batch_flag.empty()) {
-    batch = std::atoll(batch_flag.c_str());
-    if (batch < 1 || batch > 4096) {
-      std::fprintf(stderr, "error: --batch wants an integer in "
-                   "[1, 4096]\n");
-      return 2;
-    }
-  }
+  args.read("--batch", batch);
   long long cache_capacity = 4096;
-  const std::string cache_flag = flag_value(args, "--cache");
-  if (!cache_flag.empty()) {
-    cache_capacity = std::atoll(cache_flag.c_str());
-    if (cache_capacity < 0) {
-      std::fprintf(stderr, "error: --cache wants a non-negative "
-                   "capacity\n");
-      return 2;
-    }
-  }
-  const std::string threads_flag = flag_value(args, "--threads");
-  if (!threads_flag.empty()) {
-    const int n = std::atoi(threads_flag.c_str());
-    if (n < 1) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return 2;
-    }
-    // Byte-identical results at any width (the tuner's hard contract).
-    util::set_global_thread_count(n);
-  }
+  args.read("--cache", cache_capacity);
+  // Byte-identical results at any width (the tuner's hard contract).
+  int threads = 0;
+  if (args.read("--threads", threads)) util::set_global_thread_count(threads);
   std::size_t train_designs = 4;
-  const std::string train_designs_flag = flag_value(args, "--train-designs");
-  if (!train_designs_flag.empty()) {
-    const long long n = std::atoll(train_designs_flag.c_str());
-    if (n < 1) {
-      std::fprintf(stderr,
-                   "error: --train-designs wants a positive integer\n");
-      return 2;
-    }
-    train_designs = static_cast<std::size_t>(n);
-  }
+  args.read("--train-designs", train_designs);
   int train_epochs = 6;
-  const std::string train_epochs_flag = flag_value(args, "--train-epochs");
-  if (!train_epochs_flag.empty()) {
-    train_epochs = std::atoi(train_epochs_flag.c_str());
-    if (train_epochs < 1) {
-      std::fprintf(stderr, "error: --train-epochs wants a positive "
-                   "integer\n");
-      return 2;
-    }
-  }
-  const bool spot = has_flag(args, "--spot");
-  const std::string export_path = flag_value(args, "--export");
-  const std::string trace_path = flag_value(args, "--trace");
-  const std::string metrics_path = flag_value(args, "--metrics");
-  if (!trace_path.empty()) {
-    obs::Tracer::global().enable(obs::ClockMode::kWall);
-  }
+  args.read("--train-epochs", train_epochs);
+  const std::string export_path = args.text("--export");
+  const std::string trace_path = args.text("--trace");
+  const std::string metrics_path = args.text("--metrics");
+  start_trace(args, obs::ClockMode::kWall);
 
   // Train exactly the way cmd_predict / svc::Service::initialize do.
   const nl::CellLibrary library = nl::make_generic_14nm_library();
-  std::vector<workloads::BenchmarkSpec> specs;
-  for (const auto& info : workloads::families()) {
-    if (specs.size() >= train_designs) break;
-    workloads::BenchmarkSpec spec;
-    spec.family = info.name;
-    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
-    spec.seed = 7;
-    specs.push_back(spec);
-  }
-  core::DatasetOptions dataset_options;
-  dataset_options.max_recipes = 1;
-  dataset_options.max_netlists = specs.size();
-  const core::Dataset dataset =
-      core::DatasetBuilder(library, dataset_options).build(specs);
-  core::PredictorOptions predictor_options;
-  predictor_options.gcn = ml::GcnConfig::fast();
-  predictor_options.gcn.epochs = train_epochs;
-  core::RuntimePredictor predictor(predictor_options);
-  (void)predictor.train(dataset);
+  const core::RuntimePredictor predictor =
+      core::train_startup_predictor(library, train_designs, 1, train_epochs, 7)
+          .predictor;
 
   tune::TunerOptions tuner_options;
   tuner_options.space.random_samples = static_cast<std::size_t>(samples);
   tuner_options.space.seed = static_cast<std::uint64_t>(seed);
   tuner_options.batch_size = static_cast<std::size_t>(batch);
   tuner_options.cache_capacity = static_cast<std::size_t>(cache_capacity);
-  tuner_options.spot = spot;
+  tuner_options.spot = args.has("--spot");
   tune::RecipeTuner tuner(library, predictor, tuner_options);
 
   std::string export_blob = "edacloud-tune-cli v1\n";
@@ -1086,21 +675,18 @@ int cmd_tune(const std::vector<std::string>& args) {
                  std::to_string(seed) + "\n";
   util::Table table({"Design", "Recipes", "Fixed $", "Joint $",
                      "Joint@QoR $", "Savings $", "Best recipe"});
+  const auto cost = [](const auto& choice) {
+    return choice.plan.feasible
+               ? util::format_fixed(choice.plan.total_cost_usd, 4)
+               : std::string("NA");
+  };
   for (const auto& [family, size] : designs) {
     const nl::Aig aig = generate_or_die(family, size);
     const tune::TuneResult result = tuner.tune(aig, deadline_s, budget_usd);
     table.add_row(
         {family + ":" + std::to_string(size),
-         std::to_string(result.evaluations.size()),
-         result.fixed.plan.feasible
-             ? util::format_fixed(result.fixed.plan.total_cost_usd, 4)
-             : "NA",
-         result.joint.plan.feasible
-             ? util::format_fixed(result.joint.plan.total_cost_usd, 4)
-             : "NA",
-         result.joint_at_qor.plan.feasible
-             ? util::format_fixed(result.joint_at_qor.plan.total_cost_usd, 4)
-             : "NA",
+         std::to_string(result.evaluations.size()), cost(result.fixed),
+         cost(result.joint), cost(result.joint_at_qor),
          util::format_fixed(result.savings_vs_fixed_usd(), 4),
          result.joint_at_qor.recipe_key.empty()
              ? "-"
@@ -1118,14 +704,7 @@ int cmd_tune(const std::vector<std::string>& args) {
   }
   std::printf("%s", table.render().c_str());
   if (tuner.cache() != nullptr) {
-    const auto stats = tuner.cache()->stats();
-    std::printf("cache: %llu hits, %llu misses, %llu insertions, "
-                "%llu evictions (capacity %lld)\n",
-                static_cast<unsigned long long>(stats.hits),
-                static_cast<unsigned long long>(stats.misses),
-                static_cast<unsigned long long>(stats.insertions),
-                static_cast<unsigned long long>(stats.evictions),
-                cache_capacity);
+    print_cache_stats(tuner.cache()->stats(), cache_capacity);
   }
   if (!export_path.empty() && !write_file(export_path, export_blob)) {
     return 1;
@@ -1152,79 +731,21 @@ void handle_stop_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
-int cmd_serve(const std::vector<std::string>& args) {
+int cmd_serve(const Args& args) {
   svc::ServiceConfig service_config;
   svc::ServerConfig server_config;
-
-  const std::string port = flag_value(args, "--port");
-  if (!port.empty()) server_config.port = std::atoi(port.c_str());
-  const std::string threads = flag_value(args, "--threads");
-  if (!threads.empty()) {
-    server_config.threads = std::atoi(threads.c_str());
-    if (server_config.threads < 1) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return 2;
-    }
-  }
-  const std::string seed = flag_value(args, "--seed");
-  if (!seed.empty()) {
-    service_config.design_seed = std::strtoull(seed.c_str(), nullptr, 10);
-  }
-  const std::string max_conns = flag_value(args, "--max-conns");
-  if (!max_conns.empty()) {
-    server_config.max_connections = std::atoi(max_conns.c_str());
-  }
-  const std::string max_queue = flag_value(args, "--max-queue");
-  if (!max_queue.empty()) {
-    server_config.max_queue =
-        static_cast<std::size_t>(std::atoll(max_queue.c_str()));
-  }
-  const std::string deadline = flag_value(args, "--deadline-ms");
-  if (!deadline.empty()) {
-    server_config.default_deadline_ms = std::atof(deadline.c_str());
-  }
-  const std::string train_designs = flag_value(args, "--train-designs");
-  if (!train_designs.empty()) {
-    service_config.train_designs =
-        static_cast<std::size_t>(std::atoll(train_designs.c_str()));
-  }
-  const std::string train_epochs = flag_value(args, "--train-epochs");
-  if (!train_epochs.empty()) {
-    service_config.train_epochs = std::atoi(train_epochs.c_str());
-  }
-  const std::string batch_max = flag_value(args, "--batch-max");
-  if (!batch_max.empty()) {
-    server_config.batch_max = std::atoi(batch_max.c_str());
-    if (server_config.batch_max < 1) {
-      std::fprintf(stderr, "error: --batch-max wants a positive integer\n");
-      return 2;
-    }
-  }
-  const std::string linger = flag_value(args, "--batch-linger-ms");
-  if (!linger.empty()) {
-    server_config.batch_linger_ms = std::atof(linger.c_str());
-    if (server_config.batch_linger_ms < 0.0) {
-      std::fprintf(stderr,
-                   "error: --batch-linger-ms wants a non-negative value\n");
-      return 2;
-    }
-  }
-  const std::string predict_cache = flag_value(args, "--predict-cache");
-  if (!predict_cache.empty()) {
-    const long long capacity = std::atoll(predict_cache.c_str());
-    if (capacity < 0) {
-      std::fprintf(stderr,
-                   "error: --predict-cache wants a non-negative capacity\n");
-      return 2;
-    }
-    service_config.predict_cache_capacity =
-        static_cast<std::size_t>(capacity);
-  }
-  const std::string trace_path = flag_value(args, "--trace");
-  const std::string metrics_path = flag_value(args, "--metrics");
-  if (!trace_path.empty()) {
-    obs::Tracer::global().enable(obs::ClockMode::kWall);
-  }
+  args.read("--port", server_config.port);
+  args.read("--threads", server_config.threads);
+  args.read("--seed", service_config.design_seed);
+  args.read("--max-conns", server_config.max_connections);
+  args.read("--max-queue", server_config.max_queue);
+  args.read("--deadline-ms", server_config.default_deadline_ms);
+  args.read("--train-designs", service_config.train_designs);
+  args.read("--train-epochs", service_config.train_epochs);
+  args.read("--batch-max", server_config.batch_max);
+  args.read("--batch-linger-ms", server_config.batch_linger_ms);
+  args.read("--predict-cache", service_config.predict_cache_capacity);
+  start_trace(args, obs::ClockMode::kWall);
 
   svc::Service service(service_config);
   svc::JobServer server(service, server_config);
@@ -1259,87 +780,39 @@ int cmd_serve(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(
                   server.stats().requests_dispatched.load()),
               static_cast<unsigned long long>(service.stats().errors.load()));
-
-  if (!trace_path.empty()) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().write_json(trace_path)) return 1;
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                obs::Tracer::global().event_count());
-  }
-  if (!metrics_path.empty()) {
-    if (!obs::Registry::global().write(metrics_path)) return 1;
-    std::printf("wrote %s (%zu metrics)\n", metrics_path.c_str(),
-                obs::Registry::global().size());
-  }
-  return 0;
+  return write_telemetry(args) ? 0 : 1;
 }
 
-int cmd_loadgen(const std::vector<std::string>& args) {
+int cmd_loadgen(const Args& args) {
   svc::LoadgenConfig config;
-  const std::string port = flag_value(args, "--port");
-  config.port = std::atoi(port.c_str());
-  if (config.port < 1 || config.port > 65535) {
+  if (!args.read("--port", config.port)) {
     std::fprintf(stderr, "error: loadgen wants --port 1..65535\n");
     return 2;
   }
-  const std::string host = flag_value(args, "--host");
-  if (!host.empty()) config.host = host;
-  const std::string mode = flag_value(args, "--mode");
-  if (mode == "open") {
-    config.mode = svc::LoadMode::kOpen;
-  } else if (!mode.empty() && mode != "closed") {
-    std::fprintf(stderr, "error: --mode wants closed or open\n");
-    return 2;
-  }
-  const std::string qps = flag_value(args, "--qps");
-  if (!qps.empty()) {
-    config.qps = std::atof(qps.c_str());
-    if (config.qps <= 0.0) {
-      std::fprintf(stderr, "error: --qps wants a positive rate\n");
-      return 2;
-    }
-  }
-  const std::string conns = flag_value(args, "--conns");
-  if (!conns.empty()) {
-    config.connections = std::atoi(conns.c_str());
-    if (config.connections < 1) {
-      std::fprintf(stderr, "error: --conns wants a positive integer\n");
-      return 2;
-    }
-  }
-  const std::string requests = flag_value(args, "--requests");
-  if (!requests.empty()) {
-    config.requests = std::strtoull(requests.c_str(), nullptr, 10);
-  }
-  const std::string duration = flag_value(args, "--duration");
-  if (!duration.empty()) config.duration_s = std::atof(duration.c_str());
-  const std::string warmup = flag_value(args, "--warmup");
-  if (!warmup.empty()) config.warmup_s = std::atof(warmup.c_str());
-  const std::string seed = flag_value(args, "--seed");
-  if (!seed.empty()) {
-    config.seed = std::strtoull(seed.c_str(), nullptr, 10);
-  }
-  const std::string mix = flag_value(args, "--mix");
+  args.read("--host", config.host);
+  if (args.text("--mode") == "open") config.mode = svc::LoadMode::kOpen;
+  args.read("--qps", config.qps);
+  args.read("--conns", config.connections);
+  args.read("--requests", config.requests);
+  args.read("--duration", config.duration_s);
+  args.read("--warmup", config.warmup_s);
+  args.read("--seed", config.seed);
+  const std::string mix = args.text("--mix");
   if (!mix.empty()) {
     const std::vector<std::string>& known = svc::loadgen_mix_names();
     if (std::find(known.begin(), known.end(), mix) == known.end()) {
-      std::string names;
-      for (const std::string& name : known) {
-        if (!names.empty()) names += " | ";
-        names += name;
-      }
-      std::fprintf(stderr, "error: --mix wants %s\n", names.c_str());
+      std::fprintf(stderr, "error: --mix wants %s\n",
+                   util::join(known, " | ").c_str());
       return 2;
     }
     config.mix = mix;
   }
-  const std::string deadline = flag_value(args, "--deadline-ms");
-  if (!deadline.empty()) config.deadline_ms = std::atof(deadline.c_str());
+  args.read("--deadline-ms", config.deadline_ms);
 
   const svc::LoadgenReport report = svc::run_loadgen(config);
   std::printf("%s", report.render().c_str());
 
-  const std::string export_path = flag_value(args, "--export");
+  const std::string export_path = args.text("--export");
   if (!export_path.empty() &&
       !write_file(export_path, report.export_json() + "\n")) {
     return 1;
@@ -1349,87 +822,225 @@ int cmd_loadgen(const std::vector<std::string>& args) {
   return report.transport_errors == 0 ? 0 : 1;
 }
 
-int cmd_lib(const std::vector<std::string>& args) {
+int cmd_lib(const Args& args) {
   const nl::CellLibrary library = nl::make_generic_14nm_library();
   const std::string text = nl::write_liberty(library);
-  const std::string out = flag_value(args, "--out");
+  const std::string out = args.text("--out");
   if (!out.empty()) return write_file(out, text) ? 0 : 1;
   std::printf("%s", text.c_str());
   return 0;
 }
 
+// ---- The tables -------------------------------------------------------------
+
+using util::above;
+using util::at_least;
+using util::within;
+using Kind = util::FlagKind;
+// Seeds and counts held in 64 bits.
+constexpr util::FlagRange kWide = within(0, util::kInt64Max);
+
+const util::Flag kFamily{"<family>", "", "benchmark family (see 'help')"};
+const util::Flag kSize{"<size>", "", "design size", Kind::kInt, at_least(1)};
+const util::Flag kTrace{"--trace", "F", "write a Chrome trace JSON file"};
+const util::Flag kMetrics{"--metrics", "F",
+                          "write the metrics registry (CSV for .csv)"};
+const util::Flag kThreads{"--threads", "N",
+                          "worker threads; results are identical at any width",
+                          Kind::kInt, at_least(1)};
+const util::Flag kTrainDesigns{"--train-designs", "N",
+                               "predictor corpus: the first N families",
+                               Kind::kInt, at_least(1)};
+const util::Flag kTrainEpochs{"--train-epochs", "N",
+                              "predictor training epochs", Kind::kInt,
+                              at_least(1)};
+const util::Flag kCache{"--cache", "N",
+                        "prediction-cache capacity (0 disables)", Kind::kInt,
+                        kWide};
+
+const std::vector<util::Command> kCommands = {
+    {"gen", "Generate a benchmark design and print its AIG statistics.",
+     cmd_gen, {kFamily, kSize},
+     {{"--aag", "F", "write the AIG as ASCII AIGER"},
+      {"--dot", "F", "write the AIG as Graphviz DOT"}}},
+    {"synth", "Synthesize an ASCII AIGER file onto the built-in library.",
+     cmd_synth, {{"<in.aag>", "", "the AIG to synthesize"}},
+     {{"--recipe", "NAME", "synthesis recipe"},
+      {"--verilog", "F", "write the mapped netlist as Verilog"}}},
+    {"flow", "Run synthesis, placement, routing and STA; print the QoR.",
+     cmd_flow, {kFamily, kSize}, {kTrace, kMetrics, kThreads}},
+    {"plan", "Characterize a design and plan its cheapest deployment.",
+     cmd_plan,
+     {kFamily, kSize,
+      {"<deadline_s>", "", "deployment deadline in seconds", Kind::kReal,
+       above(0)}},
+     {{"--spot", "", "offer spot tiers in every stage", Kind::kSwitch}}},
+    {"lib", "Print the built-in cell library as Liberty.", cmd_lib, {},
+     {{"--out", "F", "write the library to F instead"}}},
+    {"fleet-sim", "Simulate a cloud fleet serving a stream of EDA jobs.",
+     cmd_fleet_sim, {},
+     {{"--arrival-rate", "JOBS_PER_HOUR", "Poisson job arrivals per hour",
+       Kind::kReal, above(0)},
+      {"--policy", "fifo|cost|edf", "scheduling policy"},
+      {"--seed", "N", "master seed", Kind::kInt, kWide},
+      {"--duration", "SECONDS", "arrival window in simulated seconds",
+       Kind::kReal, above(0)},
+      {"--mix", "uniform|skewed|bursty|diurnal|flash", "traffic mix"},
+      {"--spot", "FRACTION", "share of launched VMs that are spot",
+       Kind::kReal, within(0, 1)},
+      {"--market", "static|drift|storm", "seeded spot-price market"},
+      {"--market-trace", "F", "replay a price-trace file"},
+      {"--bid", "FRACTION", "spot bid as a fraction of on-demand",
+       Kind::kReal, above(0)},
+      {"--market-interval", "S", "seconds between market ticks", Kind::kReal,
+       above(0)},
+      {"--rebid", "", "enable the market re-bid policy", Kind::kSwitch},
+      {"--interruption-rate", "PER_HOUR", "spot reclaims per VM-hour",
+       Kind::kReal, at_least(0)},
+      {"--crash-rate", "PER_HOUR", "machine crashes per VM-hour",
+       Kind::kReal, at_least(0)},
+      {"--boot-fail", "PROBABILITY", "chance a launched VM never comes up",
+       Kind::kReal, {0, 1, false, true}},
+      {"--restart", "", "what a killed attempt resumes from", Kind::kWord,
+       {}, {"credit", "zero", "checkpoint"}},
+      {"--checkpoint-interval", "SECONDS",
+       "snapshot cadence in work-seconds (implies checkpoint)", Kind::kReal,
+       at_least(0)},
+      {"--checkpoint-overhead", "SECONDS", "service time per snapshot",
+       Kind::kReal, at_least(0)},
+      {"--max-attempts", "N", "kills of one stage before it fails",
+       Kind::kInt, at_least(1)},
+      kThreads,
+      {"--shards", "N", "logical processes", Kind::kInt,
+       within(1, sched::ShardTopology::kPoolCount)},
+      {"--handoff-latency", "S", "simulated seconds between a job's stages",
+       Kind::kReal, above(0)},
+      {"--lookahead", "S", "synchronization window width", Kind::kReal,
+       above(0)},
+      {"--shard-stats", "", "print and export per-shard statistics",
+       Kind::kSwitch},
+      kTrace, kMetrics}},
+    {"predict", "Train a small predictor; time serial vs batched queries.",
+     cmd_predict, {kFamily, kSize},
+     {{"--job", "NAME", "synthesis, placement, routing or sta"},
+      {"--batch", "N", "queries in the batch", Kind::kInt, at_least(1)},
+      kCache, kThreads,
+      {"--repeat", "N", "passes over the batch", Kind::kInt, at_least(1)},
+      kTrainDesigns, kTrainEpochs,
+      {"--verify", "", "exit 1 unless batched == serial bit for bit",
+       Kind::kSwitch}}},
+    {"tune", "Jointly pick the synthesis recipe and deployment per design.",
+     cmd_tune, {kFamily, kSize},
+     {{"--designs", "fam:size[,fam:size...]", "designs to tune"},
+      {"--deadline", "S", "deployment deadline per design", Kind::kReal,
+       above(0)},
+      {"--budget", "USD", "also answer fastest-within-budget", Kind::kReal,
+       above(0)},
+      {"--samples", "N", "seeded random recipes beyond the grid", Kind::kInt,
+       within(0, tune::kMaxRandomSamples)},
+      {"--seed", "N", "recipe-sampling seed", Kind::kInt, kWide},
+      kThreads,
+      {"--batch", "N", "predict chunk size", Kind::kInt,
+       within(tune::kMinBatchSize, tune::kMaxBatchSize)},
+      kCache, kTrainDesigns, kTrainEpochs,
+      {"--spot", "", "offer spot tiers in every stage", Kind::kSwitch},
+      {"--export", "F", "write the canonical plain-text export"},
+      kTrace, kMetrics},
+     true},
+    {"serve", "Serve predict/optimize/run-stage requests over TCP.",
+     cmd_serve, {},
+     {{"--port", "N", "listen port; 0 picks an ephemeral one", Kind::kInt,
+       within(0, 65535)},
+      kThreads,
+      {"--seed", "N", "design seed of the training corpus", Kind::kInt,
+       kWide},
+      {"--max-conns", "N", "connection cap", Kind::kInt, at_least(0)},
+      {"--max-queue", "N", "in-flight request cap", Kind::kInt, kWide},
+      {"--deadline-ms", "MS", "default request deadline (0 = off)",
+       Kind::kReal, at_least(0)},
+      {"--train-designs", "N", "predictor corpus: the first N families",
+       Kind::kInt, at_least(0)},
+      {"--train-epochs", "N", "predictor training epochs", Kind::kInt,
+       at_least(0)},
+      {"--batch-max", "N", "predict requests merged per batch", Kind::kInt,
+       at_least(1)},
+      {"--batch-linger-ms", "MS", "how long a partial batch waits",
+       Kind::kReal, at_least(0)},
+      {"--predict-cache", "N", "prediction-cache entries (0 = off)",
+       Kind::kInt, kWide},
+      kTrace, kMetrics}},
+    {"loadgen", "Drive a running server with a seeded request stream.",
+     cmd_loadgen, {},
+     {{"--host", "H", "server host"},
+      {"--port", "N", "server port (required)", Kind::kInt, within(1, 65535)},
+      {"--mode", "", "one request in flight per connection, or Poisson",
+       Kind::kWord, {}, {"closed", "open"}},
+      {"--qps", "R", "open-loop aggregate target rate", Kind::kReal,
+       above(0)},
+      {"--conns", "N", "connections, one thread each", Kind::kInt,
+       at_least(1)},
+      {"--requests", "N", "fixed request budget (0 = run by time)",
+       Kind::kInt, kWide},
+      {"--duration", "S", "time mode: measured window", Kind::kReal,
+       at_least(0)},
+      {"--warmup", "S", "time mode: ramp excluded from latencies",
+       Kind::kReal, at_least(0)},
+      {"--seed", "N", "request-stream seed", Kind::kInt, kWide},
+      {"--mix", "predict|predict-heavy|echo|mixed", "request mix"},
+      {"--deadline-ms", "MS", "deadline on every request (0 = off)",
+       Kind::kReal, at_least(0)},
+      {"--export", "F", "write the deterministic report as JSON"}}},
+};
+
+void print_usage(std::FILE* out) {
+  std::fprintf(out, "usage:\n");
+  for (const util::Command& command : kCommands) {
+    std::fprintf(out, "%s", util::synopsis("edacloud_cli", command).c_str());
+  }
+  std::fprintf(out, "Every subcommand accepts --help.\nfamilies:");
+  for (const auto& info : workloads::families()) {
+    std::fprintf(out, " %s", info.name.c_str());
+  }
+  std::fprintf(out, "\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (command == "help" || command == "--help" || command == "-h") {
+  if (argc < 2) {
+    print_usage(stderr);
+    return 2;
+  }
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
     print_usage(stdout);
     return 0;
   }
-
-  struct Subcommand {
-    const char* name;
-    int (*run)(const std::vector<std::string>&);
-    FlagSpec flags;
-  };
-  static const std::vector<Subcommand> kSubcommands = {
-      {"gen", cmd_gen, {{"--aag", "--dot"}, {}}},
-      {"synth", cmd_synth, {{"--recipe", "--verilog"}, {}}},
-      {"flow", cmd_flow, {{"--trace", "--metrics", "--threads"}, {}}},
-      {"plan", cmd_plan, {{}, {"--spot"}}},
-      {"lib", cmd_lib, {{"--out"}, {}}},
-      {"fleet-sim",
-       cmd_fleet_sim,
-       {{"--arrival-rate", "--policy", "--seed", "--duration", "--mix",
-         "--spot", "--market", "--market-trace", "--bid", "--market-interval",
-         "--interruption-rate", "--crash-rate", "--boot-fail",
-         "--restart", "--checkpoint-interval", "--checkpoint-overhead",
-         "--max-attempts", "--threads", "--shards", "--handoff-latency",
-         "--lookahead", "--trace", "--metrics"},
-        {"--shard-stats", "--rebid"}}},
-      {"predict",
-       cmd_predict,
-       {{"--job", "--batch", "--cache", "--threads", "--repeat",
-         "--train-designs", "--train-epochs"},
-        {"--verify"}}},
-      {"tune",
-       cmd_tune,
-       {{"--designs", "--deadline", "--budget", "--samples", "--seed",
-         "--threads", "--batch", "--cache", "--train-designs",
-         "--train-epochs", "--export", "--trace", "--metrics"},
-        {"--spot"}}},
-      {"serve",
-       cmd_serve,
-       {{"--port", "--threads", "--seed", "--max-conns", "--max-queue",
-         "--deadline-ms", "--train-designs", "--train-epochs", "--batch-max",
-         "--batch-linger-ms", "--predict-cache", "--trace", "--metrics"},
-        {}}},
-      {"loadgen",
-       cmd_loadgen,
-       {{"--host", "--port", "--mode", "--qps", "--conns", "--requests",
-         "--duration", "--warmup", "--seed", "--mix", "--deadline-ms",
-         "--export"},
-        {}}},
-  };
-
-  for (const Subcommand& sub : kSubcommands) {
-    if (command != sub.name) continue;
-    if (spec_has(args, "--help") || spec_has(args, "-h")) {
-      print_usage(stdout);
-      return 0;
-    }
-    if (const int bad = check_flags(command, args, sub.flags); bad != 0) {
-      return bad;
-    }
-    try {
-      return sub.run(args);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+  const auto command =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const util::Command& c) { return name == c.name; });
+  if (command == kCommands.end()) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
+    print_usage(stderr);
+    return 2;
   }
-  std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
-  return usage();
+  const std::vector<std::string> tokens(argv + 2, argv + argc);
+  if (std::find(tokens.begin(), tokens.end(), "--help") != tokens.end() ||
+      std::find(tokens.begin(), tokens.end(), "-h") != tokens.end()) {
+    std::printf("%s", util::help_text("edacloud_cli", *command).c_str());
+    return 0;
+  }
+  util::Args args;
+  if (const std::string error = util::parse_args(*command, tokens, args);
+      !error.empty()) {
+    std::fprintf(stderr, "error: %s\nusage:\n%s", error.c_str(),
+                 util::synopsis("edacloud_cli", *command).c_str());
+    return 2;
+  }
+  try {
+    return command->run(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -294,9 +294,7 @@ tune_smoke
 
 # Sharded-simulator smoke-run: the determinism contract from the CLI side —
 # the same seed at 1 and 8 shards (and across thread counts) must export
-# byte-identical metrics — plus a docs acceptance check: every fleet-sim
-# flag documented in docs/SIMULATION.md must be accepted by the binary
-# (docs/SIMULATION.md, DESIGN.md §13).
+# byte-identical metrics (docs/SIMULATION.md, DESIGN.md §13).
 shard_smoke() {
   local cli="build/examples/edacloud_cli"
   local tmp
@@ -335,25 +333,9 @@ shard_smoke() {
     echo "shard smoke: --shards 0 exited 0" >&2
     return 1
   }
-
-  echo "=== shard smoke: SIMULATION.md flag reference is accepted ==="
-  # Every --flag named in a docs table row (the fault-knob and flag-reference
-  # tables) must be accepted by the binary; doc/CLI drift fails tier-1.
-  local doc_flags
-  doc_flags="$(grep -o '^| `--[a-z-]*' docs/SIMULATION.md |
-    grep -o '\--[a-z-]*' | sort -u)"
-  [[ -n "${doc_flags}" ]] || {
-    echo "shard smoke: no flags parsed from docs/SIMULATION.md" >&2
-    return 1
-  }
-  local flag
-  for flag in ${doc_flags}; do
-    "${cli}" fleet-sim --help | grep -q -- "${flag}" || {
-      echo "shard smoke: ${flag} documented in SIMULATION.md but absent" \
-        "from fleet-sim --help" >&2
-      return 1
-    }
-  done
+  # The rejected command above is the last one run; without this the
+  # function would return its nonzero status and set -e would stop here.
+  return 0
 }
 
 shard_smoke
@@ -429,6 +411,65 @@ market_smoke() {
 }
 
 market_smoke
+
+# Docs drift: every subcommand answers --help, and every --flag named in the
+# first cell of a docs table row is a flag of the subcommand that table
+# documents — and the other way round, so a flag cannot be added, renamed
+# or dropped without its docs.
+docs_smoke() {
+  local cli="build/examples/edacloud_cli"
+
+  echo "=== docs smoke: every subcommand answers --help ==="
+  local cmd
+  for cmd in gen synth flow plan lib fleet-sim predict tune serve loadgen; do
+    "${cli}" "${cmd}" --help > /dev/null || {
+      echo "docs smoke: ${cmd} --help exited nonzero" >&2
+      return 1
+    }
+  done
+
+  # The --flags in the first cell of each table row of FILE, only in the
+  # section whose heading contains SECTION when one is given.
+  table_flags() {
+    awk -v section="$2" '
+      BEGIN { inside = (section == "") }
+      /^#/ { inside = (section == "" || index($0, section) > 0) }
+      inside && /^\| `/ { split($0, cells, "|"); print cells[2] }' "$1" |
+      { grep -o -- '--[a-z][a-z-]*' || true; } | sort -u
+  }
+
+  # check_docs CMD FILE [SECTION] [FILE [SECTION]]...: the flags documented
+  # across those tables must equal the flags CMD --help lists.
+  check_docs() {
+    local cmd="$1" documented="" listed
+    shift
+    while [[ $# -gt 0 ]]; do
+      documented+="$(table_flags "$1" "$2")"$'\n'
+      shift 2
+    done
+    documented="$(sort -u <<< "${documented}" | sed '/^$/d')"
+    listed="$("${cli}" "${cmd}" --help | sed -n 's/^  \(--[a-z][a-z-]*\).*/\1/p' |
+      sort -u)"
+    [[ -n "${documented}" ]] || {
+      echo "docs smoke: no ${cmd} flags parsed from the docs" >&2
+      return 1
+    }
+    if [[ "${documented}" != "${listed}" ]]; then
+      echo "docs smoke: ${cmd} docs and --help disagree" \
+        "(< documented only, > --help only):" >&2
+      diff <(echo "${documented}") <(echo "${listed}") >&2
+      return 1
+    fi
+  }
+
+  echo "=== docs smoke: documented flags match each subcommand ==="
+  check_docs fleet-sim docs/SIMULATION.md "" docs/MARKETS.md "" || return 1
+  check_docs tune docs/TUNING.md "" || return 1
+  check_docs serve docs/SERVING.md "edacloud_cli serve" || return 1
+  check_docs loadgen docs/SERVING.md "edacloud_cli loadgen" || return 1
+}
+
+docs_smoke
 
 if [[ "${1:-}" != "--fast" ]]; then
   run_pass "sanitized" build-asan -DEDACLOUD_SANITIZE=ON

@@ -1,5 +1,6 @@
 #include "core/predictor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -147,6 +148,33 @@ std::vector<std::array<double, 4>> RuntimePredictor::predict_batch(
     const auto log_runtimes = scalers_[index].inverse(scaled[i]);
     for (int j = 0; j < 4; ++j) out[i][j] = std::exp(log_runtimes[j]);
   }
+  return out;
+}
+
+StartupPredictor train_startup_predictor(const nl::CellLibrary& library,
+                                         std::size_t designs,
+                                         std::size_t recipes, int epochs,
+                                         std::uint64_t seed) {
+  std::vector<workloads::BenchmarkSpec> specs;
+  for (const auto& info : workloads::families()) {
+    if (specs.size() >= designs) break;
+    workloads::BenchmarkSpec spec;
+    spec.family = info.name;
+    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
+    spec.seed = seed;
+    specs.push_back(spec);
+  }
+  DatasetOptions dataset_options;
+  dataset_options.max_recipes = std::max<std::size_t>(1, recipes);
+  dataset_options.max_netlists = specs.size() * dataset_options.max_recipes;
+  const Dataset dataset = DatasetBuilder(library, dataset_options).build(specs);
+
+  PredictorOptions predictor_options;
+  predictor_options.gcn = ml::GcnConfig::fast();
+  predictor_options.gcn.epochs = epochs;
+  StartupPredictor out{RuntimePredictor(predictor_options),
+                       dataset.design_count, dataset.netlist_count};
+  (void)out.predictor.train(dataset);
   return out;
 }
 

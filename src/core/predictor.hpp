@@ -69,4 +69,20 @@ class RuntimePredictor {
   std::array<ml::TargetScaler, kJobCount> scalers_;
 };
 
+/// A startup-trained predictor and the corpus it saw (for startup logs).
+struct StartupPredictor {
+  RuntimePredictor predictor;
+  std::size_t design_count = 0;
+  std::size_t netlist_count = 0;
+};
+
+/// The small predictor a server or tool trains at startup: the first
+/// `designs` registry families at their smallest corpus size (design seed
+/// `seed`), `recipes` recipe variants each, GcnConfig::fast() for `epochs`
+/// epochs. Tiny by design, so it trains in seconds.
+StartupPredictor train_startup_predictor(const nl::CellLibrary& library,
+                                         std::size_t designs,
+                                         std::size_t recipes, int epochs,
+                                         std::uint64_t seed);
+
 }  // namespace edacloud::core

@@ -133,6 +133,27 @@ ShardedFleetSimulator::ShardedFleetSimulator(ShardedSimConfig config,
   if (config_.base.fault.max_attempts_per_stage < 1) {
     throw std::invalid_argument("max_attempts_per_stage must be >= 1");
   }
+  // Configs the event loop cannot finish: no arrivals or no window, a VM
+  // that never boots (the autoscaler replaces it forever), a spot share
+  // that is not a probability, negative Poisson rates.
+  const SimConfig& base = config_.base;
+  if (!(base.load.arrival_rate_per_hour > 0.0) ||
+      !(base.duration_seconds > 0.0)) {
+    throw std::invalid_argument("arrival rate and duration must be > 0");
+  }
+  const double boot_fail = base.fault.boot_failure_probability;
+  if (!(boot_fail >= 0.0 && boot_fail < 1.0)) {
+    throw std::invalid_argument("boot_failure_probability must be in [0, 1)");
+  }
+  const double spot = base.fleet.spot_fraction;
+  if (!(spot >= 0.0 && spot <= 1.0)) {
+    throw std::invalid_argument("spot_fraction must be in [0, 1]");
+  }
+  if (!(base.fault.crash_rate_per_hour >= 0.0) ||
+      !(base.fleet.spot.interruptions_per_hour >= 0.0)) {
+    throw std::invalid_argument(
+        "crash and interruption rates must be >= 0");
+  }
   lookahead_ = config_.lookahead_seconds > 0.0 ? config_.lookahead_seconds
                                                : config_.handoff_latency_seconds;
   // Normalize the market seam before any pool copies the fleet config: a

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <initializer_list>
 
+#include "tune/tuner.hpp"
 #include "workloads/registry.hpp"
 
 namespace edacloud::svc {
@@ -188,12 +189,12 @@ ParsedRequest parse_request(const JsonValue& value) {
       return out;
     }
     out.request.spot = value.bool_or("spot", false);
-    if (!optional_int_in(value, "samples", 0.0, 512.0, &out.request.samples,
-                         out)) {
+    if (!optional_int_in(value, "samples", 0.0, tune::kMaxRandomSamples,
+                         &out.request.samples, out)) {
       return out;
     }
-    if (!optional_int_in(value, "batch", 1.0, 4096.0, &out.request.batch,
-                         out)) {
+    if (!optional_int_in(value, "batch", tune::kMinBatchSize,
+                         tune::kMaxBatchSize, &out.request.batch, out)) {
       return out;
     }
     if (value.find("seed") != nullptr) {

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "cloud/savings.hpp"
-#include "core/dataset.hpp"
 #include "core/stage.hpp"
 #include "nl/star_graph.hpp"
 #include "obs/trace.hpp"
@@ -49,32 +48,13 @@ Service::~Service() = default;
 
 void Service::initialize() {
   if (trained_) return;
-  // First N families at their smallest corpus size — tiny designs, so the
-  // instrumented corpus flows and the GCN epochs finish in seconds.
-  std::vector<workloads::BenchmarkSpec> specs;
-  for (const auto& info : workloads::families()) {
-    if (specs.size() >= config_.train_designs) break;
-    workloads::BenchmarkSpec spec;
-    spec.family = info.name;
-    spec.size = info.corpus_sizes.empty() ? 32 : info.corpus_sizes.front();
-    spec.seed = config_.design_seed;
-    specs.push_back(spec);
-  }
-
-  core::DatasetOptions dataset_options;
-  dataset_options.max_recipes = std::max<std::size_t>(1, config_.train_recipes);
-  dataset_options.max_netlists = specs.size() * dataset_options.max_recipes;
-  const core::Dataset dataset =
-      core::DatasetBuilder(library_, dataset_options).build(specs);
-
-  core::PredictorOptions predictor_options;
-  predictor_options.gcn = ml::GcnConfig::fast();
-  predictor_options.gcn.epochs = config_.train_epochs;
-  predictor_ = core::RuntimePredictor(predictor_options);
-  predictor_.train(dataset);
+  core::StartupPredictor startup = core::train_startup_predictor(
+      library_, config_.train_designs, config_.train_recipes,
+      config_.train_epochs, config_.design_seed);
+  predictor_ = std::move(startup.predictor);
   trained_ = true;
-  EDACLOUD_INFO << "svc: predictor trained on " << dataset.netlist_count
-                << " netlists from " << dataset.design_count << " designs";
+  EDACLOUD_INFO << "svc: predictor trained on " << startup.netlist_count
+                << " netlists from " << startup.design_count << " designs";
 }
 
 std::string Service::handle_payload(const std::string& payload) {

@@ -35,6 +35,13 @@
 
 namespace edacloud::tune {
 
+/// Per-request limits on the tuner's knobs, shared by the service protocol
+/// and the CLI: seeded random recipes beyond the grid, and the
+/// predict_batch chunk size.
+inline constexpr int kMaxRandomSamples = 512;
+inline constexpr int kMinBatchSize = 1;
+inline constexpr int kMaxBatchSize = 4096;
+
 struct TunerOptions {
   RecipeSpace space;
   /// predict_batch chunk size (results are bit-identical at any value —

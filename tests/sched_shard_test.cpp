@@ -251,6 +251,31 @@ TEST(SchedShardTest, RejectsInvalidConfig) {
                std::invalid_argument);
 }
 
+TEST(SchedShardTest, RejectsConfigItCannotFinish) {
+  const auto throws = [](const auto& mutate) {
+    ShardedSimConfig config;
+    mutate(config.base);
+    EXPECT_THROW(ShardedFleetSimulator(config, builtin_templates(), "cost"),
+                 std::invalid_argument);
+  };
+  throws([](SimConfig& c) { c.fault.boot_failure_probability = 1.0; });
+  throws([](SimConfig& c) { c.fault.boot_failure_probability = -0.1; });
+  throws([](SimConfig& c) { c.fleet.spot_fraction = 1.7; });
+  throws([](SimConfig& c) { c.fleet.spot_fraction = -0.1; });
+  throws([](SimConfig& c) { c.fault.crash_rate_per_hour = -1.0; });
+  throws([](SimConfig& c) { c.fleet.spot.interruptions_per_hour = -1.0; });
+  throws([](SimConfig& c) { c.load.arrival_rate_per_hour = 0.0; });
+  throws([](SimConfig& c) { c.duration_seconds = 0.0; });
+  throws([](SimConfig& c) { c.duration_seconds = -60.0; });
+
+  // The edges of each range are still valid.
+  ShardedSimConfig edges;
+  edges.base.duration_seconds = 600.0;
+  edges.base.fault.boot_failure_probability = 0.99;
+  edges.base.fleet.spot_fraction = 1.0;
+  EXPECT_NO_THROW(ShardedFleetSimulator(edges, builtin_templates(), "cost"));
+}
+
 TEST(SchedShardTest, RunIsSingleShot) {
   ShardedSimConfig config;
   config.base.duration_seconds = 600.0;
