@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
-// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP and
-// GCN forward pass. These quantify the substrate itself rather than a paper
-// figure.
+// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, and
+// the GCN forward pass and training step. These quantify the substrate
+// itself rather than a paper figure.
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "cloud/mckp.hpp"
 #include "ml/gcn.hpp"
@@ -242,20 +244,38 @@ void BM_MckpDp(benchmark::State& state) {
 }
 BENCHMARK(BM_MckpDp)->Arg(5000)->Arg(20000);
 
-void BM_GcnForward(benchmark::State& state) {
-  const auto aig = make_design(static_cast<int>(state.range(0)));
-  const auto graph = nl::graph_from_aig(aig);
+ml::GraphSample make_gcn_sample(int size) {
+  const auto graph = nl::graph_from_aig(make_design(size));
   ml::GraphSample sample;
   sample.in_neighbors = nl::transpose(graph.forward);
   sample.features = ml::Matrix(graph.node_count(), nl::kNodeFeatureDim);
   std::copy(graph.features.begin(), graph.features.end(),
             sample.features.data().begin());
+  return sample;
+}
+
+void BM_GcnForward(benchmark::State& state) {
+  const ml::GraphSample sample =
+      make_gcn_sample(static_cast<int>(state.range(0)));
   ml::GcnModel model(ml::GcnConfig::fast());
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict(sample));
   }
 }
 BENCHMARK(BM_GcnForward)->Arg(8)->Arg(16);
+
+// One forward + backward + Adam step: the unit of startup training.
+void BM_GcnTrainStep(benchmark::State& state) {
+  const ml::GraphSample sample =
+      make_gcn_sample(static_cast<int>(state.range(0)));
+  ml::GcnModel model(ml::GcnConfig::fast());
+  const std::array<double, ml::kRuntimeOutputs> target = {0.5, 0.2, -0.1,
+                                                          -0.3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train_step(sample, target));
+  }
+}
+BENCHMARK(BM_GcnTrainStep)->Arg(8)->Arg(16);
 
 }  // namespace
 

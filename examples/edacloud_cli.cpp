@@ -960,8 +960,7 @@ const std::vector<util::Command> kCommands = {
        Kind::kReal, at_least(0)},
       {"--train-designs", "N", "predictor corpus: the first N families",
        Kind::kInt, at_least(0)},
-      {"--train-epochs", "N", "predictor training epochs", Kind::kInt,
-       at_least(0)},
+      kTrainEpochs,
       {"--batch-max", "N", "predict requests merged per batch", Kind::kInt,
        at_least(1)},
       {"--batch-linger-ms", "MS", "how long a partial batch waits",

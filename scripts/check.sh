@@ -482,7 +482,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build-tsan -j
   echo "=== tsan: ctest (concurrency suites) ==="
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|RouterTest|StaTest.BitIdentical|MatrixTest.Kernels|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|SynthLatticeTest|RecipeSpaceTest')
+    -R 'ThreadPool|RouterTest|StaTest.BitIdentical|MatrixTest.Kernels|GcnGoldenTest|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|SynthLatticeTest|RecipeSpaceTest')
 fi
 
 # Per-suite inventory: what tier-1 actually ran, so a vanishing suite (a

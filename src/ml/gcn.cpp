@@ -264,11 +264,7 @@ double GcnModel::train_step(
   // z2 = agg2 W2 + h1 S2 + b2
   w2_.grad = matmul_at_b(f.agg2, dh2);
   s2_.grad = matmul_at_b(f.h1, dh2);
-  for (std::size_t j = 0; j < b2_.grad.size(); ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < dh2.rows(); ++i) acc += dh2.at(i, j);
-    b2_.grad[j] = acc;
-  }
+  b2_.grad = sum_pool(dh2);
   Matrix dagg2 = matmul_a_bt(dh2, w2_.value);
   Matrix dh1 = aggregate_mean_backward(sample.in_neighbors, dagg2);
   {
@@ -282,11 +278,7 @@ double GcnModel::train_step(
   // z1 = agg1 W1 + X S1 + b1
   w1_.grad = matmul_at_b(f.agg1, dh1);
   s1_.grad = matmul_at_b(sample.features, dh1);
-  for (std::size_t j = 0; j < b1_.grad.size(); ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < dh1.rows(); ++i) acc += dh1.at(i, j);
-    b1_.grad[j] = acc;
-  }
+  b1_.grad = sum_pool(dh1);
 
   adam_step();
   return loss;
@@ -341,7 +333,7 @@ void GcnModel::adam_step() {
 TrainResult Trainer::fit(GcnModel& model, const TargetScaler& scaler,
                          const std::vector<GraphSample>& train) const {
   TrainResult result;
-  if (train.empty()) return result;
+  if (train.empty() || config_.epochs <= 0) return result;
   util::Rng rng(config_.seed ^ 0xABCDEF);
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -21,67 +22,84 @@ int threads_for(std::size_t flops) {
   return flops < kSerialFlopCutoff ? 1 : 0;  // 0 = global default width
 }
 
-}  // namespace
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) throw std::invalid_argument("matmul shape");
-  Matrix c(a.rows(), b.cols());
-  util::parallel_for(
-      threads_for(a.rows() * a.cols() * b.cols()), 0, a.rows(), kRowGrain,
-      [&](std::size_t row_begin, std::size_t row_end, std::size_t, unsigned) {
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          const double* arow = a.row(i);
-          double* crow = c.row(i);
-          for (std::size_t k = 0; k < a.cols(); ++k) {
-            const double av = arow[k];
-            if (av == 0.0) continue;
-            const double* brow = b.row(k);
-            for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
-  return c;
+Matrix transpose(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) t.at(j, i) = m.at(i, j);
+  }
+  return t;
 }
 
-Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) throw std::invalid_argument("matmul_at_b shape");
-  Matrix c(a.cols(), b.cols());
-  // Parallel over output rows (columns of A): each C row accumulates over n
-  // ascending, the same per-element order as the classic scatter loop.
-  util::parallel_for(
-      threads_for(a.rows() * a.cols() * b.cols()), 0, a.cols(), kRowGrain,
-      [&](std::size_t row_begin, std::size_t row_end, std::size_t, unsigned) {
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          double* crow = c.row(i);
-          for (std::size_t n = 0; n < a.rows(); ++n) {
-            const double av = a.row(n)[i];
-            if (av == 0.0) continue;
-            const double* brow = b.row(n);
-            for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
-  return c;
-}
+// C = op(A) * B, the one kernel behind all three products. op(A) is A, or
+// with `transpose_a` A^T read in place through strides, so matmul_at_b
+// never copies A. Per output row the kernel gathers op(A)'s nonzero
+// (B row, a) terms once, then sums kBlock-wide column blocks in registers
+// over that list and stores each block once. The gather is branchless:
+// every term is written and only nonzeros advance the count, since ReLU
+// outputs and their gradients are zero at random and a branch on them
+// mispredicts. Every element starts at +0.0 and adds its nonzero terms in
+// ascending k, so the bits equal the naive triple loop's: a zero term adds
+// +-0.0 to a sum that starts at +0.0, which never changes it (operands are
+// assumed finite).
+constexpr std::size_t kBlock = 8;
 
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_a_bt shape");
-  Matrix c(a.rows(), b.rows());
+Matrix gemm(const Matrix& a, bool transpose_a, const Matrix& b) {
+  const std::size_t rows = transpose_a ? a.cols() : a.rows();
+  const std::size_t inner = transpose_a ? a.rows() : a.cols();
+  // op(A)(i, k) = a.data()[i * row_stride + k * col_stride].
+  const std::size_t row_stride = transpose_a ? 1 : a.cols();
+  const std::size_t col_stride = transpose_a ? a.cols() : 1;
+  Matrix c(rows, b.cols());
   util::parallel_for(
-      threads_for(a.rows() * a.cols() * b.rows()), 0, a.rows(), kRowGrain,
+      threads_for(rows * inner * b.cols()), 0, rows, kRowGrain,
       [&](std::size_t row_begin, std::size_t row_end, std::size_t, unsigned) {
+        std::vector<std::pair<const double*, double>> terms(inner);
         for (std::size_t i = row_begin; i < row_end; ++i) {
-          const double* arow = a.row(i);
+          std::size_t count = 0;
+          for (std::size_t k = 0; k < inner; ++k) {
+            const double av = a.data()[i * row_stride + k * col_stride];
+            terms[count] = {b.row(k), av};
+            count += av != 0.0;
+          }
           double* crow = c.row(i);
-          for (std::size_t j = 0; j < b.rows(); ++j) {
-            const double* brow = b.row(j);
+          std::size_t j = 0;
+          for (; j + kBlock <= b.cols(); j += kBlock) {
+            double acc[kBlock] = {};
+            for (std::size_t t = 0; t < count; ++t) {
+              const auto [brow, av] = terms[t];
+              for (std::size_t l = 0; l < kBlock; ++l) {
+                acc[l] += av * brow[j + l];
+              }
+            }
+            std::copy_n(acc, kBlock, crow + j);
+          }
+          for (; j < b.cols(); ++j) {
             double acc = 0.0;
-            for (std::size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
+            for (std::size_t t = 0; t < count; ++t) {
+              acc += terms[t].second * terms[t].first[j];
+            }
             crow[j] = acc;
           }
         }
       });
   return c;
+}
+
+}  // namespace
+
+Matrix matmul(const Matrix& a, const Matrix& b) {
+  if (a.cols() != b.rows()) throw std::invalid_argument("matmul shape");
+  return gemm(a, false, b);
+}
+
+Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows()) throw std::invalid_argument("matmul_at_b shape");
+  return gemm(a, true, b);
+}
+
+Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
+  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_a_bt shape");
+  return gemm(a, false, transpose(b));
 }
 
 void add_bias_rows(Matrix& m, const std::vector<double>& bias) {
@@ -101,8 +119,10 @@ void relu_backward_inplace(Matrix& grad, const Matrix& pre_activation) {
       grad.cols() != pre_activation.cols()) {
     throw std::invalid_argument("relu backward shape");
   }
+  // A select, not a conditional store, so the loop vectorizes instead of
+  // branching on the sign of every pre-activation.
   for (std::size_t i = 0; i < grad.data().size(); ++i) {
-    if (pre_activation.data()[i] <= 0.0) grad.data()[i] = 0.0;
+    grad.data()[i] = pre_activation.data()[i] <= 0.0 ? 0.0 : grad.data()[i];
   }
 }
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "ml/gcn.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edacloud::ml {
 namespace {
@@ -131,6 +134,23 @@ TEST(TrainerTest, LearnsSizeDependentTargets) {
   EXPECT_LT(eval.mean_relative_error, 0.25);
 }
 
+TEST(TrainerTest, ZeroEpochsLeavesModelUntouched) {
+  std::vector<GraphSample> train;
+  for (std::uint32_t d = 0; d < 4; ++d) {
+    train.push_back(make_sample(8 + 4 * d, 200 + d, d));
+  }
+  TargetScaler scaler;
+  scaler.fit(train);
+  GcnConfig config = tiny_config();
+  config.epochs = 0;
+  GcnModel model(config);
+  const std::string before = model.save();
+  const TrainResult result = Trainer(config).fit(model, scaler, train);
+  EXPECT_TRUE(result.epoch_losses.empty());
+  EXPECT_EQ(result.final_train_loss, 0.0);
+  EXPECT_EQ(model.save(), before);
+}
+
 TEST(SplitTest, PartitionsByFamily) {
   std::vector<GraphSample> all;
   for (std::uint32_t d = 0; d < 10; ++d) {
@@ -141,6 +161,33 @@ TEST(SplitTest, PartitionsByFamily) {
   EXPECT_EQ(test.size(), 2u);   // family ids 0 and 5
   EXPECT_EQ(train.size(), 8u);
   for (const auto& sample : test) EXPECT_EQ(sample.family_id % 5, 0u);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(GcnGoldenTest, ModelSaveAfterTrainStepsPinned) {
+  // The save() bytes after 20 train steps, pinned to the values the three
+  // hand-written matmul loops produced before the shared GEMM kernel
+  // replaced them. 256 nodes put every layer-1/2 product above the serial
+  // flop cutoff, so the threads-4 run really splits rows.
+  const GraphSample sample = make_sample(256, 17, 0);
+  const std::array<double, 4> target = {0.5, 0.2, -0.1, -0.3};
+  for (const int threads : {1, 4}) {
+    util::set_global_thread_count(threads);
+    GcnModel model(GcnConfig::fast());
+    for (int step = 0; step < 20; ++step) model.train_step(sample, target);
+    const std::string text = model.save();
+    EXPECT_EQ(text.size(), 59310u) << "threads " << threads;
+    EXPECT_EQ(fnv1a(text), 1921335506862054363ULL) << "threads " << threads;
+  }
+  util::set_global_thread_count(1);
 }
 
 TEST(GcnConfigTest, PresetsDiffer) {

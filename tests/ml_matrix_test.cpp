@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ml/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -191,6 +194,137 @@ TEST(MatrixTest, KernelsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(atb1.data(), atb4.data());
   EXPECT_EQ(abt1.data(), abt4.data());
   EXPECT_EQ(agg1.data(), agg4.data());
+}
+
+/// A matrix with the shapes the GCN feeds the kernels: about half the
+/// entries zero, some of them -0.0, and every fifth row all zero (the
+/// BatchedGcn padding rows and dead ReLU rows).
+Matrix sparse_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (i % 5 == 3) continue;
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::uint64_t pick = rng.next_below(8);
+      double& v = m.at(i, j);
+      if (pick < 3) {
+        v = 0.0;
+      } else if (pick == 3) {
+        v = -0.0;
+      } else {
+        v = rng.next_double(-1.0, 1.0);
+      }
+    }
+  }
+  return m;
+}
+
+// Naive references: every element starts at +0.0 and adds every term,
+// zero or not, in ascending k.
+Matrix naive_matmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) acc += a.at(i, k) * b.at(k, j);
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+Matrix naive_at_b(const Matrix& a, const Matrix& b) {
+  Matrix c(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.rows(); ++k) acc += a.at(k, i) * b.at(k, j);
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+Matrix naive_a_bt(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) acc += a.at(i, k) * b.at(j, k);
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+std::vector<std::uint64_t> bits(const Matrix& m) {
+  std::vector<std::uint64_t> out;
+  out.reserve(m.data().size());
+  for (const double v : m.data()) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(MatrixTest, KernelsMatchNaiveLoopsBitForBit) {
+  // Output widths straddle the kernel's 8-wide column block; 160 x 40
+  // operands put the wider products above the serial flop cutoff, so the
+  // threads-4 pass really splits rows.
+  constexpr std::size_t kRows = 160;
+  constexpr std::size_t kInner = 40;
+  for (const int threads : {1, 4}) {
+    util::set_global_thread_count(threads);
+    for (const std::size_t width : {1u, 4u, 20u, 24u, 33u}) {
+      const Matrix a = sparse_matrix(kRows, kInner, 100 + width);
+      const Matrix b = sparse_matrix(kInner, width, 200 + width);
+      const Matrix g = sparse_matrix(kRows, width, 300 + width);
+      const Matrix bt = sparse_matrix(width, kInner, 400 + width);
+      EXPECT_EQ(bits(matmul(a, b)), bits(naive_matmul(a, b)))
+          << "matmul width " << width << " threads " << threads;
+      EXPECT_EQ(bits(matmul_at_b(a, g)), bits(naive_at_b(a, g)))
+          << "matmul_at_b width " << width << " threads " << threads;
+      EXPECT_EQ(bits(matmul_a_bt(a, bt)), bits(naive_a_bt(a, bt)))
+          << "matmul_a_bt width " << width << " threads " << threads;
+      // The transposed forms at the narrow inner dimension the GCN head
+      // uses (1 x 4 output gradients against 24 x 4 weights).
+      const Matrix row = sparse_matrix(1, width, 500 + width);
+      const Matrix w = sparse_matrix(kInner, width, 600 + width);
+      EXPECT_EQ(bits(matmul_a_bt(row, w)), bits(naive_a_bt(row, w)))
+          << "head matmul_a_bt width " << width << " threads " << threads;
+      const Matrix col = sparse_matrix(1, kInner, 700 + width);
+      EXPECT_EQ(bits(matmul_at_b(col, row)), bits(naive_at_b(col, row)))
+          << "head matmul_at_b width " << width << " threads " << threads;
+    }
+  }
+  util::set_global_thread_count(1);
+}
+
+TEST(MatrixTest, KernelsKeepPositiveZeroForZeroAndNegativeZeroRows) {
+  // A row of A that holds only +0.0 and -0.0 contributes nothing: its
+  // output row is +0.0 bit for bit, as a naive sum starting at +0.0 gives.
+  Matrix a(3, 9);
+  for (std::size_t k = 0; k < 9; ++k) a.at(1, k) = -0.0;
+  a.at(2, 4) = -0.0;
+  a.at(2, 6) = 2.0;
+  Matrix b(9, 11);
+  for (double& v : b.data()) v = -1.5;
+  for (const int threads : {1, 4}) {
+    util::set_global_thread_count(threads);
+    const Matrix c = matmul(a, b);
+    const Matrix ct = matmul_a_bt(a, Matrix(11, 9));
+    for (std::size_t j = 0; j < 11; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c.at(0, j)), 0u);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c.at(1, j)), 0u);
+      EXPECT_EQ(c.at(2, j), -3.0);
+    }
+    EXPECT_EQ(bits(ct), std::vector<std::uint64_t>(3 * 11, 0u));
+    EXPECT_EQ(bits(c), bits(naive_matmul(a, b)));
+    EXPECT_EQ(bits(matmul_at_b(b, b)), bits(naive_at_b(b, b)));
+    // An empty inner dimension is an empty sum: +0.0 everywhere.
+    EXPECT_EQ(bits(matmul_at_b(Matrix(0, 3), Matrix(0, 5))),
+              std::vector<std::uint64_t>(3 * 5, 0u));
+    EXPECT_EQ(bits(matmul(Matrix(2, 0), Matrix(0, 4))),
+              std::vector<std::uint64_t>(2 * 4, 0u));
+  }
+  util::set_global_thread_count(1);
 }
 
 }  // namespace

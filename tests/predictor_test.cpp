@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/dataset.hpp"
 #include "core/optimizer.hpp"
 #include "core/predictor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace edacloud::core {
 namespace {
@@ -142,6 +146,30 @@ TEST(PredictorTest, UntrainedPredictReturnsZeros) {
   sample.in_neighbors = nl::build_csr(1, {});
   const auto runtimes = predictor.predict(JobKind::kRouting, sample);
   for (double runtime : runtimes) EXPECT_DOUBLE_EQ(runtime, 0.0);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+TEST(GcnGoldenTest, StartupPredictorSavePinned) {
+  // The startup predictor's save() bytes, pinned to the values the three
+  // hand-written matmul loops produced before the shared GEMM kernel
+  // replaced them.
+  for (const int threads : {1, 4}) {
+    util::set_global_thread_count(threads);
+    const StartupPredictor startup =
+        train_startup_predictor(library(), 2, 1, 2, 7);
+    const std::string text = startup.predictor.save();
+    EXPECT_EQ(text.size(), 238499u) << "threads " << threads;
+    EXPECT_EQ(fnv1a(text), 4392764982580148738ULL) << "threads " << threads;
+  }
+  util::set_global_thread_count(1);
 }
 
 }  // namespace
