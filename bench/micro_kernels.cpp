@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
-// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, and
-// the GCN forward pass and training step. These quantify the substrate
-// itself rather than a paper figure.
+// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
+// GCN forward pass and training step, and the fleet engine's market-tick
+// decisions. These quantify the substrate itself rather than a paper
+// figure.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
+#include <vector>
 
 #include "cloud/mckp.hpp"
+#include "market/market.hpp"
 #include "ml/gcn.hpp"
 #include "nl/star_graph.hpp"
 #include "perf/branch_sim.hpp"
@@ -18,6 +22,8 @@
 #include "perf/task_graph.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "sched/job.hpp"
+#include "sched/market_policy.hpp"
 #include "sta/sta.hpp"
 #include "synth/engine.hpp"
 #include "tune/recipe_space.hpp"
@@ -276,6 +282,63 @@ void BM_GcnTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcnTrainStep)->Arg(8)->Arg(16);
+
+// One market tick over `range(0)` queued tasks, as the fleet engine runs
+// it: quote the storm market, certify keeps per (template, stage), and call
+// market_decide only for tasks no certificate covers. The queue is the
+// benchmark's: every stage of the builtin templates, lognormal size jitter
+// (sigma 0.25), a third of the tasks checkpointed part-way, waiting in the
+// compute-optimized 1-vCPU pool. That pool is the cheapest, so migrations
+// land there and its queues run deepest under the storm. Successive
+// iterations step the tick time by 300 s through the storm's day.
+void BM_MarketTick(benchmark::State& state) {
+  const auto& templates = sched::builtin_templates();
+  sched::FleetConfig fleet;
+  fleet.spot_fraction = 0.4;
+  fleet.market = market::make_preset_market("storm", 20260807, 25 * 3600.0);
+  const sched::MarketPolicyConfig policy;
+  const sched::PoolKey pool{perf::InstanceFamily::kComputeOptimized, 1};
+  util::Rng rng(5);
+  std::vector<sched::Job> queue(static_cast<std::size_t>(state.range(0)));
+  for (sched::Job& job : queue) {
+    job.template_index = static_cast<int>(
+        rng.next_int(0, static_cast<std::int64_t>(templates.size()) - 1));
+    job.stage = static_cast<int>(rng.next_int(0, core::kJobCount - 1));
+    job.scale = std::exp(0.25 * rng.next_gaussian() - 0.5 * 0.25 * 0.25);
+    job.stage_progress =
+        rng.next_bool(1.0 / 3.0) ? rng.next_double(0.0, 0.9) : 0.0;
+  }
+  double now = 0.0;
+  std::uint64_t certified = 0;
+  std::uint64_t decisions = 0;
+  for (auto _ : state) {
+    now = std::fmod(now + 300.0, 24 * 3600.0);
+    const sched::MarketQuote quote =
+        sched::quote_market(*fleet.market, fleet, now);
+    sched::KeepCertificates certificates(quote, policy, templates, pool);
+    int moves = 0;
+    for (const sched::Job& job : queue) {
+      if (certificates.certain(job.template_index, job.stage)) {
+        ++certified;
+        continue;
+      }
+      moves += sched::market_decide(quote, fleet, policy,
+                                    templates[static_cast<std::size_t>(
+                                        job.template_index)],
+                                    job, pool)
+                           .action == sched::MarketAction::kMigrate
+                   ? 1
+                   : 0;
+    }
+    decisions += queue.size();
+    benchmark::DoNotOptimize(moves);
+  }
+  state.counters["certified_share"] =
+      static_cast<double>(certified) /
+      static_cast<double>(std::max<std::uint64_t>(decisions, 1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+}
+BENCHMARK(BM_MarketTick)->Arg(64)->Arg(1024);
 
 }  // namespace
 

@@ -23,6 +23,12 @@ run_pass() {
 # The plain leg is the Release tree everyone builds: keep it warning-free.
 run_pass "plain" build -DEDACLOUD_WERROR=ON
 
+# Kernel smoke: every micro-benchmark runs once on a short budget (about a
+# second in all), so a kernel that throws or crashes fails tier-1. Timings
+# are not checked.
+echo "=== kernel smoke: micro_kernels ==="
+build/bench/micro_kernels --benchmark_min_time=0.01 > /dev/null
+
 # Observability smoke-run: emit a trace + metrics dump from the real CLI and
 # fail tier-1 if the telemetry is malformed or the same seed stops producing
 # byte-identical virtual-clock traces (docs/OBSERVABILITY.md).

@@ -1,6 +1,7 @@
 #include "sched/market_policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "perf/vm.hpp"
 
@@ -14,6 +15,17 @@ double stage_runtime_seconds(const JobTemplate& tmpl, const Job& job,
                                    pool.family, pool.vcpus) *
                       job.scale;
   return full * (1.0 - job.stage_progress);
+}
+
+/// Relative guard band of market_keep_is_certain. market_decide's runtime,
+/// cost and threshold each carry at most ~6 roundings of 2^-53, so a
+/// 1e-9 margin cannot be eaten by rounding.
+constexpr double kKeepGuardBand = 1e-9;
+
+/// `a` exceeds `b` by more than the guard band, for either sign of `b`.
+/// False when either side is NaN or `b` is +inf.
+bool clearly_above(double a, double b) {
+  return a > b + kKeepGuardBand * std::abs(b);
 }
 
 double stage_cost_usd(const MarketQuote& quote, int pool_index,
@@ -79,14 +91,75 @@ MarketDecision market_decide(const MarketQuote& quote,
 
   // No cheaper home: if the incumbent pool's spot price has risen to
   // (nearly) on-demand, stop gambling and pin the task to on-demand
-  // capacity — but only when the fleet launches an on-demand tier at all;
-  // an all-spot fleet would strand the task forever.
-  if (!job.require_on_demand && fleet.spot_fraction < 1.0 &&
-      quote.spot_price[static_cast<std::size_t>(preferred_index)] >=
-          policy.fallback_price_fraction) {
+  // capacity.
+  if (!job.require_on_demand &&
+      market_fallback_priced(quote, fleet, policy, preferred)) {
     decision.action = MarketAction::kFallback;
   }
   return decision;
+}
+
+bool market_fallback_priced(const MarketQuote& quote, const FleetConfig& fleet,
+                            const MarketPolicyConfig& policy,
+                            const PoolKey& pool) {
+  return fleet.spot_fraction < 1.0 &&
+         quote.spot_price[static_cast<std::size_t>(
+             ShardTopology::pool_index(pool))] >=
+             policy.fallback_price_fraction;
+}
+
+bool market_keep_is_certain(const MarketQuote& quote,
+                            const MarketPolicyConfig& policy,
+                            const JobTemplate& tmpl, int stage,
+                            const PoolKey& pool) {
+  // market_decide with the shared factor k left out: a candidate is skipped
+  // when R_i*k > slack*R_p*k and loses when B_i*R_i*k >= margin*B_p*R_p*k.
+  // The 1/3600 both costs carry is left out too.
+  const auto kind = static_cast<core::JobKind>(stage);
+  const int pool_index = ShardTopology::pool_index(pool);
+  const double runtime = tmpl.runtime(kind, pool.family, pool.vcpus);
+  const double slack_runtime = policy.migrate_runtime_slack * runtime;
+  const double margin_cost =
+      policy.migrate_margin *
+      quote.blended_hourly_usd[static_cast<std::size_t>(pool_index)] * runtime;
+  for (int index = 0; index < ShardTopology::kPoolCount; ++index) {
+    if (index == pool_index) continue;
+    const PoolKey candidate = ShardTopology::pool_at(index);
+    const double candidate_runtime =
+        tmpl.runtime(kind, candidate.family, candidate.vcpus);
+    if (clearly_above(candidate_runtime, slack_runtime)) continue;
+    const double candidate_cost =
+        quote.blended_hourly_usd[static_cast<std::size_t>(index)] *
+        candidate_runtime;
+    if (clearly_above(candidate_cost, margin_cost)) continue;
+    return false;
+  }
+  return true;
+}
+
+KeepCertificates::KeepCertificates(const MarketQuote& quote,
+                                   const MarketPolicyConfig& policy,
+                                   const std::vector<JobTemplate>& templates,
+                                   const PoolKey& pool)
+    : quote_(quote),
+      policy_(policy),
+      templates_(templates),
+      pool_(pool),
+      state_(templates.size() * core::kJobCount, 0) {}
+
+bool KeepCertificates::certain(int template_index, int stage) {
+  std::uint8_t& state =
+      state_[static_cast<std::size_t>(template_index) * core::kJobCount +
+             static_cast<std::size_t>(stage)];
+  if (state == 0) {
+    state = market_keep_is_certain(
+                quote_, policy_,
+                templates_[static_cast<std::size_t>(template_index)], stage,
+                pool_)
+                ? 1
+                : 2;
+  }
+  return state == 1;
 }
 
 }  // namespace edacloud::sched

@@ -11,9 +11,12 @@
 // Prices depend only on the tick time, so a tick quotes the market once
 // (MarketQuote: 12 spot prices + 12 blended hourly rates) and every queued
 // task's decision then costs ladder lookups and multiplies, no market calls.
+// A tick first asks market_keep_is_certain once per (template, stage) in the
+// queue; tasks of a certified group skip market_decide entirely.
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cloud/market.hpp"
 #include "sched/fleet.hpp"
@@ -85,5 +88,49 @@ struct MarketQuote {
                                            const JobTemplate& tmpl,
                                            const Job& job,
                                            const PoolKey& preferred);
+
+/// market_decide's fallback test less the task's own flag: `pool`'s quoted
+/// spot price has reached fallback_price_fraction, and the fleet launches
+/// an on-demand tier to fall back to (an all-spot fleet would strand the
+/// task forever).
+[[nodiscard]] bool market_fallback_priced(const MarketQuote& quote,
+                                          const FleetConfig& fleet,
+                                          const MarketPolicyConfig& policy,
+                                          const PoolKey& pool);
+
+/// True only when market_decide cannot return kMigrate for any task of
+/// `tmpl`'s `stage` that waits in `pool`, whatever its scale and stage
+/// progress. Within one quote every candidate's runtime and cost carry the
+/// same factor k = scale x (1 - stage_progress), so in exact arithmetic the
+/// migrate test depends only on (template, stage, pool). The answer is
+/// true when every candidate fails the runtime-slack test or the cost test
+/// by a relative guard band of 1e-9, far above the few ulps market_decide's
+/// products round by (DESIGN.md §15). Such a task can still fall back to
+/// on-demand: that branch reads only the pool's spot price and the task's
+/// require_on_demand flag.
+[[nodiscard]] bool market_keep_is_certain(const MarketQuote& quote,
+                                          const MarketPolicyConfig& policy,
+                                          const JobTemplate& tmpl, int stage,
+                                          const PoolKey& pool);
+
+/// market_keep_is_certain for one quote and one pool, asked per queued task
+/// and computed at most once per (template, stage). Keeps references to
+/// its arguments, which must outlive it (one market tick).
+class KeepCertificates {
+ public:
+  KeepCertificates(const MarketQuote& quote, const MarketPolicyConfig& policy,
+                   const std::vector<JobTemplate>& templates,
+                   const PoolKey& pool);
+
+  [[nodiscard]] bool certain(int template_index, int stage);
+
+ private:
+  const MarketQuote& quote_;
+  const MarketPolicyConfig& policy_;
+  const std::vector<JobTemplate>& templates_;
+  PoolKey pool_;
+  /// Per (template, stage): 0 = not computed yet, 1 = certain, 2 = not.
+  std::vector<std::uint8_t> state_;
+};
 
 }  // namespace edacloud::sched

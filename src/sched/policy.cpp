@@ -6,7 +6,7 @@
 
 namespace edacloud::sched {
 
-std::size_t SchedulerPolicy::pick(const std::vector<TaskRef>& queue,
+std::size_t SchedulerPolicy::pick(const std::deque<TaskRef>& queue,
                                   bool spot_vm) const {
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (task_runnable_on(queue[i], spot_vm)) return i;
@@ -76,7 +76,7 @@ std::array<PoolKey, core::kJobCount> CostAwarePolicy::plan(
   return pools;
 }
 
-std::size_t EdfPolicy::pick(const std::vector<TaskRef>& queue,
+std::size_t EdfPolicy::pick(const std::deque<TaskRef>& queue,
                             bool spot_vm) const {
   std::size_t best = kNoTask;
   for (std::size_t i = 0; i < queue.size(); ++i) {

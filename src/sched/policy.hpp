@@ -10,9 +10,9 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/optimizer.hpp"
 #include "sched/fault.hpp"
@@ -31,6 +31,10 @@ struct TaskRef {
   /// Graceful-degradation flag: this stage burned its spot-eviction budget
   /// and may only start on on-demand VMs.
   bool require_on_demand = false;
+  /// The owning job's JobTemplate index (declared last so positional
+  /// initialisers keep their meaning). With `stage` it names the group a
+  /// market tick certifies at once.
+  int template_index = 0;
 };
 
 constexpr std::size_t kNoTask = ~std::size_t{0};
@@ -62,9 +66,12 @@ class SchedulerPolicy {
   /// Index into `queue` — the idle VM's own pool queue, in enqueue order —
   /// of the task the VM should run next (kNoTask = leave the VM idle).
   /// `spot_vm` says whether the VM is spot capacity — tasks whose
-  /// require_on_demand flag is set must not be picked for a spot VM.
-  /// Default: the oldest runnable task.
-  [[nodiscard]] virtual std::size_t pick(const std::vector<TaskRef>& queue,
+  /// require_on_demand flag is set must not be picked for a spot VM
+  /// (task_runnable_on). The simulator relies on that rule alone: it does
+  /// not ask a spot VM to pick while every queued task is on-demand-only.
+  /// The queue is a deque because nearly every pick takes the head, which
+  /// the simulator then removes in O(1). Default: the oldest runnable task.
+  [[nodiscard]] virtual std::size_t pick(const std::deque<TaskRef>& queue,
                                          bool spot_vm) const;
 };
 
@@ -125,7 +132,7 @@ class EdfPolicy : public CostAwarePolicy {
   using CostAwarePolicy::CostAwarePolicy;
 
   [[nodiscard]] std::string name() const override { return "edf"; }
-  [[nodiscard]] std::size_t pick(const std::vector<TaskRef>& queue,
+  [[nodiscard]] std::size_t pick(const std::deque<TaskRef>& queue,
                                  bool spot_vm) const override;
 };
 

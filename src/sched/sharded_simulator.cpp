@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -73,7 +74,10 @@ struct ShardedFleetSimulator::PoolRuntime {
   Fleet fleet;
   Autoscaler scaler;
   std::unique_ptr<SchedulerPolicy> policy;  // pick() only; plan() is global
-  std::vector<TaskRef> queue;
+  std::deque<TaskRef> queue;
+  /// Queued tasks a spot VM may run (require_on_demand unset). While it is
+  /// 0, dispatch does not ask a spot VM to pick.
+  std::size_t spot_runnable = 0;
   /// Resident jobs by id. Lookup only: never iterate this table — hash
   /// order is not canonical, and letting it reach an event, metric or trace
   /// would break the byte-identity contract.
@@ -87,6 +91,10 @@ struct ShardedFleetSimulator::PoolRuntime {
   bool tick_armed = false;
   bool market_tick_armed = false;
   int peak_alive = 0;
+  // Work counters for export_shard_stats; never part of FleetMetrics.
+  std::uint64_t certified_decisions = 0;  // tick keeps proved per group
+  std::uint64_t exact_decisions = 0;      // market_decide calls
+  std::uint64_t spot_vm_skips = 0;        // spot VMs not asked to pick
   MetricsCollector metrics;
   std::vector<obs::TraceEvent> trace_buffer;
   std::string queue_counter_name;
@@ -575,7 +583,6 @@ void ShardedFleetSimulator::handle_attempt_killed(PoolRuntime& pool,
 
 void ShardedFleetSimulator::handle_task_retry(PoolRuntime& pool,
                                               const ShardEvent& event) {
-  if (pool.jobs.find(event.job_id) == pool.jobs.end()) return;  // defensive
   enqueue_stage(pool, event.job_id, event.time);
   arm_tick(pool, event.time);
   arm_market_tick(pool, event.time);
@@ -627,20 +634,41 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
   const MarketQuote quote =
       quote_market(*config_.base.fleet.market, config_.base.fleet, event.time);
 
-  std::vector<TaskRef> kept;
-  kept.reserve(pool.queue.size());
-  for (TaskRef& task : pool.queue) {
-    const auto resident = pool.resident(task.job_id);
-    Job& job = resident->second.job;
-    const MarketDecision decision =
-        market_decide(quote, config_.base.fleet, config_.base.market,
-                      templates_[job.template_index], job, pool.key);
+  const MarketPolicyConfig& policy = config_.base.market;
+  // All a task of a certified group needs besides its own flag.
+  const bool fallback_priced =
+      market_fallback_priced(quote, config_.base.fleet, policy, pool.key);
+  KeepCertificates certificates(quote, policy, templates_, pool.key);
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pool.queue.size(); ++i) {
+    TaskRef& task = pool.queue[i];
+    auto resident = pool.jobs.end();
+    MarketDecision decision;
+    if (certificates.certain(task.template_index, task.stage)) {
+      ++pool.certified_decisions;
+      if (fallback_priced && !task.require_on_demand) {
+        decision.action = MarketAction::kFallback;
+      }
+    } else {
+      ++pool.exact_decisions;
+      resident = pool.resident(task.job_id);
+      decision = market_decide(
+          quote, config_.base.fleet, policy,
+          templates_[static_cast<std::size_t>(task.template_index)],
+          resident->second.job, pool.key);
+    }
+    if (decision.action != MarketAction::kKeep &&
+        resident == pool.jobs.end()) {
+      resident = pool.resident(task.job_id);
+    }
     switch (decision.action) {
       case MarketAction::kKeep:
         break;
       case MarketAction::kFallback:
-        job.require_on_demand = true;
+        resident->second.job.require_on_demand = true;
         task.require_on_demand = true;
+        --pool.spot_runnable;
         pool.metrics.record_market_fallback();
         break;
       case MarketAction::kMigrate: {
@@ -649,6 +677,7 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
         // both keeps event times independent of the pool -> shard map and
         // guarantees barrier-safe delivery. Checkpoint credit rides along
         // in job.stage_progress.
+        Job& job = resident->second.job;
         JobHandoff msg;
         msg.deliver_time = event.time + config_.handoff_latency_seconds;
         msg.dest_pool = ShardTopology::pool_index(decision.pool);
@@ -657,14 +686,15 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
         msg.job = std::move(job);
         shard.outbox.push_back(std::move(msg));
         pool.jobs.erase(resident);
+        if (!task.require_on_demand) --pool.spot_runnable;
         pool.metrics.record_market_migration();
         continue;  // leave the task out of the kept queue
       }
     }
-    kept.push_back(task);
+    pool.queue[kept++] = task;
   }
-  if (kept.size() != pool.queue.size()) {
-    pool.queue = std::move(kept);
+  if (kept != pool.queue.size()) {
+    pool.queue.resize(kept);
     note_queue_depth(pool, event.time);
   }
   note_market_price(pool, event.time);
@@ -685,7 +715,9 @@ void ShardedFleetSimulator::enqueue_stage(PoolRuntime& pool,
   task.deadline = job.slo_deadline;
   task.seq = pool.next_task_seq++;
   task.require_on_demand = job.require_on_demand;
+  task.template_index = job.template_index;
   pool.queue.push_back(task);
+  if (!task.require_on_demand) ++pool.spot_runnable;
   note_queue_depth(pool, now);
 }
 
@@ -697,10 +729,17 @@ void ShardedFleetSimulator::dispatch(PoolRuntime& pool, double now) {
     const int vm_id = *it;
     ++it;  // advance first: a successful pick erases vm_id from the set
     const bool spot_vm = pool.fleet.vm(vm_id).spot;
+    // No queued task may run on spot capacity (task_runnable_on), so a
+    // policy's pick could only return kNoTask here.
+    if (spot_vm && pool.spot_runnable == 0) {
+      ++pool.spot_vm_skips;
+      continue;
+    }
     const std::size_t index = pool.policy->pick(pool.queue, spot_vm);
     if (index == kNoTask) continue;
     const TaskRef task = pool.queue[index];
     pool.queue.erase(pool.queue.begin() + static_cast<std::ptrdiff_t>(index));
+    if (!task.require_on_demand) --pool.spot_runnable;
     start_task(pool, vm_id, task, now);
   }
 }
@@ -849,6 +888,25 @@ void ShardedFleetSimulator::export_shard_stats(obs::Registry& registry,
                                                const obs::Labels& labels) const {
   registry.counter("fleet_shard.windows", labels).add(windows_);
   registry.counter("fleet_shard.events_total", labels).add(total_events());
+  // Pool-local work counters, folded in canonical pool order.
+  std::uint64_t certified = 0;
+  std::uint64_t exact = 0;
+  std::uint64_t skips = 0;
+  for (const auto& pool : pools_) {
+    certified += pool->certified_decisions;
+    exact += pool->exact_decisions;
+    skips += pool->spot_vm_skips;
+  }
+  const auto with_path = [&labels](const char* path) {
+    obs::Labels path_labels = labels;
+    path_labels.emplace_back("path", path);
+    return path_labels;
+  };
+  registry.counter("fleet_shard.market_decisions", with_path("certified"))
+      .add(certified);
+  registry.counter("fleet_shard.market_decisions", with_path("exact"))
+      .add(exact);
+  registry.counter("fleet_shard.spot_vm_skips", labels).add(skips);
   for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
     obs::Labels shard_labels = labels;
     shard_labels.emplace_back("shard", std::to_string(s));

@@ -142,8 +142,12 @@ class ShardedFleetSimulator {
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
 
   /// Export fleet_shard.* counters/gauges per shard plus the window count
-  /// (labels get a "shard" key). Shard-count-dependent by construction, so
-  /// callers that need cross-shard-count byte-identity skip this.
+  /// (labels get a "shard" key), and the pool-local work counters summed
+  /// in canonical pool order: market-tick decisions by path
+  /// (path="certified" | "exact") and spot VMs dispatch did not ask to
+  /// pick. The per-shard numbers are shard-count-dependent by
+  /// construction, so callers that need cross-shard-count byte-identity
+  /// skip this.
   void export_shard_stats(obs::Registry& registry,
                           const obs::Labels& labels = {}) const;
 

@@ -370,6 +370,147 @@ TEST(MarketPolicyTest, QuotedDecisionMatchesPerCandidateCost) {
   EXPECT_GT(decisions[static_cast<int>(sched::MarketAction::kMigrate)], 0);
 }
 
+// A random ladder template: every entry positive, or zero with probability
+// `zero_share` (a zero family entry falls back to general purpose; a zero
+// general-purpose entry is a zero runtime).
+sched::JobTemplate random_template(util::Rng& rng, double zero_share) {
+  sched::JobTemplate tmpl;
+  tmpl.name = "random";
+  for (auto& per_family : tmpl.runtime_seconds) {
+    for (auto& ladder : per_family) {
+      for (double& runtime : ladder) {
+        runtime = rng.next_bool(zero_share) ? 0.0
+                                            : rng.next_double(0.5, 2000.0);
+      }
+    }
+  }
+  return tmpl;
+}
+
+TEST(MarketPolicyTest, CertifiedKeepNeverMigrates) {
+  // Whenever the (template, stage, pool) certificate holds, no task of that
+  // group may migrate, whatever its scale, progress or flags. Quotes come
+  // from the storm market and from random prices; policies are random.
+  util::Rng rng(2026);
+  std::vector<sched::JobTemplate> templates = sched::builtin_templates();
+  for (int i = 0; i < 8; ++i) {
+    templates.push_back(random_template(rng, i % 2 == 0 ? 0.25 : 0.0));
+  }
+  const auto storm = market::make_preset_market("storm", 11, 8 * 3600.0);
+  sched::FleetConfig fleet;
+  fleet.market = storm;
+
+  int certified = 0;
+  int uncertified = 0;
+  for (int draw = 0; draw < 4000; ++draw) {
+    fleet.spot_fraction = rng.next_double(0.0, 1.0);
+    sched::MarketQuote quote;
+    if (draw % 2 == 0) {
+      quote = sched::quote_market(*storm, fleet,
+                                  rng.next_double(0.0, 8 * 3600.0));
+    } else {
+      for (std::size_t p = 0; p < quote.spot_price.size(); ++p) {
+        quote.spot_price[p] = rng.next_double(0.05, 1.5);
+        quote.blended_hourly_usd[p] = rng.next_double(0.01, 5.0);
+      }
+    }
+    sched::MarketPolicyConfig policy;
+    policy.migrate_margin = rng.next_double(0.3, 1.2);
+    policy.migrate_runtime_slack = rng.next_double(0.5, 4.0);
+    policy.fallback_price_fraction = rng.next_double(0.2, 1.2);
+
+    const auto& tmpl = templates[static_cast<std::size_t>(
+        rng.next_int(0, static_cast<std::int64_t>(templates.size()) - 1))];
+    const int stage = static_cast<int>(rng.next_int(0, core::kJobCount - 1));
+    const sched::PoolKey pool = sched::ShardTopology::pool_at(
+        static_cast<int>(rng.next_int(0, sched::ShardTopology::kPoolCount - 1)));
+    if (!sched::market_keep_is_certain(quote, policy, tmpl, stage, pool)) {
+      ++uncertified;
+      continue;
+    }
+    ++certified;
+    for (int task = 0; task < 16; ++task) {
+      sched::Job job;
+      job.stage = stage;
+      job.scale = rng.next_double(0.2, 3.0);
+      job.stage_progress = task == 0 ? 0.0 : rng.next_double(0.0, 0.999999);
+      job.require_on_demand = rng.next_bool(0.3);
+      const sched::MarketDecision decision =
+          sched::market_decide(quote, fleet, policy, tmpl, job, pool);
+      ASSERT_NE(decision.action, sched::MarketAction::kMigrate)
+          << "draw " << draw << " stage " << stage << " pool "
+          << sched::to_string(pool);
+    }
+  }
+  // Both answers occur, so the property is not vacuous.
+  EXPECT_GT(certified, 400);
+  EXPECT_GT(uncertified, 400);
+}
+
+TEST(MarketPolicyTest, NearTiesAreNeverCertified) {
+  // One live candidate (general-purpose 2 vCPU) against the incumbent
+  // (general-purpose 4 vCPU, R_p = 100, B_p = 1): every other pool is far
+  // outside the runtime slack. Ties and one-ulp misses of either test must
+  // not be certified; a clear loss must be.
+  const sched::PoolKey incumbent{perf::InstanceFamily::kGeneralPurpose, 4};
+  const sched::PoolKey candidate{perf::InstanceFamily::kGeneralPurpose, 2};
+  sched::MarketPolicyConfig policy;
+  policy.migrate_margin = 0.75;
+  policy.migrate_runtime_slack = 2.0;
+  sched::FleetConfig fleet;
+  fleet.spot_fraction = 1.0;  // no on-demand tier: never a fallback
+  const auto make_template = [](double candidate_runtime) {
+    sched::JobTemplate tmpl;
+    for (auto& ladder : tmpl.runtime_seconds[0]) ladder.fill(1000.0);
+    tmpl.runtime_seconds[0][2].fill(0.0);  // falls back to general purpose
+    tmpl.runtime_seconds[0][0][1] = candidate_runtime;
+    tmpl.runtime_seconds[0][0][2] = 100.0;
+    return tmpl;
+  };
+  const auto make_quote = [&](double candidate_rate) {
+    sched::MarketQuote quote;
+    quote.spot_price.fill(0.5);
+    quote.blended_hourly_usd.fill(1.0);
+    quote.blended_hourly_usd[static_cast<std::size_t>(
+        sched::ShardTopology::pool_index(candidate))] = candidate_rate;
+    return quote;
+  };
+  const auto certain = [&](double candidate_rate, double candidate_runtime) {
+    return sched::market_keep_is_certain(make_quote(candidate_rate), policy,
+                                         make_template(candidate_runtime), 0,
+                                         incumbent);
+  };
+  const auto decide = [&](double candidate_rate, double candidate_runtime) {
+    sched::Job job;
+    return sched::market_decide(make_quote(candidate_rate), fleet, policy,
+                                make_template(candidate_runtime), job,
+                                incumbent)
+        .action;
+  };
+
+  // Cost test: B_c * R_c against margin * B_p * R_p = 75 (all exact).
+  const double below = std::nextafter(150.0, 0.0);  // 0.5 * it = 75 - 1 ulp
+  const double above = std::nextafter(150.0, kInf);  // 0.5 * it = 75 + 1 ulp
+  ASSERT_EQ(0.5 * below, std::nextafter(75.0, 0.0));
+  ASSERT_EQ(0.5 * above, std::nextafter(75.0, kInf));
+  // Which way market_decide's rounded costs break these ties is not
+  // pinned; the certificate must hold back on all three.
+  EXPECT_FALSE(certain(0.5, 150.0));  // exact tie
+  EXPECT_FALSE(certain(0.5, below));  // one ulp cheaper
+  EXPECT_FALSE(certain(0.5, above));  // one ulp dearer: inside the band
+  EXPECT_EQ(decide(0.45, 150.0), sched::MarketAction::kMigrate);
+  EXPECT_TRUE(certain(0.6, 150.0));  // 90 against 75: a clear loss
+  EXPECT_EQ(decide(0.6, 150.0), sched::MarketAction::kKeep);
+
+  // Runtime-slack test: R_c against slack * R_p = 200, candidate cheap.
+  EXPECT_FALSE(certain(0.1, 200.0));  // exact tie: not skipped, migrates
+  EXPECT_EQ(decide(0.1, 200.0), sched::MarketAction::kMigrate);
+  EXPECT_FALSE(certain(0.1, std::nextafter(200.0, kInf)));
+  EXPECT_FALSE(certain(0.1, std::nextafter(200.0, 0.0)));
+  EXPECT_TRUE(certain(0.1, 201.0));  // clearly too slow: always skipped
+  EXPECT_EQ(decide(0.1, 201.0), sched::MarketAction::kKeep);
+}
+
 // ---------------------------------------------------------------------------
 // Engine-level contracts under a moving market.
 

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "market/market.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/fleet.hpp"
@@ -221,6 +224,130 @@ TEST(SchedShardTest, ExportsShardStats) {
                 "fleet_shard.events",
                 {{"policy", "cost"}, {"shard", "0"}}),
             nullptr);
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// The benchmark's fleet shape for six simulated hours: a diurnal mix at
+// 700 jobs/h under the storm market, 40% spot with re-bid and migrate on,
+// checkpointed crashes, six warm VMs, 4 shards x 2 threads. Six hours,
+// not three: only from the fourth hour on does the storm push queued tasks
+// onto on-demand capacity while spot VMs sit idle.
+ShardedSimConfig benchmark_fleet_config() {
+  ShardedSimConfig config;
+  config.base.seed = 1;
+  config.base.duration_seconds = 6 * 3600.0;
+  config.base.load.arrival_rate_per_hour = 700.0;
+  config.base.load.mix = diurnal_mix();
+  config.base.fleet.spot_fraction = 0.4;
+  config.base.fleet.market =
+      market::make_preset_market("storm", 20260807, 25 * 3600.0);
+  config.base.market.enabled = true;
+  config.base.autoscaler.interval_seconds = 15.0;
+  config.base.fault.restart = RestartModel::kCheckpoint;
+  config.base.fault.checkpoint_interval_seconds = 150.0;
+  config.base.fault.checkpoint_overhead_seconds = 15.0;
+  config.base.fault.crash_rate_per_hour = 0.05;
+  config.base.warm_pools = {
+      {{perf::InstanceFamily::kGeneralPurpose, 8}, 2},
+      {{perf::InstanceFamily::kGeneralPurpose, 1}, 2},
+      {{perf::InstanceFamily::kMemoryOptimized, 1}, 2},
+  };
+  config.shards = 4;
+  config.threads = 2;
+  config.handoff_latency_seconds = 1.0;
+  return config;
+}
+
+// scripts/check.sh's fault smoke: `fleet-sim --seed 42 --duration 3600
+// --spot 0.6 --interruption-rate 3 --crash-rate 0.5 --boot-fail 0.1
+// --restart checkpoint --checkpoint-interval 300 --checkpoint-overhead 15
+// --threads 1` on the CLI's defaults. It has no market ticks and no task
+// that needs on-demand capacity, so it takes neither new path; it pins the
+// retry, crash and boot-failure handling around them.
+ShardedSimConfig fault_smoke_config() {
+  ShardedSimConfig config;
+  config.base.seed = 42;
+  config.base.duration_seconds = 3600.0;
+  config.base.load.arrival_rate_per_hour = 60.0;
+  config.base.load.mix = uniform_mix();
+  config.base.fleet.boot_seconds = 45.0;
+  config.base.fleet.spot_fraction = 0.6;
+  config.base.fleet.spot.interruptions_per_hour = 3.0;
+  config.base.fault.crash_rate_per_hour = 0.5;
+  config.base.fault.boot_failure_probability = 0.1;
+  config.base.fault.restart = RestartModel::kCheckpoint;
+  config.base.fault.checkpoint_interval_seconds = 300.0;
+  config.base.fault.checkpoint_overhead_seconds = 15.0;
+  config.base.warm_pools = {
+      {{perf::InstanceFamily::kGeneralPurpose, 8}, 2},
+      {{perf::InstanceFamily::kGeneralPurpose, 1}, 2},
+      {{perf::InstanceFamily::kMemoryOptimized, 1}, 2},
+  };
+  config.threads = 1;
+  return config;
+}
+
+TEST(SchedShardTest, PinnedExportDigests) {
+  // The shape-agreement tests above would pass a drift that moved every
+  // shape alike; these FNV-1a digests of the FleetMetrics export pin the
+  // engine's output itself, as recorded before market ticks certified
+  // keeps and dispatch skipped unusable spot VMs.
+  struct Pin {
+    const char* name;
+    ShardedSimConfig config;
+    std::uint64_t digest;
+    bool new_paths;  // certified keeps and spot-VM skips both occur
+  };
+  const Pin pins[] = {
+      {"benchmark fleet, 6 h", benchmark_fleet_config(), 4181928780923305124ULL,
+       true},
+      {"fault smoke", fault_smoke_config(), 12902426160149100894ULL, false},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    ShardedFleetSimulator sim(pin.config, builtin_templates(), "cost");
+    const FleetMetrics metrics = sim.run();
+    obs::Registry exported;
+    metrics.export_to(exported);
+    EXPECT_EQ(fnv1a(exported.to_json()), pin.digest);
+    EXPECT_GT(metrics.retries, 0u);
+    if (!pin.new_paths) continue;
+
+    // The counters show the pin covers the certified and skip paths, and
+    // being pool-local they agree with a 1-shard, 1-thread run.
+    ShardedSimConfig serial_config = pin.config;
+    serial_config.shards = 1;
+    serial_config.threads = 1;
+    ShardedFleetSimulator serial(serial_config, builtin_templates(), "cost");
+    serial.run();
+    obs::Registry stats[2];
+    sim.export_shard_stats(stats[0]);
+    serial.export_shard_stats(stats[1]);
+    const auto counter = [&stats](int run, const char* name,
+                                  const obs::Labels& labels) {
+      const obs::Counter* found = stats[run].find_counter(name, labels);
+      return found != nullptr ? found->value() : std::uint64_t{0};
+    };
+    const std::pair<const char*, obs::Labels> work[] = {
+        {"fleet_shard.spot_vm_skips", {}},
+        {"fleet_shard.market_decisions", {{"path", "certified"}}},
+        {"fleet_shard.market_decisions", {{"path", "exact"}}},
+    };
+    for (const auto& [name, labels] : work) {
+      EXPECT_GT(counter(0, name, labels), 0u) << name;
+      EXPECT_EQ(counter(0, name, labels), counter(1, name, labels)) << name;
+    }
+    EXPECT_GT(metrics.market_fallbacks, 0u);
+    EXPECT_GT(metrics.market_migrations, 0u);
+  }
 }
 
 // ---- Conservative lookahead -------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -282,7 +283,7 @@ TEST(PolicyTest, FifoRoutesEverythingToTheDefaultPoolHead) {
   for (const auto& pool : plan) {
     EXPECT_EQ(pool, big);
   }
-  std::vector<TaskRef> queue(3);
+  std::deque<TaskRef> queue(3);
   EXPECT_EQ(policy.pick(queue, /*spot_vm=*/false), 0u);
   EXPECT_EQ(policy.pick({}, /*spot_vm=*/false), kNoTask);
 }
@@ -307,7 +308,7 @@ TEST(PolicyTest, CostAwareWaitsForItsOwnPool) {
   // goes first, and an on-demand-only task waits for on-demand capacity in
   // that pool rather than starting on a spot VM.
   CostAwarePolicy policy;
-  std::vector<TaskRef> queue(2);
+  std::deque<TaskRef> queue(2);
   queue[0].seq = 0;
   queue[0].require_on_demand = true;
   queue[1].seq = 1;
@@ -319,7 +320,7 @@ TEST(PolicyTest, CostAwareWaitsForItsOwnPool) {
 
 TEST(PolicyTest, EdfPrefersEarliestDeadline) {
   EdfPolicy policy;
-  std::vector<TaskRef> queue(3);
+  std::deque<TaskRef> queue(3);
   queue[0] = TaskRef{0, 0, 0.0, 500.0, 0};
   queue[1] = TaskRef{1, 0, 0.0, 100.0, 1};
   queue[2] = TaskRef{2, 0, 0.0, 100.0, 2};
