@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "counter_pins.hpp"
 #include "nl/netlist_sim.hpp"
 #include "synth/engine.hpp"
 #include "synth/mapper.hpp"
@@ -213,6 +214,18 @@ INSTANTIATE_TEST_SUITE_P(
     FamiliesXRecipes, RecipeEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(sweep_families()),
                        ::testing::Values(0, 1, 2, 3, 4, 5)));
+
+TEST(SynthEngineTest, InstrumentedCountersPinnedOnBenchLadder) {
+  // Every counter of an instrumented synthesis (rewrite, balance, cuts and
+  // mapping) on the benchmark's ladder, pinned: instrumentation refactors
+  // must leave the event stream byte-identical.
+  const SynthesisEngine engine(library());
+  const auto result = engine.run(workloads::gen_alu(16), default_recipe(),
+                                 pins::bench_ladder());
+  pins::expect_ladder_counts(
+      result.profile, {{323014, 2728, 1364, 7142, 1290, 24779, 2258, 8432, 2920, 2920},
+                       {2528, 2528, 2528, 2488, 2528, 2528, 2528, 2488}});
+}
 
 }  // namespace
 }  // namespace edacloud::synth

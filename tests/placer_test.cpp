@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "counter_pins.hpp"
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -157,6 +158,20 @@ TEST(PlacerEdgeTest, TinyNetlistPlaces) {
   QuadraticPlacer placer;
   const Placement placement = placer.place(n);
   EXPECT_TRUE(placement.valid_for(n));
+}
+
+TEST(PlacerPinTest, InstrumentedCountersPinnedOnBenchLadder) {
+  // Every counter of an instrumented placement on the benchmark's ladder,
+  // pinned: instrumentation refactors must leave the event stream
+  // byte-identical.
+  const nl::Netlist netlist = synthesize(workloads::gen_alu(16));
+  const PlacementResult result =
+      QuadraticPlacer().run(netlist, pins::bench_ladder());
+  EXPECT_EQ(result.solver_iterations, 103);
+  pins::expect_ladder_counts(
+      result.profile, {{31706, 0, 920150, 181923, 926, 7424, 167, 182852, 61348,
+                        61348},
+                       {1752, 1752, 1752, 2280, 1752, 1752, 1752, 2280}});
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "counter_pins.hpp"
 #include "sim/simulator.hpp"
 #include "synth/engine.hpp"
 #include "workloads/generators.hpp"
@@ -81,6 +82,18 @@ TEST(SimulationTest, InstrumentedRunFillsCounters) {
   EXPECT_GT(result.profile.counts[0].loads, 0u);
   // Simulation branches are loop control: highly predictable.
   EXPECT_LT(result.profile.counts[0].branch_miss_rate(), 0.05);
+}
+
+TEST(SimulationTest, InstrumentedCountersPinnedOnBenchLadder) {
+  // Every counter of an instrumented simulation on the benchmark's ladder,
+  // pinned: instrumentation refactors must leave the event stream
+  // byte-identical.
+  const nl::Netlist netlist = synthesize(workloads::gen_alu(16));
+  const SimulationResult result =
+      SimulationEngine().run(netlist, pins::bench_ladder());
+  pins::expect_ladder_counts(
+      result.profile, {{246400, 0, 0, 123264, 0, 61568, 13, 123264, 252, 252},
+                       {252, 252, 252, 252, 252, 252, 252, 252}});
 }
 
 }  // namespace

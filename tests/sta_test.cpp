@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "counter_pins.hpp"
 #include "place/placer.hpp"
 #include "sta/sta.hpp"
 #include "synth/engine.hpp"
@@ -178,6 +179,21 @@ TEST(StaTest, EndpointCountMatchesOutputs) {
   StaEngine engine;
   const TimingReport report = engine.run(netlist, nullptr, {});
   EXPECT_EQ(report.endpoint_count, netlist.outputs().size());
+}
+
+TEST(StaTest, InstrumentedCountersPinnedOnBenchLadder) {
+  // Every counter of an instrumented, placement-aware STA on the
+  // benchmark's ladder, pinned: instrumentation refactors must leave the
+  // chunk-ordered event stream byte-identical.
+  const nl::Netlist netlist = synthesize(workloads::gen_alu(16));
+  const place::Placement placement = place::QuadraticPlacer().place(netlist);
+  StaOptions options;
+  options.threads = 2;
+  const TimingReport report =
+      StaEngine(options).run(netlist, &placement, pins::bench_ladder());
+  pins::expect_ladder_counts(
+      report.profile, {{0, 6344, 13371, 4069, 481, 1926, 14, 4552, 424, 424},
+                       {424, 424, 424, 424, 424, 424, 424, 424}});
 }
 
 }  // namespace
