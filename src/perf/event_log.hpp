@@ -5,26 +5,25 @@
 // set-associative LRU caches, the co-runner interference ring), so its
 // counter totals depend on the order events arrive. Sharding one Instrument
 // per worker would make totals a function of the thread count — exactly what
-// the determinism guarantee forbids. Instead, a parallel section records its
-// events into thread-private EventLogs (one per committed route search /
-// per level chunk), and the engine replays the logs into the single shared
-// Instrument serially, in an order fixed by the algorithm (commit order,
-// chunk order). The simulators then see a bit-identical event stream at any
-// thread count.
+// the determinism guarantee forbids. Instead, a parallel section reports
+// through perf::Sinks (sink.hpp) that record into thread-private EventLogs
+// (one per committed route search / per level chunk), and the engine replays
+// the logs into its parent sink serially, in an order fixed by the algorithm
+// (commit order, chunk order). The simulators then see a bit-identical event
+// stream at any thread count. A parent sink may itself be a log: replaying
+// into a log appends the events in order, so logged sections nest.
 //
 // Recording costs about as much as the work it records (a maze expansion
 // logs ~25 events), so engines log only work that will be replayed: the
 // router searches the attempts of a round unlogged and re-runs just the
-// committing searches with logs (route/router.cpp). Uninstrumented runs
-// pass a null log pointer and skip recording entirely, so measured-speedup
-// flows pay nothing for this machinery.
+// committing searches with logs (route/router.cpp). Under a null parent
+// sink no log is allocated and every recording sink is null, so
+// uninstrumented flows pay nothing for this machinery.
 
 #include <cstdint>
 #include <vector>
 
 namespace edacloud::perf {
-
-class Instrument;
 
 /// One recorded Instrument event. Packed to 16 bytes; `a` holds the
 /// address / branch site / op count, `b` the private-stream id or the
@@ -63,6 +62,11 @@ class EventLog {
   void int_ops(std::uint64_t n) { append_ops(PerfEvent::Kind::kIntOps, n); }
   void fp_ops(std::uint64_t n) { append_ops(PerfEvent::Kind::kFpOps, n); }
   void avx_ops(std::uint64_t n) { append_ops(PerfEvent::Kind::kAvxOps, n); }
+
+  /// Appends `log`'s events, in order (a nested section's replay).
+  void replay(const EventLog& log) {
+    events_.insert(events_.end(), log.events_.begin(), log.events_.end());
+  }
 
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] std::size_t size() const { return events_.size(); }

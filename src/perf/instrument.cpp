@@ -32,6 +32,10 @@ Instrument::Instrument(std::vector<VmConfig> configs,
   interference_credit_.assign(configs_.size(), 0);
 }
 
+Instrument Instrument::for_configs(const std::vector<VmConfig>& configs) {
+  return configs.empty() ? Instrument() : Instrument(configs);
+}
+
 void Instrument::probe_l1s(std::uint64_t address) {
   for (std::size_t g = 0; g < l1s_.size(); ++g) {
     l1_hit_[g] = l1s_[g].access(address) ? 1 : 0;
@@ -137,6 +141,13 @@ OpCounts Instrument::counts(std::size_t index) const {
   out.l1_misses = l1.misses * scale;
   out.llc_accesses = llc.accesses * scale;
   out.llc_misses = llc.misses * scale;
+  return out;
+}
+
+std::vector<OpCounts> Instrument::counts() const {
+  std::vector<OpCounts> out;
+  out.reserve(configs_.size());
+  for (std::size_t i = 0; i < configs_.size(); ++i) out.push_back(counts(i));
   return out;
 }
 

@@ -34,6 +34,11 @@ class Instrument {
   /// Null-object instrument: counts nothing, near-zero overhead.
   Instrument();
 
+  /// An engine run's instrument: measures against `configs`, or the
+  /// null-object instrument when `configs` is empty.
+  [[nodiscard]] static Instrument for_configs(
+      const std::vector<VmConfig>& configs);
+
   [[nodiscard]] bool enabled() const { return !configs_.empty(); }
   [[nodiscard]] const std::vector<VmConfig>& configs() const {
     return configs_;
@@ -77,6 +82,8 @@ class Instrument {
 
   /// Counter snapshot for configs()[index], with sampling scaled out.
   [[nodiscard]] OpCounts counts(std::size_t index) const;
+  /// Snapshots for every config, in configs() order (empty when disabled).
+  [[nodiscard]] std::vector<OpCounts> counts() const;
 
  private:
   /// Counts one memory event; true for the 1-in-N events that drive the

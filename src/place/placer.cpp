@@ -5,13 +5,12 @@
 #include <numeric>
 
 #include "obs/trace.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 
 namespace edacloud::place {
 
 using nl::Netlist;
 using nl::NodeId;
-using perf::Instrument;
 using perf::TaskGraph;
 using perf::TaskId;
 
@@ -26,43 +25,24 @@ constexpr std::uint64_t kVecQBase = 0x44ULL << 23;
 constexpr std::uint64_t kBinBase = 0x45ULL << 23;
 constexpr std::uint64_t kSortBase = 0x46ULL << 23;
 
-/// Event helper: streams sequential sweeps at cache-line granularity and
-/// batches op counts, so instrumentation cost stays proportional to the
-/// *memory traffic*, not the flop count.
-struct Meter {
-  Instrument* ins = nullptr;
+// Event helpers: sequential sweeps stream at cache-line granularity and op
+// counts are batched, so instrumentation cost stays proportional to the
+// *memory traffic*, not the flop count.
 
-  void stream(std::uint64_t base, std::size_t bytes) const {
-    if (ins == nullptr) return;
-    for (std::size_t off = 0; off < bytes; off += 64) ins->load(base + off);
-  }
-  void load(std::uint64_t addr) const {
-    if (ins != nullptr) ins->load(addr);
-  }
-  void store(std::uint64_t addr) const {
-    if (ins != nullptr) ins->store(addr);
-  }
-  void avx(std::uint64_t n) const {
-    if (ins != nullptr) ins->avx_ops(n);
-  }
-  void fp(std::uint64_t n) const {
-    if (ins != nullptr) ins->fp_ops(n);
-  }
-  void ints(std::uint64_t n) const {
-    if (ins != nullptr) ins->int_ops(n);
-  }
-  void branch(std::uint64_t site, bool taken) const {
-    if (ins != nullptr) ins->branch(site, taken);
-  }
-  /// Predictable loop-control branches for a loop of `trips` iterations.
-  void loop(std::uint64_t site, std::uint64_t trips) const {
-    if (ins == nullptr || trips == 0) return;
-    // The predictor sees a strongly-taken branch; emit a bounded sample.
-    const std::uint64_t sample = std::min<std::uint64_t>(trips, 64);
-    for (std::uint64_t i = 0; i + 1 < sample; ++i) ins->branch(site, true);
-    ins->branch(site, false);
-  }
-};
+/// One load per cache line of a `bytes`-long sweep from `base`.
+void stream(perf::Sink sink, std::uint64_t base, std::size_t bytes) {
+  if (!sink) return;
+  for (std::size_t off = 0; off < bytes; off += 64) sink.load(base + off);
+}
+
+/// Predictable loop-control branches for a loop of `trips` iterations.
+void loop(perf::Sink sink, std::uint64_t site, std::uint64_t trips) {
+  if (!sink || trips == 0) return;
+  // The predictor sees a strongly-taken branch; emit a bounded sample.
+  const std::uint64_t sample = std::min<std::uint64_t>(trips, 64);
+  for (std::uint64_t i = 0; i + 1 < sample; ++i) sink.branch(site, true);
+  sink.branch(site, false);
+}
 
 struct StarProblem {
   // Laplacian in CSR over movable nodes; fixed-neighbor terms fold into b.
@@ -111,7 +91,7 @@ void place_pads(const Netlist& netlist, double width, double height,
 }
 
 StarProblem build_problem(const Netlist& netlist, const Placement& pads,
-                          const Meter& meter) {
+                          perf::Sink sink) {
   StarProblem problem;
   const std::size_t n = netlist.node_count();
   problem.movable_index.assign(n, -1);
@@ -135,7 +115,7 @@ StarProblem build_problem(const Netlist& netlist, const Placement& pads,
     ++problem.edge_count;
     const std::int32_t iu = problem.movable_index[u];
     const std::int32_t iv = problem.movable_index[v];
-    meter.ints(6);
+    sink.int_ops(6);
     if (iu >= 0) problem.diagonal[iu] += weight;
     if (iv >= 0) problem.diagonal[iv] += weight;
     if (iu >= 0 && iv >= 0) {
@@ -157,7 +137,7 @@ StarProblem build_problem(const Netlist& netlist, const Placement& pads,
           1.0 / std::max<std::uint32_t>(1, fanouts[fanin]);
       add_edge(fanin, id, weight);
     }
-    meter.load(kMatrixBase + id * 16);
+    sink.load(kMatrixBase + id * 16);
   }
 
   // Flatten to CSR (duplicates merged).
@@ -195,7 +175,7 @@ StarProblem build_problem(const Netlist& netlist, const Placement& pads,
 /// Returns iterations executed.
 int cg_solve(const StarProblem& problem, const std::vector<double>& b,
              const std::vector<double>* anchor_target, double anchor_weight,
-             std::vector<double>& x, int max_iterations, const Meter& meter) {
+             std::vector<double>& x, int max_iterations, perf::Sink sink) {
   const std::size_t m = problem.diagonal.size();
   if (m == 0) return 0;
   std::vector<double> r(m), p(m), q(m), z(m);
@@ -213,22 +193,22 @@ int cg_solve(const StarProblem& problem, const std::vector<double>& b,
       for (std::uint32_t e = begin; e < end; ++e) {
         acc += problem.values[e] * in[problem.cols[e]];
         // Scattered gather on the solution vector: the cache-hostile part.
-        meter.load(kVecXBase + problem.cols[e] * 8ULL);
+        sink.load(kVecXBase + problem.cols[e] * 8ULL);
       }
-      meter.avx(2 * (end - begin) + 2);
+      sink.avx_ops(2 * (end - begin) + 2);
       out[i] = acc;
     }
-    meter.stream(kMatrixBase, (problem.values.size() * 12));
-    meter.stream(kVecQBase, m * 8);
-    meter.loop(kMatrixBase ^ 0x7, m);
+    stream(sink, kMatrixBase, (problem.values.size() * 12));
+    stream(sink, kVecQBase, m * 8);
+    loop(sink, kMatrixBase ^ 0x7, m);
   };
 
   auto dot = [&](const std::vector<double>& a2, const std::vector<double>& b2) {
     double acc = 0.0;
     for (std::size_t i = 0; i < m; ++i) acc += a2[i] * b2[i];
-    meter.avx(2 * m);
-    meter.stream(kVecRBase, m * 8);
-    meter.stream(kVecPBase, m * 8);
+    sink.avx_ops(2 * m);
+    stream(sink, kVecRBase, m * 8);
+    stream(sink, kVecPBase, m * 8);
     return acc;
   };
 
@@ -248,7 +228,7 @@ int cg_solve(const StarProblem& problem, const std::vector<double>& b,
 
   int iteration = 0;
   for (; iteration < max_iterations; ++iteration) {
-    meter.branch(kVecXBase ^ 0x9, rho > tolerance);
+    sink.branch(kVecXBase ^ 0x9, rho > tolerance);
     if (rho <= tolerance) break;
     apply(p, q);
     const double alpha = rho / std::max(dot(p, q), 1e-30);
@@ -257,12 +237,12 @@ int cg_solve(const StarProblem& problem, const std::vector<double>& b,
       r[i] -= alpha * q[i];
       z[i] = r[i] / diag[i];
     }
-    meter.avx(6 * m);
-    meter.stream(kVecXBase, m * 8);
+    sink.avx_ops(6 * m);
+    stream(sink, kVecXBase, m * 8);
     const double rho_next = dot(r, z);
     const double beta = rho_next / std::max(rho, 1e-30);
     for (std::size_t i = 0; i < m; ++i) p[i] = z[i] + beta * p[i];
-    meter.avx(2 * m);
+    sink.avx_ops(2 * m);
     rho = rho_next;
   }
   return iteration;
@@ -273,7 +253,7 @@ int cg_solve(const StarProblem& problem, const std::vector<double>& b,
 /// preserving step that keeps downstream routing bounding boxes tight.
 void spread(const StarProblem& problem, double width, double height,
             std::vector<double>& x, std::vector<double>& y,
-            const Meter& meter) {
+            perf::Sink sink) {
   const std::size_t m = problem.movable.size();
   if (m == 0) return;
   std::vector<std::uint32_t> indices(m);
@@ -299,7 +279,7 @@ void spread(const StarProblem& problem, double width, double height,
         x[cell] = region.x0 + rw * (static_cast<double>(i % 2) + 0.5) / 2.0;
         y[cell] = region.y0 + rh * (static_cast<double>(i / 2) + 0.5) /
                                   std::max<double>(1.0, (count + 1) / 2);
-        meter.store(kBinBase + cell * 16ULL);
+        sink.store(kBinBase + cell * 16ULL);
       }
       continue;
     }
@@ -316,8 +296,8 @@ void spread(const StarProblem& problem, double width, double height,
         return y[a] < y[b];
       });
     }
-    meter.ints(count * 2);
-    meter.stream(kBinBase, count * 4);
+    sink.int_ops(count * 2);
+    stream(sink, kBinBase, count * 4);
     const std::size_t half = region.begin + count / 2;
     if (cut_x) {
       const double cut = region.x0 + rw * 0.5;
@@ -342,7 +322,7 @@ void spread(const StarProblem& problem, double width, double height,
 void legalize(const Netlist& netlist, const StarProblem& problem,
               double width, double height, double row_height,
               std::vector<double>& x, std::vector<double>& y,
-              const Meter& meter) {
+              perf::Sink sink) {
   const std::size_t m = problem.movable.size();
   const int rows = std::max(1, static_cast<int>(height / row_height));
   const auto& library = netlist.library();
@@ -361,8 +341,8 @@ void legalize(const Netlist& netlist, const StarProblem& problem,
   std::sort(order.begin(), order.end(), [&y](std::uint32_t a, std::uint32_t b) {
     return y[a] < y[b];
   });
-  meter.ints(m * 8);  // sort work
-  meter.stream(kSortBase, m * 8);
+  sink.int_ops(m * 8);  // sort work
+  stream(sink, kSortBase, m * 8);
 
   for (std::uint32_t idx : order) {
     const double cell_width = width_of(idx);
@@ -375,7 +355,7 @@ void legalize(const Netlist& netlist, const StarProblem& problem,
         const bool fits =
             row_fill[static_cast<std::size_t>(candidate)] + cell_width <=
             width + 1e-9;
-        meter.branch(kSortBase ^ 0xD, fits);
+        sink.branch(kSortBase ^ 0xD, fits);
         if (fits) {
           chosen = candidate;
           break;
@@ -385,8 +365,8 @@ void legalize(const Netlist& netlist, const StarProblem& problem,
     if (chosen < 0) chosen = target;  // utilization > 1: best effort
     row_members[static_cast<std::size_t>(chosen)].push_back(idx);
     row_fill[static_cast<std::size_t>(chosen)] += cell_width;
-    meter.load(kSortBase + static_cast<std::uint64_t>(chosen) * 8);
-    meter.ints(12);
+    sink.load(kSortBase + static_cast<std::uint64_t>(chosen) * 8);
+    sink.int_ops(12);
   }
 
   // ---- pass 2: per-row packing with suffix clamping -------------------------
@@ -407,7 +387,7 @@ void legalize(const Netlist& netlist, const StarProblem& problem,
                           std::max(cursor, limit));
       cursor = x[idx] + width_of(idx);
       y[idx] = (row + 0.5) * row_height;
-      meter.ints(8);
+      sink.int_ops(8);
     }
   }
 }
@@ -436,13 +416,8 @@ double hpwl_um(const Netlist& netlist, const Placement& placement) {
 
 PlacementResult QuadraticPlacer::run(
     const Netlist& netlist, const std::vector<perf::VmConfig>& configs) const {
-  Instrument instrument_storage;
-  Instrument* instrument = nullptr;
-  if (!configs.empty()) {
-    instrument_storage = Instrument(configs);
-    instrument = &instrument_storage;
-  }
-  Meter meter{instrument};
+  perf::Instrument instrument = perf::Instrument::for_configs(configs);
+  const perf::Sink sink(instrument);
 
   PlacementResult result;
   Placement& placement = result.placement;
@@ -461,7 +436,7 @@ PlacementResult QuadraticPlacer::run(
   place_pads(netlist, side, side, placement);
   StarProblem problem = [&] {
     TRACE_SPAN("place/build_problem", "place");
-    return build_problem(netlist, placement, meter);
+    return build_problem(netlist, placement, sink);
   }();
   const std::size_t m = problem.movable.size();
   run_span.counter("movable_cells", static_cast<double>(m));
@@ -478,13 +453,13 @@ PlacementResult QuadraticPlacer::run(
       iterations += cg_solve(problem, problem.bx,
                              anchored ? &anchor_x : nullptr,
                              options_.anchor_weight, x,
-                             options_.cg_iterations, meter);
+                             options_.cg_iterations, sink);
       iterations += cg_solve(problem, problem.by,
                              anchored ? &anchor_y : nullptr,
                              options_.anchor_weight, y,
-                             options_.cg_iterations, meter);
+                             options_.cg_iterations, sink);
       TRACE_SPAN("place/spread", "place");
-      spread(problem, side, side, x, y, meter);
+      spread(problem, side, side, x, y, sink);
       anchor_x = x;
       anchor_y = y;
     }
@@ -501,7 +476,7 @@ PlacementResult QuadraticPlacer::run(
   {
     TRACE_SPAN("place/legalize", "place");
     legalize(netlist, problem, side, side, placement.row_height_um, x, y,
-             meter);
+             sink);
   }
   for (std::size_t i = 0; i < m; ++i) {
     placement.x[problem.movable[i]] = x[i];
@@ -544,11 +519,7 @@ PlacementResult QuadraticPlacer::run(
 
   result.profile.job = "placement";
   result.profile.configs = configs;
-  if (instrument != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      result.profile.counts.push_back(instrument->counts(i));
-    }
-  }
+  result.profile.counts = instrument.counts();
   result.profile.tasks = std::move(tasks);
   return result;
 }

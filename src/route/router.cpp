@@ -7,15 +7,13 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "perf/event_log.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edacloud::route {
 
 using nl::Netlist;
 using nl::NodeId;
-using perf::Instrument;
 using perf::TaskGraph;
 using perf::TaskId;
 
@@ -128,77 +126,6 @@ struct GridState {
   }
 };
 
-/// L-pattern router: try the two one-bend paths between source and
-/// target; accept the first whose edges all sit below the congestion
-/// limit. Read-only against the grid (usage is bumped by the caller's
-/// commit phase) and therefore safe to share across routing workers;
-/// instrumentation events go to the per-attempt log for ordered replay.
-class PatternRouter {
- public:
-  PatternRouter(const GridState& state, const RouterOptions& options)
-      : state_(state), options_(options) {}
-
-  bool route(const Connection& connection,
-             std::vector<std::uint32_t>& edges_out,
-             perf::EventLog* log) const {
-    const int grid = state_.grid;
-    const int sx = static_cast<int>(connection.source % grid);
-    const int sy = static_cast<int>(connection.source / grid);
-    const int tx = static_cast<int>(connection.target % grid);
-    const int ty = static_cast<int>(connection.target / grid);
-    // Pattern 1: horizontal first; pattern 2: vertical first.
-    for (int bend = 0; bend < 2; ++bend) {
-      std::vector<std::uint32_t> edges;
-      const bool ok = bend == 0 ? trace(sx, sy, tx, sy, edges, log) &&
-                                      trace(tx, sy, tx, ty, edges, log)
-                                : trace(sx, sy, sx, ty, edges, log) &&
-                                      trace(sx, ty, tx, ty, edges, log);
-      if (log != nullptr) log->branch(kGridBase ^ 0x8, ok);
-      if (ok) {
-        if (log != nullptr) {
-          for (std::uint32_t edge : edges) {
-            log->store(kGridBase + static_cast<std::uint64_t>(edge) * 48);
-          }
-        }
-        edges_out = std::move(edges);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  /// Append the straight segment (x0,y0)->(x1,y1); false if any edge is
-  /// too congested (axis-aligned segments only).
-  bool trace(int x0, int y0, int x1, int y1,
-             std::vector<std::uint32_t>& edges, perf::EventLog* log) const {
-    const int dx = x1 > x0 ? 1 : (x1 < x0 ? -1 : 0);
-    const int dy = y1 > y0 ? 1 : (y1 < y0 ? -1 : 0);
-    int x = x0, y = y0;
-    while (x != x1 || y != y1) {
-      const int nx = x + dx;
-      const int ny = y + dy;
-      const int edge = state_.edge_between(x, y, nx, ny);
-      if (log != nullptr) {
-        log->load(kGridBase + static_cast<std::uint64_t>(edge) * 48);
-        log->int_ops(4);
-      }
-      const double limit = options_.pattern_congestion_limit *
-                           static_cast<double>(state_.capacity[edge]);
-      if (static_cast<double>(state_.usage[edge]) + 1.0 > limit) {
-        return false;
-      }
-      edges.push_back(static_cast<std::uint32_t>(edge));
-      x = nx;
-      y = ny;
-    }
-    return true;
-  }
-
-  const GridState& state_;
-  const RouterOptions& options_;
-};
-
 /// Congestion-aware A* over the grid. Read-only against the grid state
 /// (commit bumps usage), with per-instance scratch arrays — each worker
 /// slot owns one Maze, so searches run concurrently without sharing.
@@ -217,7 +144,7 @@ class Maze {
   /// Appends the used edges to `edges_out`; returns expansions (0 = fail).
   std::uint64_t route(const Connection& connection,
                       std::vector<std::uint32_t>& edges_out,
-                      std::uint32_t stream, perf::EventLog* log) {
+                      std::uint32_t stream, perf::Sink sink) {
     ++epoch_;
     stream_ = stream;
     const int grid = state_.grid;
@@ -248,27 +175,27 @@ class Maze {
       const auto [f, cell] = open.top();
       open.pop();
       ++expansions;
-      if (log != nullptr) {
-        log->load_private(kHeapBase + (expansions % 1024) * 16, stream_);
-        log->int_ops(14);
+      if (sink) {
+        sink.load_private(kHeapBase + (expansions % 1024) * 16, stream_);
+        sink.int_ops(14);
         // Priority-queue sift comparisons: direction depends on the cost
         // values of near-equal keys — effectively unpredictable,
         // data-dependent branches.
         const std::uint64_t h =
             (static_cast<std::uint64_t>(cell) * 0x9E3779B97F4A7C15ULL) ^
             static_cast<std::uint64_t>(f * 16384.0f);
-        log->branch(kHeapBase ^ 0x6, ((h >> 13) & 1) != 0);
-        log->branch(kHeapBase ^ 0x7, ((h >> 27) & 1) != 0);
+        sink.branch(kHeapBase ^ 0x6, ((h >> 13) & 1) != 0);
+        sink.branch(kHeapBase ^ 0x7, ((h >> 27) & 1) != 0);
       }
       const int x = static_cast<int>(cell % grid);
       const int y = static_cast<int>(cell / grid);
       const bool reached = cell == connection.target;
-      if (log != nullptr) log->branch(kGridBase ^ 0x1, reached);
+      sink.branch(kGridBase ^ 0x1, reached);
       if (reached) break;
       // Stale-entry skip (lazy-deletion A*): data-dependent branch.
       const float here = cost_of(cell);
       const bool stale = f - heuristic(x, y) > here + 1e-4f;
-      if (log != nullptr) log->branch(kGridBase ^ 0x2, stale);
+      sink.branch(kGridBase ^ 0x2, stale);
       if (stale) continue;
 
       constexpr int kDx[4] = {1, -1, 0, 0};
@@ -291,16 +218,14 @@ class Maze {
         const std::uint32_t neighbor =
             static_cast<std::uint32_t>(ny) * grid + nx;
         const bool improves = candidate < cost_of(neighbor) - 1e-5f;
-        if (log != nullptr) {
-          // The defining routing signature: per-neighbor grid-state loads
-          // and an improvement test whose outcome is data-dependent.
-          log->load(kGridBase + static_cast<std::uint64_t>(edge) * 48);
-          log->load_private(
-              kCostBase + static_cast<std::uint64_t>(neighbor) * 16, stream_);
-          log->branch(kGridBase ^ 0x3, improves);
-          log->int_ops(8);
-          log->fp_ops(3);
-        }
+        // The defining routing signature: per-neighbor grid-state loads
+        // and an improvement test whose outcome is data-dependent.
+        sink.load(kGridBase + static_cast<std::uint64_t>(edge) * 48);
+        sink.load_private(
+            kCostBase + static_cast<std::uint64_t>(neighbor) * 16, stream_);
+        sink.branch(kGridBase ^ 0x3, improves);
+        sink.int_ops(8);
+        sink.fp_ops(3);
         if (improves) {
           set_cost(neighbor, candidate, cell);
           open.emplace(candidate + heuristic(nx, ny), neighbor);
@@ -320,9 +245,7 @@ class Maze {
                               static_cast<int>(cursor % grid),
                               static_cast<int>(cursor / grid));
       edges_out.push_back(static_cast<std::uint32_t>(edge));
-      if (log != nullptr) {
-        log->store(kGridBase + static_cast<std::uint64_t>(edge) * 48);
-      }
+      sink.store(kGridBase + static_cast<std::uint64_t>(edge) * 48);
       cursor = prev;
     }
     return expansions;
@@ -355,16 +278,12 @@ RoutingResult GridRouter::run(const Netlist& netlist,
                               const place::Placement& placement,
                               const std::vector<perf::VmConfig>& configs,
                               std::vector<perf::EventLog>* replayed) const {
-  Instrument instrument_storage;
-  Instrument* ins = nullptr;
-  if (!configs.empty()) {
-    instrument_storage = Instrument(configs);
-    ins = &instrument_storage;
-  }
-  // Every instrumentation event reaches `ins` through here, as a log.
+  perf::Instrument instrument = perf::Instrument::for_configs(configs);
+  const perf::Sink sink(instrument);
+  // Every instrumentation event reaches `sink` through here, as a log.
   auto replay = [&](const perf::EventLog& log) {
-    ins->replay(log);
-    if (replayed != nullptr) replayed->push_back(log);
+    sink.replay(log);
+    if (sink && replayed != nullptr) replayed->push_back(log);
   };
 
   RoutingResult result;
@@ -444,7 +363,6 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     return *maze;
   };
 
-  const PatternRouter patterns(state, options_);
   std::vector<std::vector<std::uint32_t>> routed_edges(connections.size());
   std::vector<RouteOp> ops;
   ops.reserve(connections.size());
@@ -473,7 +391,6 @@ RoutingResult GridRouter::run(const Netlist& netlist,
   struct Attempt {
     std::vector<std::uint32_t> edges;
     std::uint64_t expansions = 0;
-    bool pattern = false;
     bool routed = false;
   };
   struct BatchStats {
@@ -490,19 +407,13 @@ RoutingResult GridRouter::run(const Netlist& netlist,
            committed.test(coarse_bit(c.target % side, c.target / side, grid));
   };
 
-  // One routing attempt against the current grid; events go to `log`
-  // (null = uninstrumented). A pure function of the grid, the connection
-  // and its stream id — Maze scratch is epoch-guarded.
-  auto route_one = [&](std::uint32_t idx, bool use_patterns, Maze& maze,
-                       perf::EventLog* log) {
+  // One routing attempt against the current grid; events go to `events`.
+  // A pure function of the grid, the connection and its stream id — Maze
+  // scratch is epoch-guarded.
+  auto route_one = [&](std::uint32_t idx, Maze& maze, perf::Sink events) {
     Attempt attempt;
-    if (use_patterns &&
-        patterns.route(connections[idx], attempt.edges, log)) {
-      attempt.pattern = true;
-      attempt.routed = true;
-      return attempt;
-    }
-    attempt.expansions = maze.route(connections[idx], attempt.edges, idx, log);
+    attempt.expansions =
+        maze.route(connections[idx], attempt.edges, idx, events);
     attempt.routed = attempt.expansions > 0;
     return attempt;
   };
@@ -510,22 +421,14 @@ RoutingResult GridRouter::run(const Netlist& netlist,
   auto commit = [&](std::uint32_t idx, Attempt&& attempt, int op_iteration,
                     bool count_routed) {
     if (count_routed) ++result.routed_count;
-    if (attempt.pattern) ++result.pattern_routed;
-    // Pattern cost: one pass over the path (cheap vs a maze search).
-    ops.push_back({idx,
-                   attempt.pattern
-                       ? static_cast<double>(attempt.edges.size() + 2)
-                       : static_cast<double>(attempt.expansions),
-                   op_iteration});
+    ops.push_back({idx, static_cast<double>(attempt.expansions), op_iteration});
     for (std::uint32_t edge : attempt.edges) ++state.usage[edge];
     routed_edges[idx] = std::move(attempt.edges);
   };
 
   // Routes `pending` to completion.
-  auto route_batch = [&](std::vector<std::uint32_t> pending,
-                         bool allow_patterns, int op_iteration,
+  auto route_batch = [&](std::vector<std::uint32_t> pending, int op_iteration,
                          bool count_routed) {
-    const bool use_patterns = allow_patterns && options_.pattern_route;
     BatchStats stats;
     std::vector<std::size_t> searching;
     while (!pending.empty() && stats.rounds < kMaxBatchRounds) {
@@ -552,8 +455,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
               Maze& maze = maze_for(slot);
               for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
                 const std::size_t i = searching[k];
-                attempts[i] =
-                    route_one(pending[i], use_patterns, maze, nullptr);
+                attempts[i] = route_one(pending[i], maze, perf::Sink());
               }
             });
 
@@ -581,7 +483,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
       // Instrumented runs log only the searches that commit: the winners
       // are routed again, still against the frozen grid, so each log is
       // exactly the one its first-pass search would have recorded.
-      std::vector<perf::EventLog> logs(ins != nullptr ? winners.size() : 0);
+      perf::ChunkLogs logs(sink, winners.size());
       util::parallel_for(
           threads, 0, logs.size(), kBatchGrain,
           [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
@@ -589,8 +491,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
             Maze& maze = maze_for(slot);
             for (std::size_t w = chunk_begin; w < chunk_end; ++w) {
               const std::size_t i = winners[w];
-              const Attempt again =
-                  route_one(pending[i], use_patterns, maze, &logs[w]);
+              const Attempt again = route_one(pending[i], maze, logs[w]);
               if (again.edges != attempts[i].edges ||
                   again.expansions != attempts[i].expansions) {
                 throw std::logic_error(
@@ -600,9 +501,8 @@ RoutingResult GridRouter::run(const Netlist& netlist,
             }
           });
 
-      for (std::size_t w = 0; w < winners.size(); ++w) {
-        const std::size_t i = winners[w];
-        if (ins != nullptr) replay(logs[w]);
+      for (const perf::EventLog& log : logs) replay(log);
+      for (const std::size_t i : winners) {
         commit(pending[i], std::move(attempts[i]), op_iteration, count_routed);
       }
       pending = std::move(deferred);
@@ -614,12 +514,11 @@ RoutingResult GridRouter::run(const Netlist& netlist,
           maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
       for (std::uint32_t idx : pending) {
         perf::EventLog log;
-        Attempt attempt =
-            route_one(idx, use_patterns, maze, ins != nullptr ? &log : nullptr);
+        Attempt attempt = route_one(idx, maze, sink.child(log));
         ++stats.searched;
         result.total_expansions += attempt.expansions;
         if (!attempt.routed) continue;
-        if (ins != nullptr) replay(log);
+        replay(log);
         commit(idx, std::move(attempt), op_iteration, count_routed);
       }
     }
@@ -633,8 +532,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
                          static_cast<double>(connections.size()));
     initial_span.counter("threads", static_cast<double>(threads));
     const BatchStats stats =
-        route_batch(order, /*allow_patterns=*/true, /*op_iteration=*/0,
-                    /*count_routed=*/true);
+        route_batch(order, /*op_iteration=*/0, /*count_routed=*/true);
     initial_span.counter("batch_rounds", static_cast<double>(stats.rounds));
     initial_span.counter("searched", static_cast<double>(stats.searched));
     initial_span.counter("prefiltered",
@@ -651,6 +549,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     std::vector<bool> overflowed(edge_count, false);
     std::size_t overflow_count = 0;
     perf::EventLog scan_log;
+    const perf::Sink scan = sink.child(scan_log);
     for (std::size_t e = 0; e < edge_count; ++e) {
       const bool over = state.usage[e] > state.capacity[e];
       if (over) {
@@ -658,12 +557,12 @@ RoutingResult GridRouter::run(const Netlist& netlist,
         ++overflow_count;
         state.history[e] += 1.0f;
       }
-      if (ins != nullptr && e % 16 == 0) {
-        scan_log.load(kGridBase + e * 48);
-        scan_log.branch(kGridBase ^ 0x4, over);
+      if (e % 16 == 0) {
+        scan.load(kGridBase + e * 48);
+        scan.branch(kGridBase ^ 0x4, over);
       }
     }
-    if (ins != nullptr) replay(scan_log);
+    replay(scan_log);
     scan_log.clear();
     result.overflowed_edges = overflow_count;
     ripup_span.counter("overflowed_edges",
@@ -683,16 +582,15 @@ RoutingResult GridRouter::run(const Netlist& netlist,
           break;
         }
       }
-      if (ins != nullptr) scan_log.branch(kGridBase ^ 0x5, crosses);
+      scan.branch(kGridBase ^ 0x5, crosses);
       if (!crosses) continue;
       for (std::uint32_t edge : edges) --state.usage[edge];
       edges.clear();
       ripped.push_back(idx);
     }
-    if (ins != nullptr) replay(scan_log);
-    const BatchStats stats =
-        route_batch(std::move(ripped), /*allow_patterns=*/false,
-                    iteration + 1, /*count_routed=*/false);
+    replay(scan_log);
+    const BatchStats stats = route_batch(std::move(ripped), iteration + 1,
+                                         /*count_routed=*/false);
     ripup_span.counter("batch_rounds", static_cast<double>(stats.rounds));
     ripup_span.counter("searched", static_cast<double>(stats.searched));
     ripup_span.counter("prefiltered",
@@ -788,11 +686,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
 
   result.profile.job = "routing";
   result.profile.configs = configs;
-  if (ins != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      result.profile.counts.push_back(ins->counts(i));
-    }
-  }
+  result.profile.counts = instrument.counts();
   result.profile.tasks = std::move(tasks);
   return result;
 }

@@ -46,14 +46,6 @@ struct RouterOptions {
   int max_rrr_iterations = 3;  // rip-up-and-reroute rounds
   double congestion_weight = 2.0;
   double history_weight = 1.5;
-  /// FastRoute-style fast path: try the two L-shaped patterns before the
-  /// maze search; accept one if every edge stays under the congestion
-  /// threshold. Rip-up-and-reroute still falls back to the maze. Off by
-  /// default: pattern tasks are so small and uniform that they erase the
-  /// design-size-dependent speedup capping the paper reports in Fig. 3
-  /// (see EXPERIMENTS.md), so the characterization uses the maze router.
-  bool pattern_route = false;
-  double pattern_congestion_limit = 0.8;  // fraction of edge capacity
   /// Worker threads for the batched parallel maze search (0 = the global
   /// default from util::global_thread_count(); 1 = serial). Any value
   /// produces bit-identical results — see the header comment.
@@ -70,7 +62,6 @@ struct RoutingResult {
   /// A* node pops of the searches the commit decisions read (attempts
   /// deferred for a covered endpoint count none).
   std::uint64_t total_expansions = 0;
-  std::size_t pattern_routed = 0;       // connections served by L-patterns
   std::size_t wave_count = 0;           // parallel wave depth
   /// Per-connection grid-edge lists (backtrack order); consumed by the
   /// layer-assignment stage.

@@ -3,7 +3,7 @@
 #include <bit>
 
 #include "nl/netlist_sim.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud::sim {
@@ -17,12 +17,8 @@ constexpr std::uint64_t kValueBase = 0x70ULL << 23;
 SimulationResult SimulationEngine::run(
     const nl::Netlist& netlist,
     const std::vector<perf::VmConfig>& configs) const {
-  perf::Instrument instrument_storage;
-  perf::Instrument* ins = nullptr;
-  if (!configs.empty()) {
-    instrument_storage = perf::Instrument(configs);
-    ins = &instrument_storage;
-  }
+  perf::Instrument instrument = perf::Instrument::for_configs(configs);
+  const perf::Sink sink(instrument);
 
   SimulationResult result;
   result.toggle_rate.assign(netlist.node_count(), 0.0);
@@ -46,15 +42,15 @@ SimulationResult SimulationEngine::run(
 
     // Instrument the evaluation sweep: per gate, fanin value loads
     // (thread-private value array per simulation worker) + the bitwise op.
-    if (ins != nullptr) {
+    if (sink) {
       for (nl::NodeId id : order) {
         const auto& node = netlist.node(id);
         if (node.kind == nl::NodeKind::kPrimaryInput) continue;
         for (nl::NodeId fanin : node.fanins) {
-          ins->load_private(kValueBase + fanin * 8ULL, chunk_id);
+          sink.load_private(kValueBase + fanin * 8ULL, chunk_id);
         }
-        ins->int_ops(2 + node.fanins.size());
-        ins->branch(kValueBase ^ 0x1, true);  // gate loop, well-predicted
+        sink.int_ops(2 + node.fanins.size());
+        sink.branch(kValueBase ^ 0x1, true);  // gate loop, well-predicted
       }
     }
 
@@ -98,11 +94,7 @@ SimulationResult SimulationEngine::run(
 
   result.profile.job = "simulation";
   result.profile.configs = configs;
-  if (ins != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      result.profile.counts.push_back(ins->counts(i));
-    }
-  }
+  result.profile.counts = instrument.counts();
   result.profile.tasks = std::move(tasks);
   return result;
 }

@@ -5,15 +5,13 @@
 #include <limits>
 
 #include "obs/trace.hpp"
-#include "perf/event_log.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edacloud::sta {
 
 using nl::Netlist;
 using nl::NodeId;
-using perf::Instrument;
 using perf::TaskGraph;
 using perf::TaskId;
 
@@ -33,12 +31,8 @@ double manhattan(const place::Placement& placement, NodeId a, NodeId b) {
 TimingReport StaEngine::run(const Netlist& netlist,
                             const place::Placement* placement,
                             const std::vector<perf::VmConfig>& configs) const {
-  Instrument instrument_storage;
-  Instrument* ins = nullptr;
-  if (!configs.empty()) {
-    instrument_storage = Instrument(configs);
-    ins = &instrument_storage;
-  }
+  perf::Instrument instrument = perf::Instrument::for_configs(configs);
+  const perf::Sink sink(instrument);
 
   TRACE_SPAN_VAR(run_span, "sta/run", "sta");
   const auto& library = netlist.library();
@@ -77,7 +71,7 @@ TimingReport StaEngine::run(const Netlist& netlist,
   };
 
   // Output load of a driver: sink pin caps + wire capacitance.
-  auto load_ff = [&](NodeId driver, perf::EventLog* log) {
+  auto load_ff = [&](NodeId driver, perf::Sink log) {
     double load = 0.0;
     const auto [begin, end] = fanout.range(driver);
     for (std::uint32_t e = begin; e < end; ++e) {
@@ -87,16 +81,14 @@ TimingReport StaEngine::run(const Netlist& netlist,
         load += library.cell(node.cell).input_cap_ff;
       }
       load += wire_um(driver, sink) * library.wire_cap_per_um();
-      if (log != nullptr) {
-        log->load(kArrivalBase + static_cast<std::uint64_t>(sink) * 8);
-        log->fp_ops(3);
-      }
+      log.load(kArrivalBase + static_cast<std::uint64_t>(sink) * 8);
+      log.fp_ops(3);
     }
     return load;
   };
 
   // Elmore-lite wire delay along one driver->sink connection.
-  auto wire_delay_ps = [&](NodeId driver, NodeId sink, perf::EventLog* log) {
+  auto wire_delay_ps = [&](NodeId driver, NodeId sink, perf::Sink log) {
     const double length = wire_um(driver, sink);
     const double r = library.wire_res_per_um() * length;
     const double c = library.wire_cap_per_um() * length;
@@ -105,7 +97,7 @@ TimingReport StaEngine::run(const Netlist& netlist,
     if (node.kind == nl::NodeKind::kCell) {
       sink_cap = library.cell(node.cell).input_cap_ff;
     }
-    if (log != nullptr) log->avx_ops(4);
+    log.avx_ops(4);
     return r * (c * 0.5 + sink_cap);
   };
 
@@ -121,40 +113,34 @@ TimingReport StaEngine::run(const Netlist& netlist,
   TRACE_SPAN("sta/arrival", "sta");
   for (const auto& bucket : level_nodes) {
     if (bucket.empty()) continue;
-    std::vector<perf::EventLog> logs(
-        ins != nullptr
-            ? util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain)
-            : 0);
+    perf::ChunkLogs logs(
+        sink, util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain));
     util::parallel_for(
         threads, 0, bucket.size(), kLevelGrain,
         [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
             unsigned) {
-          perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+          const perf::Sink log = logs[chunk];
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             const NodeId id = bucket[i];
             const auto& node = netlist.node(id);
-            if (log != nullptr) {
-              log->load(kTopoBase + static_cast<std::uint64_t>(id) * 4);
-            }
+            log.load(kTopoBase + static_cast<std::uint64_t>(id) * 4);
             if (node.kind == nl::NodeKind::kPrimaryInput) continue;
             double worst_input = 0.0;
             for (NodeId fanin : node.fanins) {
               const double at =
                   report.arrival_ps[fanin] + wire_delay_ps(fanin, id, log);
               const bool is_worst = at > worst_input;
-              if (log != nullptr) {
-                // Fanin arrivals were produced a few levels earlier:
-                // mostly hot.
-                const std::uint64_t addr =
-                    ((id ^ fanin) & 7) != 0
-                        ? kArrivalBase + (fanin % 2048) * 8ULL
-                        : kArrivalBase + static_cast<std::uint64_t>(fanin) * 8;
-                log->load(addr);
-                // The max() compare compiles branchless (maxsd); only the
-                // fanin loop contributes (well-predicted) control flow.
-                log->branch(kArrivalBase ^ 0x1, true);
-                log->fp_ops(2);
-              }
+              // Fanin arrivals were produced a few levels earlier: mostly
+              // hot.
+              const std::uint64_t addr =
+                  ((id ^ fanin) & 7) != 0
+                      ? kArrivalBase + (fanin % 2048) * 8ULL
+                      : kArrivalBase + static_cast<std::uint64_t>(fanin) * 8;
+              log.load(addr);
+              // The max() compare compiles branchless (maxsd); only the
+              // fanin loop contributes (well-predicted) control flow.
+              log.branch(kArrivalBase ^ 0x1, true);
+              log.fp_ops(2);
               if (is_worst) {
                 worst_input = at;
                 critical_parent[id] = fanin;
@@ -175,26 +161,20 @@ TimingReport StaEngine::run(const Netlist& netlist,
                   cell.delay_ps(load) + options_.slew_delay_factor * worst_slew;
               report.slew_ps[id] =
                   options_.slew_gain * cell.drive_res_kohm * load + 2.0;
-              if (log != nullptr) {
-                // Library row fetch + interpolation (vectorized table math).
-                log->load(kLibraryBase +
-                          static_cast<std::uint64_t>(node.cell) * 64);
-                log->avx_ops(6);
-                log->fp_ops(2);
-              }
+              // Library row fetch + interpolation (vectorized table math).
+              log.load(kLibraryBase +
+                       static_cast<std::uint64_t>(node.cell) * 64);
+              log.avx_ops(6);
+              log.fp_ops(2);
             } else if (node.kind == nl::NodeKind::kPrimaryOutput) {
               report.slew_ps[id] = report.slew_ps[node.fanins[0]];
             }
             gate_delay[id] = own_delay;
             report.arrival_ps[id] = worst_input + own_delay;
-            if (log != nullptr) {
-              log->store(kArrivalBase + static_cast<std::uint64_t>(id) * 8);
-            }
+            log.store(kArrivalBase + static_cast<std::uint64_t>(id) * 8);
           }
         });
-    if (ins != nullptr) {
-      for (const perf::EventLog& log : logs) ins->replay(log);
-    }
+    logs.replay();
   }
   }  // sta/arrival
 
@@ -220,15 +200,13 @@ TimingReport StaEngine::run(const Netlist& netlist,
   for (std::size_t l = level_nodes.size(); l-- > 0;) {
     const auto& bucket = level_nodes[l];
     if (bucket.empty()) continue;
-    std::vector<perf::EventLog> logs(
-        ins != nullptr
-            ? util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain)
-            : 0);
+    perf::ChunkLogs logs(
+        sink, util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain));
     util::parallel_for(
         threads, 0, bucket.size(), kLevelGrain,
         [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
             unsigned) {
-          perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+          const perf::Sink log = logs[chunk];
           for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
             const NodeId id = bucket[i];
             const auto [fo_begin, fo_end] = fanout.range(id);
@@ -240,24 +218,20 @@ TimingReport StaEngine::run(const Netlist& netlist,
               const double candidate = required[consumer] -
                                        gate_delay[consumer] -
                                        wire_delay_ps(id, consumer, log);
-              if (log != nullptr) {
-                const std::uint64_t addr =
-                    ((consumer ^ id) & 7) != 0
-                        ? kArrivalBase + (id % 2048) * 8ULL
-                        : kArrivalBase + static_cast<std::uint64_t>(id) * 8;
-                log->load(addr);
-                log->branch(kArrivalBase ^ 0x2,
-                            true);  // loop control (min is cmov)
-                log->avx_ops(3);
-              }
+              const std::uint64_t addr =
+                  ((consumer ^ id) & 7) != 0
+                      ? kArrivalBase + (id % 2048) * 8ULL
+                      : kArrivalBase + static_cast<std::uint64_t>(id) * 8;
+              log.load(addr);
+              // Loop control only: the min compiles to a cmov.
+              log.branch(kArrivalBase ^ 0x2, true);
+              log.avx_ops(3);
               req = std::min(req, candidate);
             }
             required[id] = req;
           }
         });
-    if (ins != nullptr) {
-      for (const perf::EventLog& log : logs) ins->replay(log);
-    }
+    logs.replay();
   }
   for (NodeId id = 0; id < n; ++id) {
     report.slack_ps[id] =
@@ -278,14 +252,14 @@ TimingReport StaEngine::run(const Netlist& netlist,
   constexpr std::size_t kPowerGrain = 256;
   const std::size_t power_chunks =
       util::ThreadPool::chunk_count(0, n, kPowerGrain);
-  std::vector<perf::EventLog> logs(ins != nullptr ? power_chunks : 0);
+  perf::ChunkLogs logs(sink, power_chunks);
   std::vector<double> leakage_partial(power_chunks, 0.0);
   std::vector<double> dynamic_partial(power_chunks, 0.0);
   util::parallel_for(
       threads, 0, n, kPowerGrain,
       [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
           unsigned) {
-        perf::EventLog* log = ins != nullptr ? &logs[chunk] : nullptr;
+        const perf::Sink log = logs[chunk];
         double leakage = 0.0;
         double dynamic = 0.0;
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
@@ -300,8 +274,8 @@ TimingReport StaEngine::run(const Netlist& netlist,
         leakage_partial[chunk] = leakage;
         dynamic_partial[chunk] = dynamic;
       });
+  logs.replay();
   for (std::size_t c = 0; c < power_chunks; ++c) {
-    if (ins != nullptr) ins->replay(logs[c]);
     report.leakage_power_nw += leakage_partial[c];
     report.dynamic_power_uw += dynamic_partial[c];
   }
@@ -366,11 +340,7 @@ TimingReport StaEngine::run(const Netlist& netlist,
 
   report.profile.job = "sta";
   report.profile.configs = configs;
-  if (ins != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      report.profile.counts.push_back(ins->counts(i));
-    }
-  }
+  report.profile.counts = instrument.counts();
   report.profile.tasks = std::move(tasks);
   return report;
 }

@@ -56,8 +56,8 @@ struct Rebuild {
 
 /// AND with one-level Boolean simplification. `aig` is the graph being
 /// built, so fanin queries see already-simplified structure.
-Literal smart_and(Aig& aig, Literal a, Literal b,
-                  perf::Instrument* instrument, std::uint64_t strash_mask) {
+Literal smart_and(Aig& aig, Literal a, Literal b, perf::Sink sink,
+                  std::uint64_t strash_mask) {
   auto decompose = [&aig](Literal lit, Literal& x, Literal& y) {
     const AigNode node = literal_node(lit);
     if (!aig.is_and(node)) return false;
@@ -65,8 +65,8 @@ Literal smart_and(Aig& aig, Literal a, Literal b,
     y = aig.fanin1(node);
     return true;
   };
-  auto note = [instrument](std::uint64_t site, bool outcome) {
-    if (instrument != nullptr) instrument->branch(kStrashBase + site, outcome);
+  auto note = [sink](std::uint64_t site, bool outcome) {
+    sink.branch(kStrashBase + site, outcome);
   };
 
   for (int side = 0; side < 2; ++side) {
@@ -95,15 +95,15 @@ Literal smart_and(Aig& aig, Literal a, Literal b,
     }
     std::swap(a, b);
   }
-  if (instrument != nullptr) {
+  if (sink) {
     // Strash probe: hashed table lookup. Probes exhibit strong temporal
     // locality (recently created nodes are re-probed most), modeled as a
     // hot 16 KiB region absorbing 3 of 4 probes.
     const std::uint64_t key = mix((static_cast<std::uint64_t>(a) << 32) | b);
     const std::uint64_t offset =
         (key & 7) != 0 ? (key & 0x3FFF) : (key & strash_mask);
-    instrument->load(kStrashBase + offset);
-    instrument->int_ops(10);
+    sink.load(kStrashBase + offset);
+    sink.int_ops(10);
   }
   return aig.and_of(a, b);
 }
@@ -124,7 +124,7 @@ Aig cleanup(const Aig& aig) {
   return std::move(rebuild.result);
 }
 
-Aig rewrite(const Aig& aig, perf::Instrument* instrument) {
+Aig rewrite(const Aig& aig, perf::Sink sink) {
   Rebuild rebuild(aig, "");
   rebuild.result.set_name(aig.name());
   const auto alive = aig.live_nodes();
@@ -134,19 +134,16 @@ Aig rewrite(const Aig& aig, perf::Instrument* instrument) {
   --strash_mask;
   for (AigNode node = 0; node < aig.node_count(); ++node) {
     if (!aig.is_and(node) || !alive[node]) continue;
-    if (instrument != nullptr) {
-      instrument->load(kMapBase + node * 8);
-    }
+    sink.load(kMapBase + node * 8);
     rebuild.map[node] =
         smart_and(rebuild.result, rebuild.translate(aig.fanin0(node)),
-                  rebuild.translate(aig.fanin1(node)), instrument,
-                  strash_mask);
+                  rebuild.translate(aig.fanin1(node)), sink, strash_mask);
   }
   rebuild.finish_outputs();
   return std::move(rebuild.result);
 }
 
-Aig balance(const Aig& aig, perf::Instrument* instrument) {
+Aig balance(const Aig& aig, perf::Sink sink) {
   Rebuild rebuild(aig, "");
   rebuild.result.set_name(aig.name());
   const auto alive = aig.live_nodes();
@@ -181,10 +178,8 @@ Aig balance(const Aig& aig, perf::Instrument* instrument) {
                               aig.is_and(child) && fanouts[child] == 1 &&
                               static_cast<int>(leaves.size() + stack.size()) <
                                   kMaxLeaves;
-      if (instrument != nullptr) {
-        instrument->branch(kMapBase ^ 0x2, expandable);
-        instrument->load(kMapBase + child * 8);
-      }
+      sink.branch(kMapBase ^ 0x2, expandable);
+      sink.load(kMapBase + child * 8);
       if (expandable) {
         stack.push_back(aig.fanin0(child));
         stack.push_back(aig.fanin1(child));
@@ -210,7 +205,7 @@ Aig balance(const Aig& aig, perf::Instrument* instrument) {
         const Literal b = heap.top();
         heap.pop();
         heap.push(make_and(a, b));
-        if (instrument != nullptr) instrument->int_ops(6);
+        sink.int_ops(6);
       }
       combined = heap.top();
     }

@@ -7,19 +7,19 @@
 //             rules on AND trees)
 //   balance — depth-oriented rebalancing of single-fanout conjunctions
 //
-// Passes accept an optional Instrument: strash probes show up as hashed
+// Passes report into an optional perf::Sink: strash probes show up as hashed
 // (cache-unfriendly) loads, rule applicability tests as data-dependent
 // branches — the signature the paper attributes to synthesis in Fig. 2.
 
 #include "nl/aig.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 
 namespace edacloud::synth {
 
 nl::Aig cleanup(const nl::Aig& aig);
 
-nl::Aig rewrite(const nl::Aig& aig, perf::Instrument* instrument = nullptr);
+nl::Aig rewrite(const nl::Aig& aig, perf::Sink sink = {});
 
-nl::Aig balance(const nl::Aig& aig, perf::Instrument* instrument = nullptr);
+nl::Aig balance(const nl::Aig& aig, perf::Sink sink = {});
 
 }  // namespace edacloud::synth

@@ -82,8 +82,7 @@ bool merge_cuts(const Cut& a, bool a_complemented, const Cut& b,
   return true;
 }
 
-std::vector<CutSet> enumerate_cuts(const nl::Aig& aig,
-                                   perf::Instrument* instrument) {
+std::vector<CutSet> enumerate_cuts(const nl::Aig& aig, perf::Sink sink) {
   std::vector<CutSet> sets(aig.node_count());
 
   auto trivial = [](nl::AigNode node) {
@@ -113,7 +112,7 @@ std::vector<CutSet> enumerate_cuts(const nl::Aig& aig,
     const nl::AigNode n1 = nl::literal_node(f1);
     const CutSet& set0 = sets[n0];
     const CutSet& set1 = sets[n1];
-    if (instrument != nullptr) {
+    if (sink) {
       // Cut sets are consumed level-by-level: fanin sets were produced
       // recently, so most probes land in a hot working window.
       auto cut_addr = [node](nl::AigNode fanin) {
@@ -121,11 +120,11 @@ std::vector<CutSet> enumerate_cuts(const nl::Aig& aig,
         return hot != 0 ? kCutArrayBase + (fanin % 512) * sizeof(CutSet)
                         : kCutArrayBase + fanin * sizeof(CutSet);
       };
-      instrument->load(cut_addr(n0));
-      instrument->load(cut_addr(n1));
+      sink.load(cut_addr(n0));
+      sink.load(cut_addr(n1));
       // Merge-loop control: strongly-taken, well-predicted branches.
       for (int lb = 0; lb < 8; ++lb) {
-        instrument->branch(kCutArrayBase ^ 0x9, lb != 7);
+        sink.branch(kCutArrayBase ^ 0x9, lb != 7);
       }
     }
     CutSet& mine = sets[node];
@@ -135,17 +134,13 @@ std::vector<CutSet> enumerate_cuts(const nl::Aig& aig,
         const bool ok =
             merge_cuts(set0[i], nl::literal_complemented(f0), set1[j],
                        nl::literal_complemented(f1), merged);
-        if (instrument != nullptr) {
-          instrument->int_ops(24);  // union + table expansion work
-          instrument->branch(kCutArrayBase ^ 0xA, ok);
-        }
+        sink.int_ops(24);  // union + table expansion work
+        sink.branch(kCutArrayBase ^ 0xA, ok);
         if (ok) mine.push(merged);
       }
     }
     mine.push(trivial(node));
-    if (instrument != nullptr) {
-      instrument->store(kCutArrayBase + (node % 512) * sizeof(CutSet));
-    }
+    sink.store(kCutArrayBase + (node % 512) * sizeof(CutSet));
   }
   return sets;
 }

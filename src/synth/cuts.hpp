@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "nl/aig.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 
 namespace edacloud::synth {
 
@@ -44,9 +44,8 @@ struct CutSet {
 constexpr std::array<std::uint16_t, 4> kVarMask = {0xAAAA, 0xCCCC, 0xF0F0,
                                                    0xFF00};
 
-/// Enumerate cuts for every node. instrument may be null.
-std::vector<CutSet> enumerate_cuts(const nl::Aig& aig,
-                                   perf::Instrument* instrument = nullptr);
+/// Enumerate cuts for every node.
+std::vector<CutSet> enumerate_cuts(const nl::Aig& aig, perf::Sink sink = {});
 
 /// Merge two fanin cuts into a cut of `node`; returns false if the leaf
 /// union exceeds kMaxCutLeaves.

@@ -72,10 +72,10 @@ MapResult SynthesisEngine::synthesize(const Aig& input,
                                       const SynthRecipe& recipe) const {
   Aig current = cleanup(input);
   for (int pass = 0; pass < recipe.rewrite_passes; ++pass) {
-    current = rewrite(current, nullptr);
+    current = rewrite(current);
   }
-  if (recipe.balance) current = balance(current, nullptr);
-  MapResult mapped = mapper_.map(current, recipe.mode, nullptr);
+  if (recipe.balance) current = balance(current);
+  MapResult mapped = mapper_.map(current, recipe.mode);
   if (recipe.fuse) fuse(mapped);
   return mapped;
 }
@@ -117,7 +117,7 @@ RecipeLattice SynthesisEngine::synthesize_all(
   while (chain.size() <= static_cast<std::size_t>(max_passes)) {
     const std::size_t from = chain.back();
     if (nodes[from].rewritten == kNone) {
-      const std::size_t next = intern(rewrite(nodes[from].aig, nullptr));
+      const std::size_t next = intern(rewrite(nodes[from].aig));
       ++counts.rewrites;
       nodes[from].rewritten = next;
     }
@@ -143,8 +143,7 @@ RecipeLattice SynthesisEngine::synthesize_all(
                      [&](std::size_t begin, std::size_t end, std::size_t,
                          unsigned) {
                        for (std::size_t i = begin; i < end; ++i) {
-                         balanced[i] = balance(nodes[to_balance[i]].aig,
-                                               nullptr);
+                         balanced[i] = balance(nodes[to_balance[i]].aig);
                        }
                      });
   counts.balances = to_balance.size();
@@ -179,11 +178,11 @@ RecipeLattice SynthesisEngine::synthesize_all(
       [&](std::size_t begin, std::size_t end, std::size_t, unsigned) {
         for (std::size_t i = begin; i < end; ++i) {
           const Node& node = nodes[to_map[i]];
-          const std::vector<CutSet> cuts = enumerate_cuts(node.aig, nullptr);
+          const std::vector<CutSet> cuts = enumerate_cuts(node.aig);
           for (const MapMode mode : {MapMode::kArea, MapMode::kDelay}) {
             const auto& slots = node.leaf[static_cast<int>(mode)];
             if (slots[0] == kNone && slots[1] == kNone) continue;
-            MapResult mapped = mapper_.map(node.aig, cuts, mode, nullptr);
+            MapResult mapped = mapper_.map(node.aig, cuts, mode);
             if (slots[1] == kNone) {
               lattice.leaves[slots[0]] = std::move(mapped);
               continue;
@@ -206,8 +205,8 @@ RecipeLattice SynthesisEngine::synthesize_all(
 SynthesisResult SynthesisEngine::run(
     const Aig& input, const SynthRecipe& recipe,
     const std::vector<perf::VmConfig>& configs) const {
-  perf::Instrument instrument =
-      configs.empty() ? perf::Instrument() : perf::Instrument(configs);
+  perf::Instrument instrument = perf::Instrument::for_configs(configs);
+  const perf::Sink sink(instrument);
   TRACE_SPAN_VAR(run_span, "synth/run", "synth");
 
   Aig current = [&] {
@@ -219,19 +218,19 @@ SynthesisResult SynthesisEngine::run(
     TRACE_SPAN_VAR(span, "synth/rewrite", "synth");
     span.counter("passes", recipe.rewrite_passes);
     for (int pass = 0; pass < recipe.rewrite_passes; ++pass) {
-      current = rewrite(current, &instrument);
+      current = rewrite(current, sink);
       ++pass_count;
     }
   }
   if (recipe.balance) {
     TRACE_SPAN("synth/balance", "synth");
-    current = balance(current, &instrument);
+    current = balance(current, sink);
     ++pass_count;
   }
 
   SynthesisResult result = [&] {
     TRACE_SPAN("synth/map", "synth");
-    return SynthesisResult{mapper_.map(current, recipe.mode, &instrument),
+    return SynthesisResult{mapper_.map(current, recipe.mode, sink),
                            current.and_count(), current.depth(),
                            perf::JobProfile{}};
   }();
@@ -257,9 +256,7 @@ SynthesisResult SynthesisEngine::run(
 
   result.profile.job = "synthesis";
   result.profile.configs = configs;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    result.profile.counts.push_back(instrument.counts(i));
-  }
+  result.profile.counts = instrument.counts();
   result.profile.tasks = std::move(tasks);
   return result;
 }

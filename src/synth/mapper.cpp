@@ -131,12 +131,12 @@ void TechMapper::build_matcher() {
 }
 
 MapResult TechMapper::map(const Aig& aig, MapMode mode,
-                          perf::Instrument* instrument) const {
-  return map(aig, enumerate_cuts(aig, instrument), mode, instrument);
+                          perf::Sink sink) const {
+  return map(aig, enumerate_cuts(aig, sink), mode, sink);
 }
 
 MapResult TechMapper::map(const Aig& aig, const std::vector<CutSet>& cuts,
-                          MapMode mode, perf::Instrument* instrument) const {
+                          MapMode mode, perf::Sink sink) const {
   if (cuts.size() != aig.node_count()) {
     throw std::invalid_argument("map: cut sets do not match the AIG");
   }
@@ -179,18 +179,13 @@ MapResult TechMapper::map(const Aig& aig, const std::vector<CutSet>& cuts,
     for (int c = 0; c < set.count; ++c) {
       const Cut& cut = set[c];
       if (cut.size < 2) continue;  // trivial/constant cuts
-      if (instrument != nullptr) {
-        // Matcher probes concentrate on a few dozen frequent functions.
-        const std::uint64_t offset = (cut.table & 7) != 0
-                                         ? (cut.table % 512) * 4ULL
-                                         : cut.table * 4ULL;
-        instrument->load(kMatcherBase + offset);
-      }
+      // Matcher probes concentrate on a few dozen frequent functions.
+      const std::uint64_t offset =
+          (cut.table & 7) != 0 ? (cut.table % 512) * 4ULL : cut.table * 4ULL;
+      sink.load(kMatcherBase + offset);
       const auto it = matcher_.find(cut.table);
       const bool hit = it != matcher_.end();
-      if (instrument != nullptr) {
-        instrument->branch(kMatcherBase ^ 0x5, hit);
-      }
+      sink.branch(kMatcherBase ^ 0x5, hit);
       if (!hit) continue;
       const Match& match = it->second;
       const nl::Cell& cell = library_->cell(match.cell);
@@ -204,10 +199,8 @@ MapResult TechMapper::map(const Aig& aig, const std::vector<CutSet>& cuts,
                               ? gate_area + flow_sum
                               : worst_arrival + gate_delay +
                                     1e-3 * (gate_area + flow_sum);
-      if (instrument != nullptr) {
-        instrument->fp_ops(4);
-        instrument->avx_ops(2);  // vectorized area-flow evaluation
-      }
+      sink.fp_ops(4);
+      sink.avx_ops(2);  // vectorized area-flow evaluation
       if (cost < best.cost) {
         best.use_match = true;
         best.match = match;
@@ -246,10 +239,8 @@ MapResult TechMapper::map(const Aig& aig, const std::vector<CutSet>& cuts,
     choice[node] = best;
     area_flow[node] = best.cost;
     arrival[node] = best.arrival;
-    if (instrument != nullptr) {
-      instrument->store(kCostBase + node * 8);
-      instrument->int_ops(8);
-    }
+    sink.store(kCostBase + node * 8);
+    sink.int_ops(8);
   }
 
   // ---- cover extraction from the outputs -----------------------------------

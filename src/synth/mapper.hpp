@@ -15,7 +15,7 @@
 #include "nl/aig.hpp"
 #include "nl/cell_library.hpp"
 #include "nl/netlist.hpp"
-#include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "synth/cuts.hpp"
 
 namespace edacloud::synth {
@@ -36,14 +36,14 @@ class TechMapper {
 
   /// enumerate_cuts(aig) followed by the cover selection below.
   [[nodiscard]] MapResult map(const nl::Aig& aig, MapMode mode,
-                              perf::Instrument* instrument = nullptr) const;
+                              perf::Sink sink = {}) const;
 
   /// Cover selection (area-flow or arrival DP) and netlist emission over
   /// precomputed `cuts` — exactly enumerate_cuts(aig), so one cut set can
   /// serve both modes.
   [[nodiscard]] MapResult map(const nl::Aig& aig,
                               const std::vector<CutSet>& cuts, MapMode mode,
-                              perf::Instrument* instrument = nullptr) const;
+                              perf::Sink sink = {}) const;
 
   /// Number of distinct truth tables the matcher can realize directly.
   [[nodiscard]] std::size_t matcher_size() const { return matcher_.size(); }

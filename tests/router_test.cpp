@@ -144,45 +144,6 @@ TEST(RouterTest, LargerDesignScalesBetter) {
   EXPECT_GE(speedup_large, speedup_small * 0.7);  // weakly ordered (Fig. 3)
 }
 
-TEST(PatternRouteTest, ServesShortConnections) {
-  const PlacedDesign design = prepare(workloads::gen_adder(16));
-  RouterOptions options;
-  options.pattern_route = true;
-  GridRouter router(options);
-  const RoutingResult result =
-      router.run(design.netlist, design.placement, {});
-  EXPECT_GT(result.pattern_routed, result.routed_count / 2);
-  EXPECT_EQ(result.routed_count, result.connection_count);
-}
-
-TEST(PatternRouteTest, WirelengthCloseToMazeRouter) {
-  const PlacedDesign design = prepare(workloads::gen_alu(12));
-  RouterOptions options;
-  options.pattern_route = true;
-  GridRouter with_patterns(options);
-  options.pattern_route = false;
-  GridRouter maze_only(options);
-  const auto fast = with_patterns.run(design.netlist, design.placement, {});
-  const auto slow = maze_only.run(design.netlist, design.placement, {});
-  // Patterns are distance-optimal per connection; the total wirelength
-  // must stay in the same ballpark as the congestion-aware maze.
-  EXPECT_LT(fast.wirelength_gedges,
-            slow.wirelength_gedges + slow.wirelength_gedges / 2);
-  EXPECT_LT(fast.total_expansions, slow.total_expansions);
-}
-
-TEST(PatternRouteTest, RespectsCongestionLimit) {
-  const PlacedDesign design = prepare(workloads::gen_alu(12));
-  RouterOptions options;
-  options.pattern_route = true;
-  options.edge_capacity = 6;  // heavy congestion: patterns must back off
-  GridRouter router(options);
-  const RoutingResult result =
-      router.run(design.netlist, design.placement, {});
-  EXPECT_EQ(result.routed_count, result.connection_count);
-  EXPECT_LT(result.pattern_routed, result.connection_count);
-}
-
 /// The benchmark's characterization ladder: general-purpose and
 /// memory-optimized at 1/2/4/8 vCPUs (8 configs, one shared L1 geometry).
 std::vector<perf::VmConfig> bench_ladder() {
@@ -331,16 +292,15 @@ TEST(RouterTest, RoutedPathsPinned) {
     const char* name;
     nl::Aig aig;
     int edge_capacity;
-    bool pattern_route;
     std::uint64_t paths_hash;
     std::uint64_t wirelength;
     std::size_t overflowed;
     int rrr_iterations;
   };
   const Case cases[] = {
-      {"alu16", workloads::gen_alu(16), 32, false, 6172838559175872517ULL,
-       7570, 3, 3},
-      {"mul12-congested", workloads::gen_multiplier(12), 6, false,
+      {"alu16", workloads::gen_alu(16), 32, 6172838559175872517ULL, 7570, 3,
+       3},
+      {"mul12-congested", workloads::gen_multiplier(12), 6,
        3119451603876361743ULL, 13260, 919, 3},
   };
   for (const Case& pin : cases) {
@@ -348,7 +308,6 @@ TEST(RouterTest, RoutedPathsPinned) {
     const PlacedDesign design = prepare(pin.aig);
     RouterOptions options;
     options.edge_capacity = pin.edge_capacity;
-    options.pattern_route = pin.pattern_route;
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(threads);
       options.threads = threads;
