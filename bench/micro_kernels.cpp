@@ -4,7 +4,9 @@
 // sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
 // GCN forward pass and training step, and the fleet engine's market-tick
 // decisions. These quantify the substrate itself rather than a paper
-// figure.
+// figure. Cut mapping, CG placement and the STA sweeps run twice: with a
+// null perf::Sink (second arg 0) and instrumented on the characterize
+// workload's 8-config ladder (1).
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
 #include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "perf/task_graph.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
@@ -43,6 +46,24 @@ nl::Aig make_design(int scale) {
   return workloads::gen_sparc_core(scale, 26);
 }
 
+/// The characterize workload's ladder: general-purpose and memory-optimized
+/// at 1-8 vCPUs (8 configs).
+std::vector<perf::VmConfig> bench_ladder() {
+  std::vector<perf::VmConfig> configs;
+  for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
+                            perf::InstanceFamily::kMemoryOptimized}) {
+    const auto ladder = perf::vm_ladder(family);
+    configs.insert(configs.end(), ladder.begin(), ladder.end());
+  }
+  return configs;
+}
+
+/// Second arg of the stage kernels: 0 runs them with a null sink, 1
+/// instrumented on bench_ladder().
+std::vector<perf::VmConfig> kernel_configs(const benchmark::State& state) {
+  return state.range(1) != 0 ? bench_ladder() : std::vector<perf::VmConfig>{};
+}
+
 void BM_AigGenerate(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -64,12 +85,15 @@ BENCHMARK(BM_AigRewrite)->Arg(8)->Arg(16);
 void BM_TechMap(benchmark::State& state) {
   const auto aig = make_design(static_cast<int>(state.range(0)));
   const synth::TechMapper mapper(library());
+  const auto configs = kernel_configs(state);
   for (auto _ : state) {
-    auto mapped = mapper.map(aig, synth::MapMode::kArea);
+    perf::Instrument instrument = perf::Instrument::for_configs(configs);
+    auto mapped =
+        mapper.map(aig, synth::MapMode::kArea, perf::Sink(instrument));
     benchmark::DoNotOptimize(mapped.cell_count);
   }
 }
-BENCHMARK(BM_TechMap)->Arg(8)->Arg(16);
+BENCHMARK(BM_TechMap)->ArgsProduct({{8, 16}, {0, 1}});
 
 void BM_RecipeSpaceSynthesis(benchmark::State& state) {
   // The tuner's synthesis path: the plan benchmark's 28-recipe space (24
@@ -100,12 +124,13 @@ void BM_PlaceCg(benchmark::State& state) {
   synth::SynthesisEngine engine(library());
   const auto mapped = engine.synthesize(aig, synth::default_recipe());
   place::QuadraticPlacer placer;
+  const auto configs = kernel_configs(state);
   for (auto _ : state) {
-    auto result = placer.place(mapped.netlist);
-    benchmark::DoNotOptimize(result.x.size());
+    auto result = placer.run(mapped.netlist, configs);
+    benchmark::DoNotOptimize(result.placement.x.size());
   }
 }
-BENCHMARK(BM_PlaceCg)->Arg(8)->Arg(16);
+BENCHMARK(BM_PlaceCg)->ArgsProduct({{8, 16}, {0, 1}});
 
 void BM_RouteMaze(benchmark::State& state) {
   const auto aig = make_design(static_cast<int>(state.range(0)));
@@ -128,12 +153,13 @@ void BM_StaSweep(benchmark::State& state) {
   place::QuadraticPlacer placer;
   const auto placement = placer.place(mapped.netlist);
   sta::StaEngine sta_engine;
+  const auto configs = kernel_configs(state);
   for (auto _ : state) {
-    auto report = sta_engine.run(mapped.netlist, &placement, {});
+    auto report = sta_engine.run(mapped.netlist, &placement, configs);
     benchmark::DoNotOptimize(report.critical_path_ps);
   }
 }
-BENCHMARK(BM_StaSweep)->Arg(8)->Arg(16);
+BENCHMARK(BM_StaSweep)->ArgsProduct({{8, 16}, {0, 1}});
 
 // The two cache roles of perf::Instrument. The L1 (8 KiB, 8-way) sees
 // every sampled access and mostly hits; the LLC slice (96 KiB, 16-way)
@@ -172,12 +198,7 @@ BENCHMARK(BM_CacheSimLlc);
 // ladder (general-purpose and memory-optimized, 1-8 vCPUs). Building the
 // Instrument is timed too: every instrumented stage run pays it.
 void BM_InstrumentReplay(benchmark::State& state) {
-  std::vector<perf::VmConfig> configs;
-  for (const auto family : {perf::InstanceFamily::kGeneralPurpose,
-                            perf::InstanceFamily::kMemoryOptimized}) {
-    const auto ladder = perf::vm_ladder(family);
-    configs.insert(configs.end(), ladder.begin(), ladder.end());
-  }
+  const std::vector<perf::VmConfig> configs = bench_ladder();
   synth::SynthesisEngine engine(library());
   const auto mapped =
       engine.synthesize(workloads::gen_alu(16), synth::default_recipe());

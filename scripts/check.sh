@@ -20,6 +20,16 @@ run_pass() {
   (cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)")
 }
 
+# Sink guard: stage engines report instrumentation through a perf::Sink
+# taken by value (DESIGN.md "Perf counters"), never a raw Instrument or
+# EventLog pointer, so no engine grows a fourth reporting idiom.
+echo "=== sink guard: no Instrument*/EventLog* in the stage engines ==="
+if grep -rnE '\b(perf::)?(Instrument|EventLog)[[:space:]]*\*' \
+    src/synth src/place src/route src/sta src/sim; then
+  echo "sink guard: take a perf::Sink instead (lines above)" >&2
+  exit 1
+fi
+
 # The plain leg is the Release tree everyone builds: keep it warning-free.
 run_pass "plain" build -DEDACLOUD_WERROR=ON
 

@@ -11,9 +11,9 @@
 // shared util::ThreadPool, one level fanned out at a time: the forward
 // sweep writes only arrival/slew/worst-parent of the level's own nodes, and
 // the backward sweep is phrased as a gather (required[u] = min over fanouts,
-// all of strictly higher level) so no two nodes race. Per-chunk
-// perf::EventLogs replayed in chunk order keep instrumentation totals — and
-// all timing numbers — bit-identical at any thread count.
+// all of strictly higher level) so no two nodes race. Per-chunk event logs
+// (perf::ChunkLogs) replayed in chunk order keep instrumentation totals —
+// and all timing numbers — bit-identical at any thread count.
 
 #include <cstdint>
 #include <vector>

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "perf/instrument.hpp"
+#include "perf/sink.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud::perf {
@@ -226,6 +227,144 @@ TEST(InstrumentTest, InterferenceOccupiesLlcOnly) {
   EXPECT_EQ(shared.llc_accesses, solo.llc_accesses);
   EXPECT_EQ(solo.llc_misses, 8u * 1024 / 64);  // cold misses only
   EXPECT_GT(shared.llc_misses, solo.llc_misses);
+}
+
+/// One event of a seeded random stream that covers every event kind.
+struct StreamEvent {
+  int kind;
+  std::uint64_t a;
+  std::uint32_t b;
+};
+
+std::vector<StreamEvent> random_stream(std::size_t n) {
+  util::Rng rng(7);
+  std::vector<StreamEvent> events(n);
+  for (StreamEvent& event : events) {
+    event.kind = static_cast<int>(rng.next_below(7));
+    // Hot 12 KiB region plus a cold 1 MiB one; small op counts.
+    event.a = event.kind >= 4 ? 1 + rng.next_below(16)
+              : rng.next_below(4) == 0
+                  ? (1ULL << 22) + rng.next_below(1 << 20)
+                  : rng.next_below(12 * 1024);
+    event.b = static_cast<std::uint32_t>(rng.next_below(16));
+  }
+  return events;
+}
+
+void emit(Sink sink, const StreamEvent& event) {
+  switch (event.kind) {
+    case 0:
+      sink.load(event.a);
+      break;
+    case 1:
+      sink.store(event.a);
+      break;
+    case 2:
+      sink.load_private(event.a, event.b);
+      break;
+    case 3:
+      sink.branch(event.a & 7, ((event.a >> 6) & 1) != 0);
+      break;
+    case 4:
+      sink.int_ops(event.a);
+      break;
+    case 5:
+      sink.fp_ops(event.a);
+      break;
+    default:
+      sink.avx_ops(event.a);
+      break;
+  }
+}
+
+void emit(Sink sink, const std::vector<StreamEvent>& events,
+          std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) emit(sink, events[i]);
+}
+
+TEST(SinkTest, LogsNestedLogsAndChunkLogsReplayToIdenticalCounts) {
+  std::vector<VmConfig> configs;
+  for (const auto family :
+       {InstanceFamily::kGeneralPurpose, InstanceFamily::kMemoryOptimized}) {
+    const auto ladder = vm_ladder(family);
+    configs.insert(configs.end(), ladder.begin(), ladder.end());
+  }
+  const std::vector<StreamEvent> events = random_stream(40000);
+  const std::size_t n = events.size();
+
+  // 1. Straight into the Instrument.
+  Instrument direct(configs);
+  emit(Sink(direct), events, 0, n);
+
+  // 2. Into a log, replayed.
+  Instrument logged(configs);
+  EventLog log;
+  emit(Sink(log), events, 0, n);
+  Sink(logged).replay(log);
+
+  // 3. The middle third through a log nested in the outer log.
+  Instrument nested(configs);
+  EventLog outer;
+  EventLog inner;
+  emit(Sink(outer), events, 0, n / 3);
+  emit(Sink(outer).child(inner), events, n / 3, 2 * n / 3);
+  Sink(outer).replay(inner);
+  emit(Sink(outer), events, 2 * n / 3, n);
+  Sink(nested).replay(outer);
+
+  // 4. Split across chunk logs, recorded last chunk first: replay is in
+  // chunk order, whatever order the chunks recorded in.
+  Instrument chunked(configs);
+  constexpr std::size_t kChunks = 7;
+  ChunkLogs chunks(Sink(chunked), kChunks);
+  ASSERT_EQ(chunks.size(), kChunks);
+  for (std::size_t c = kChunks; c-- > 0;) {
+    emit(chunks[c], events, c * n / kChunks, (c + 1) * n / kChunks);
+  }
+  chunks.replay();
+
+  const std::vector<OpCounts> expected = direct.counts();
+  ASSERT_EQ(expected.size(), configs.size());
+  EXPECT_GT(expected[0].llc_misses, 0u);
+  EXPECT_GT(expected[0].branch_misses, 0u);
+  for (const Instrument* other : {&logged, &nested, &chunked}) {
+    const std::vector<OpCounts> got = other->counts();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(configs[i].name());
+      expect_counts_equal(got[i], expected[i]);
+    }
+  }
+}
+
+TEST(SinkTest, NullSinksRecordNothing) {
+  const std::vector<StreamEvent> events = random_stream(1000);
+
+  const Sink null;
+  EXPECT_FALSE(null);
+  EventLog child_log;
+  const Sink child = null.child(child_log);
+  EXPECT_FALSE(child);
+  emit(null, events, 0, events.size());
+  emit(child, events, 0, events.size());
+  null.replay(child_log);
+  EXPECT_TRUE(child_log.empty());
+
+  Instrument disabled;
+  const Sink from_disabled(disabled);
+  EXPECT_FALSE(from_disabled);
+  emit(from_disabled, events, 0, events.size());
+  EXPECT_TRUE(disabled.counts().empty());
+
+  ChunkLogs chunks(from_disabled, 4);
+  EXPECT_EQ(chunks.size(), 0u);
+  EXPECT_FALSE(chunks[2]);
+  chunks.replay();
+
+  Instrument enabled = Instrument::for_configs(gp_ladder());
+  EXPECT_TRUE(Sink(enabled));
+  EXPECT_TRUE(Sink(enabled).child(child_log));
+  EXPECT_FALSE(Instrument::for_configs({}).enabled());
 }
 
 }  // namespace

@@ -223,7 +223,8 @@ TEST(SynthEngineTest, InstrumentedCountersPinnedOnBenchLadder) {
   const auto result = engine.run(workloads::gen_alu(16), default_recipe(),
                                  pins::bench_ladder());
   pins::expect_ladder_counts(
-      result.profile, {{323014, 2728, 1364, 7142, 1290, 24779, 2258, 8432, 2920, 2920},
+      result.profile, {{323014, 2728, 1364, 7142, 1290, 24779, 2258, 8432,
+                        2920, 2920},
                        {2528, 2528, 2528, 2488, 2528, 2528, 2528, 2488}});
 }
 
