@@ -2,16 +2,19 @@
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
 // sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
-// GCN forward pass and training step, and the fleet engine's market-tick
-// decisions. These quantify the substrate itself rather than a paper
-// figure. Cut mapping, CG placement and the STA sweeps run twice: with a
+// GCN forward pass and training step, the fleet's per-job admission plan
+// and the fleet engine's market-tick decisions. These quantify the
+// substrate itself rather than a paper figure. Cut mapping, CG placement and the STA sweeps run twice: with a
 // null perf::Sink (second arg 0) and instrumented on the characterize
 // workload's 8-config ladder (1).
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "cloud/mckp.hpp"
@@ -26,12 +29,37 @@
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "sched/job.hpp"
+#include "sched/load_gen.hpp"
 #include "sched/market_policy.hpp"
+#include "sched/policy.hpp"
 #include "sta/sta.hpp"
 #include "synth/engine.hpp"
 #include "tune/recipe_space.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
+
+namespace {
+
+/// Heap allocations through operator new, for kernels that report an
+/// allocations-per-item counter (a relaxed increment per allocation).
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// The replacements stay out of line, so no call site sees malloc() paired
+// with operator delete or operator new paired with free().
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* block) noexcept {
+  std::free(block);
+}
+__attribute__((noinline)) void operator delete(void* block,
+                                               std::size_t) noexcept {
+  std::free(block);
+}
 
 using namespace edacloud;
 
@@ -303,6 +331,42 @@ void BM_GcnTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcnTrainStep)->Arg(8)->Arg(16);
+
+// One admission plan of the cost-aware fleet policy: fault-stretched
+// ladders, the job's MCKP stages and the greedy under its SLO budget. Jobs
+// come from the diurnal load generator over the builtin templates, as in
+// the fleet workload; allocs_per_plan counts operator new calls after one
+// warm-up plan.
+void BM_CostAwarePlan(benchmark::State& state) {
+  const auto& templates = sched::builtin_templates();
+  sched::LoadConfig load;
+  load.mix = sched::diurnal_mix();
+  sched::LoadGenerator generator(load, &templates, 9);
+  std::vector<sched::Job> jobs;
+  for (std::uint64_t id = 0; id < 256; ++id) {
+    jobs.push_back(generator.make_job(id, 60.0 * static_cast<double>(id)));
+  }
+  sched::CostAwarePolicy policy;
+  const auto plan = [&](const sched::Job& job) {
+    return policy.plan(
+        job, templates[static_cast<std::size_t>(job.template_index)]);
+  };
+  benchmark::DoNotOptimize(plan(jobs.front()));  // warm-up
+  std::size_t next = 0;
+  std::uint64_t plans = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan(jobs[next]));
+    next = (next + 1) % jobs.size();
+    ++plans;
+  }
+  state.counters["allocs_per_plan"] =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          before) /
+      static_cast<double>(std::max<std::uint64_t>(plans, 1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(plans));
+}
+BENCHMARK(BM_CostAwarePlan);
 
 // One market tick over `range(0)` queued tasks, as the fleet engine runs
 // it: quote the storm market, certify keeps per (template, stage), and call

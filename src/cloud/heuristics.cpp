@@ -43,20 +43,30 @@ std::vector<MckpStage> dominance_filter(
 
 MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
                                 double deadline_seconds) {
+  MckpGreedyScratch scratch;
   MckpSelection selection;
+  solve_mckp_greedy(stages, deadline_seconds, scratch, selection);
+  return selection;
+}
+
+void solve_mckp_greedy(const std::vector<MckpStage>& stages,
+                       double deadline_seconds, MckpGreedyScratch& scratch,
+                       MckpSelection& selection) {
+  selection.feasible = false;
+  selection.choice.clear();
+  selection.total_time_seconds = 0.0;
+  selection.total_cost_usd = 0.0;
+  selection.objective_value = 0.0;
   if (stages.empty()) {
     selection.feasible = true;
-    return selection;
+    return;
   }
   // Per-stage items sorted slow-to-fast (upgrades walk toward faster).
-  struct StageView {
-    std::vector<int> order;  // item indices, time descending
-    int cursor = 0;          // current position in `order`
-  };
-  std::vector<StageView> views(stages.size());
+  std::vector<MckpGreedyScratch::StageView>& views = scratch.views;
+  views.resize(stages.size());
   for (std::size_t l = 0; l < stages.size(); ++l) {
     const auto& items = stages[l].items;
-    if (items.empty()) return selection;  // infeasible: no items
+    if (items.empty()) return;  // infeasible: no items
     views[l].order.resize(items.size());
     for (std::size_t j = 0; j < items.size(); ++j) {
       views[l].order[j] = static_cast<int>(j);
@@ -108,7 +118,7 @@ MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
       }
     }
     if (best_stage == stages.size()) {
-      return selection;  // no upgrade available: infeasible
+      return;  // no upgrade available: infeasible
     }
     const double before =
         item_at(best_stage, views[best_stage].cursor).time_seconds;
@@ -151,7 +161,6 @@ MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
     selection.total_cost_usd += item.cost_usd;
     selection.objective_value -= item.cost_usd;
   }
-  return selection;
 }
 
 }  // namespace edacloud::cloud

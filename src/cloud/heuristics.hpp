@@ -25,4 +25,22 @@ std::vector<MckpStage> dominance_filter(const std::vector<MckpStage>& stages);
 MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
                                 double deadline_seconds);
 
+/// The greedy's working storage, owned by a caller that solves many
+/// instances (one per admitted fleet job).
+struct MckpGreedyScratch {
+  struct StageView {
+    std::vector<int> order;  // item indices, time descending
+    int cursor = 0;          // current position in `order`
+  };
+  std::vector<StageView> views;
+};
+
+/// solve_mckp_greedy written over `selection` (its choice vector reused)
+/// with `scratch` as working storage: the same selection as the value
+/// form, and no allocation once both have served an instance of this
+/// shape.
+void solve_mckp_greedy(const std::vector<MckpStage>& stages,
+                       double deadline_seconds, MckpGreedyScratch& scratch,
+                       MckpSelection& selection);
+
 }  // namespace edacloud::cloud

@@ -5,38 +5,40 @@ namespace edacloud::core {
 std::vector<cloud::MckpStage> DeploymentOptimizer::build_stages(
     const RuntimeLadders& ladders) const {
   std::vector<cloud::MckpStage> stages;
-  for (JobKind job : kAllJobs) {
-    cloud::MckpStage stage;
+  build_stages(ladders, stages);
+  return stages;
+}
+
+void DeploymentOptimizer::build_stages(
+    const RuntimeLadders& ladders,
+    std::vector<cloud::MckpStage>& stages) const {
+  constexpr std::size_t kSizes = perf::kVcpuOptions.size();
+  stages.resize(kAllJobs.size());
+  for (std::size_t l = 0; l < kAllJobs.size(); ++l) {
+    const JobKind job = kAllJobs[l];
+    cloud::MckpStage& stage = stages[l];
     stage.name = job_name(job);
     const perf::InstanceFamily family = recommended_family(job);
-    for (int i = 0; i < 4; ++i) {
-      const int vcpus = perf::kVcpuOptions[static_cast<std::size_t>(i)];
-      cloud::MckpItem item;
-      item.time_seconds = ladders[static_cast<int>(job)][i];
-      item.cost_usd =
-          catalog_.job_cost_usd(family, vcpus, item.time_seconds);
-      item.label = perf::make_vm(family, vcpus).name();
-      stage.items.push_back(item);
+    stage.items.resize(market_ != nullptr ? 2 * kSizes : kSizes);
+    for (std::size_t i = 0; i < kSizes; ++i) {
+      const int vcpus = perf::kVcpuOptions[i];
+      const double runtime = ladders[static_cast<int>(job)][i];
+      cloud::MckpItem& item = stage.items[i];
+      item.time_seconds = runtime;
+      item.cost_usd = catalog_.job_cost_usd(family, vcpus, runtime);
+      item.label = perf::ladder_label(family, i);
+      if (market_ == nullptr) continue;
+      // Each shape prices against the market's planning view for that
+      // shape (a static market returns its wrapped SpotModel, so the
+      // classic flat-spot numbers survive unchanged).
+      const cloud::SpotModel view = market_->planning_view(family, vcpus);
+      cloud::MckpItem& spot_item = stage.items[kSizes + i];
+      spot_item.time_seconds = view.expected_runtime_seconds(runtime);
+      spot_item.cost_usd =
+          catalog_.spot_job_cost_usd(family, vcpus, runtime, view);
+      spot_item.label = perf::ladder_label(family, i, /*spot=*/true);
     }
-    if (market_ != nullptr) {
-      for (int i = 0; i < 4; ++i) {
-        const int vcpus = perf::kVcpuOptions[static_cast<std::size_t>(i)];
-        const double runtime = ladders[static_cast<int>(job)][i];
-        // Each shape prices against the market's planning view for that
-        // shape (a static market returns its wrapped SpotModel, so the
-        // classic flat-spot numbers survive unchanged).
-        const cloud::SpotModel view = market_->planning_view(family, vcpus);
-        cloud::MckpItem item;
-        item.time_seconds = view.expected_runtime_seconds(runtime);
-        item.cost_usd =
-            catalog_.spot_job_cost_usd(family, vcpus, runtime, view);
-        item.label = perf::make_vm(family, vcpus).name() + "-spot";
-        stage.items.push_back(item);
-      }
-    }
-    stages.push_back(std::move(stage));
   }
-  return stages;
 }
 
 DeploymentPlan DeploymentOptimizer::optimize(const RuntimeLadders& ladders,

@@ -62,9 +62,15 @@ class DeploymentOptimizer {
   void disable_spot() { market_.reset(); }
   [[nodiscard]] bool spot_enabled() const { return market_ != nullptr; }
 
-  /// MCKP stages for the four jobs (items ordered 1,2,4,8 vCPUs).
+  /// MCKP stages for the four jobs (items ordered 1,2,4,8 vCPUs, then the
+  /// same four on spot when spot is enabled).
   [[nodiscard]] std::vector<cloud::MckpStage> build_stages(
       const RuntimeLadders& ladders) const;
+  /// The same stages written over `stages`, whose vectors and strings are
+  /// reused: once `stages` has held a plan of this shape, the call
+  /// allocates nothing.
+  void build_stages(const RuntimeLadders& ladders,
+                    std::vector<cloud::MckpStage>& stages) const;
 
   /// Table I row: cheapest deployment meeting `deadline_seconds`.
   [[nodiscard]] DeploymentPlan optimize(const RuntimeLadders& ladders,

@@ -119,12 +119,11 @@ void export_market_gauges(const cloud::Market& market, obs::Registry& registry,
        {perf::InstanceFamily::kGeneralPurpose,
         perf::InstanceFamily::kMemoryOptimized,
         perf::InstanceFamily::kComputeOptimized}) {
-    for (const int vcpus : perf::kVcpuOptions) {
-      const cloud::SpotModel view = market.planning_view(family, vcpus);
+    for (std::size_t i = 0; i < perf::kVcpuOptions.size(); ++i) {
+      const cloud::SpotModel view =
+          market.planning_view(family, perf::kVcpuOptions[i]);
       obs::Labels shape_labels = labels;
-      shape_labels.emplace_back(
-          "pool", std::string(perf::to_string(family)) + "-" +
-                      std::to_string(vcpus) + "vcpu");
+      shape_labels.emplace_back("pool", perf::ladder_label(family, i));
       registry.gauge("market.price_mean", shape_labels)
           .set(view.price_multiplier);
       registry.gauge("market.reclaims_per_hour", shape_labels)

@@ -61,9 +61,10 @@ std::shared_ptr<TraceMarket> make_preset_market(const std::string& name,
                                                 double duration_seconds);
 [[nodiscard]] std::vector<std::string> preset_market_names();
 
-/// Export market.* gauges (per-shape mean/min/max price and expected
-/// reclaim rate at `planning bid`) into `registry` — deterministic, so
-/// exports stay byte-comparable across shard and thread counts.
+/// Export market.* gauges (per-shape mean price and expected reclaim rate
+/// at the planning bid, labelled by `pool`) into `registry` —
+/// deterministic, so exports stay byte-comparable across shard and thread
+/// counts.
 void export_market_gauges(const cloud::Market& market,
                           obs::Registry& registry,
                           const obs::Labels& labels = {});

@@ -208,8 +208,7 @@ PriceTraceSet parse_price_traces(const std::string& text) {
     if (trace.points.empty()) {
       throw std::invalid_argument(
           "price trace: empty trace for " +
-          std::string(perf::to_string(trace.family)) + "-" +
-          std::to_string(trace.vcpus) + "vcpu");
+          perf::vm_label(trace.family, trace.vcpus));
     }
   }
   if (set.traces.empty()) {

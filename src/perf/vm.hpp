@@ -17,6 +17,7 @@ enum class InstanceFamily : std::uint8_t {
   kComputeOptimized, // c5-like: 2 GiB/vCPU, higher clock, smaller LLC slice
 };
 
+constexpr std::size_t kFamilyCount = 3;  // InstanceFamily values
 constexpr std::array<int, 4> kVcpuOptions = {1, 2, 4, 8};
 
 struct VmConfig {
@@ -38,5 +39,15 @@ VmConfig make_vm(InstanceFamily family, int vcpus);
 std::array<VmConfig, 4> vm_ladder(InstanceFamily family);
 
 std::string_view to_string(InstanceFamily family);
+
+/// The one label format of a VM shape: "general-purpose-4vcpu", with
+/// "-spot" appended for spot capacity. Served from a static table indexed
+/// by (family, kVcpuOptions index, spot), so it never allocates.
+std::string_view ladder_label(InstanceFamily family, std::size_t vcpu_index,
+                              bool spot = false);
+
+/// The label of a `vcpus`-wide shape: the table's entry for a kVcpuOptions
+/// size, the same format built on demand for any other.
+std::string vm_label(InstanceFamily family, int vcpus);
 
 }  // namespace edacloud::perf

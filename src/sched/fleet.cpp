@@ -6,8 +6,7 @@
 namespace edacloud::sched {
 
 std::string to_string(const PoolKey& key) {
-  return std::string(perf::to_string(key.family)) + "-" +
-         std::to_string(key.vcpus) + "vcpu";
+  return perf::vm_label(key.family, key.vcpus);
 }
 
 Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {

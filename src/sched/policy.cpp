@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "cloud/heuristics.hpp"
-
 namespace edacloud::sched {
 
 std::size_t SchedulerPolicy::pick(const std::deque<TaskRef>& queue,
@@ -60,15 +58,16 @@ std::array<PoolKey, core::kJobCount> CostAwarePolicy::plan(
   const double slo_budget = job.slo_deadline - job.arrival_time;
   const double service_budget = headroom_ * slo_budget;
 
-  const auto stages = optimizer_.build_stages(ladders);
-  const auto selection = cloud::solve_mckp_greedy(stages, service_budget);
+  optimizer_.build_stages(ladders, stages_);
+  cloud::solve_mckp_greedy(stages_, service_budget, greedy_scratch_,
+                           selection_);
 
   std::array<PoolKey, core::kJobCount> pools;
   for (core::JobKind job_kind : core::kAllJobs) {
     const int stage = static_cast<int>(job_kind);
     // Infeasible budget: run every stage at full width (the fastest item).
-    const int choice = selection.feasible
-                           ? selection.choice[stage]
+    const int choice = selection_.feasible
+                           ? selection_.choice[stage]
                            : static_cast<int>(perf::kVcpuOptions.size()) - 1;
     pools[stage] = PoolKey{core::recommended_family(job_kind),
                            perf::kVcpuOptions[choice]};

@@ -13,7 +13,9 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "cloud/heuristics.hpp"
 #include "core/optimizer.hpp"
 #include "sched/fault.hpp"
 #include "sched/fleet.hpp"
@@ -99,7 +101,8 @@ class FifoAnyPolicy : public SchedulerPolicy {
 /// demand. When the simulator announces a fault context, the ladders the
 /// MCKP prices are stretched to the retry-inflated *expected* runtimes
 /// (cloud::FaultModel), so unreliable capacity is charged what it actually
-/// costs.
+/// costs. plan() reuses its MCKP stage and solver buffers, so it allocates
+/// nothing after its first call; one instance therefore serves one thread.
 class CostAwarePolicy : public SchedulerPolicy {
  public:
   explicit CostAwarePolicy(
@@ -123,6 +126,10 @@ class CostAwarePolicy : public SchedulerPolicy {
   core::DeploymentOptimizer optimizer_;
   double headroom_;  // fraction of the SLO budget MCKP may spend on service
   cloud::FaultModel fault_model_;  // zero-rate default: no stretch
+  // plan()'s reused buffers; their contents never outlive one call.
+  std::vector<cloud::MckpStage> stages_;
+  cloud::MckpGreedyScratch greedy_scratch_;
+  cloud::MckpSelection selection_;
 };
 
 /// Deadline-aware EDF: MCKP routing like the cost-aware policy, but each

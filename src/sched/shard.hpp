@@ -101,7 +101,7 @@ struct JobHandoff {
 /// regardless of which pools a run ever launches into.
 class ShardTopology {
  public:
-  static constexpr int kFamilyCount = 3;
+  static constexpr int kFamilyCount = static_cast<int>(perf::kFamilyCount);
   static constexpr int kPoolCount =
       kFamilyCount * static_cast<int>(perf::kVcpuOptions.size());
 

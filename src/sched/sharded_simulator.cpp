@@ -41,6 +41,13 @@ std::uint32_t vm_lane(int pool, int vm_id) {
 /// plausible VM lane.
 constexpr std::uint32_t kShardLaneBase = 0xFFFE0000u;
 
+/// Index of a task's (template, stage) group — the unit a market tick
+/// certifies at once.
+std::size_t group_of(const TaskRef& task) {
+  return static_cast<std::size_t>(task.template_index) * core::kJobCount +
+         static_cast<std::size_t>(task.stage);
+}
+
 }  // namespace
 
 /// A job resident in a pool (queued, running or backing off) with the
@@ -55,12 +62,14 @@ struct PoolJob {
 /// single-threaded coordinator between windows), so no locking is needed.
 struct ShardedFleetSimulator::PoolRuntime {
   PoolRuntime(int pool_index, const ShardedSimConfig& config,
-              std::unique_ptr<SchedulerPolicy> pick_policy)
+              std::unique_ptr<SchedulerPolicy> pick_policy,
+              std::size_t template_count)
       : key(ShardTopology::pool_at(pool_index)),
         index(pool_index),
         fleet(config.base.fleet),
         scaler(config.base.autoscaler),
         policy(std::move(pick_policy)),
+        queued_by_group(template_count * core::kJobCount, 0),
         fleet_rng(pool_stream_seed(config.base.seed, pool_index, 0)),
         spot_rng(pool_stream_seed(config.base.seed, pool_index, 1)),
         crash_rng(pool_stream_seed(config.base.seed, pool_index, 2)),
@@ -78,6 +87,9 @@ struct ShardedFleetSimulator::PoolRuntime {
   /// Queued tasks a spot VM may run (require_on_demand unset). While it is
   /// 0, dispatch does not ask a spot VM to pick.
   std::size_t spot_runnable = 0;
+  /// Queued tasks per (template, stage) group (group_of). A market tick
+  /// whose every nonzero group is certified to keep skips the queue scan.
+  std::vector<std::size_t> queued_by_group;
   /// Resident jobs by id. Lookup only: never iterate this table — hash
   /// order is not canonical, and letting it reach an event, metric or trace
   /// would break the byte-identity contract.
@@ -94,6 +106,8 @@ struct ShardedFleetSimulator::PoolRuntime {
   // Work counters for export_shard_stats; never part of FleetMetrics.
   std::uint64_t certified_decisions = 0;  // tick keeps proved per group
   std::uint64_t exact_decisions = 0;      // market_decide calls
+  std::uint64_t group_ticks = 0;          // ticks settled per group
+  std::uint64_t scan_ticks = 0;           // ticks that scanned the queue
   std::uint64_t spot_vm_skips = 0;        // spot VMs not asked to pick
   MetricsCollector metrics;
   std::vector<obs::TraceEvent> trace_buffer;
@@ -174,8 +188,8 @@ ShardedFleetSimulator::ShardedFleetSimulator(ShardedSimConfig config,
   for (int pool = 0; pool < ShardTopology::kPoolCount; ++pool) {
     auto policy = make_policy(policy_name);
     policy->set_fault_context(config_.base.fleet, config_.base.fault);
-    pools_.push_back(
-        std::make_unique<PoolRuntime>(pool, config_, std::move(policy)));
+    pools_.push_back(std::make_unique<PoolRuntime>(
+        pool, config_, std::move(policy), templates_.size()));
   }
   for (int s = 0; s < topology_.shard_count(); ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -289,7 +303,8 @@ void ShardedFleetSimulator::admit_jobs(double window_end) {
   // Admission is coordinator work: arrivals are drawn from the one global
   // generator stream (alternating make_job / next_arrival_after draws), so
   // the admitted job sequence is identical at every shard count.
-  std::vector<Job> jobs;
+  std::vector<Job>& jobs = admitted_;
+  jobs.clear();
   while (arrivals_open_ && next_arrival_ < window_end) {
     jobs.push_back(generator_.make_job(next_job_id_++, next_arrival_));
     admission_metrics_.record_submitted();
@@ -301,7 +316,8 @@ void ShardedFleetSimulator::admit_jobs(double window_end) {
   // Route plans in parallel. Each worker slot owns a policy instance; plan
   // is a pure function of (job, template, fault context), so which slot
   // computes a plan never changes it.
-  std::vector<std::array<PoolKey, core::kJobCount>> plans(jobs.size());
+  std::vector<std::array<PoolKey, core::kJobCount>>& plans = plans_;
+  plans.resize(jobs.size());
   util::parallel_for(
       config_.threads, 0, jobs.size(), 8,
       [&](std::size_t begin, std::size_t end, std::size_t, unsigned slot) {
@@ -324,14 +340,18 @@ void ShardedFleetSimulator::admit_jobs(double window_end) {
 
 void ShardedFleetSimulator::execute_window(double window_end) {
   // Only shards with an event before window_end have work. Most windows
-  // hold work for one shard, which parallel_for then runs inline on this
-  // thread with no thread-pool round trip; which thread runs a shard never
-  // changes what it computes.
-  std::vector<Shard*> busy;
+  // hold work for one shard, which runs right here with no thread-pool
+  // round trip; which thread runs a shard never changes what it computes.
+  std::vector<Shard*>& busy = busy_shards_;
+  busy.clear();
   for (const auto& shard : shards_) {
     if (!shard->events.empty() && shard->events.peek().time < window_end) {
       busy.push_back(shard.get());
     }
+  }
+  if (busy.size() == 1) {
+    run_shard(*busy.front(), window_end);
+    return;
   }
   // Grain 1: each chunk is exactly one shard, so a shard's events are
   // processed by one thread per window (single-writer pool state), and the
@@ -628,7 +648,6 @@ void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
 void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
                                                const ShardEvent& event) {
   pool.market_tick_armed = false;
-  Shard& shard = shard_of(pool);
   // One quote per tick: prices depend only on the tick time, so every
   // queued task is decided against the same 12 prices.
   const MarketQuote quote =
@@ -640,6 +659,39 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
       market_fallback_priced(quote, config_.base.fleet, policy, pool.key);
   KeepCertificates certificates(quote, policy, templates_, pool.key);
 
+  // Every task keeps its place when every queued group is certified and no
+  // queued task can take the fallback (it is not priced, or every task is
+  // on-demand-only already): the scan below would then only count.
+  bool every_task_keeps = !fallback_priced || pool.spot_runnable == 0;
+  for (std::size_t group = 0;
+       every_task_keeps && group < pool.queued_by_group.size(); ++group) {
+    every_task_keeps =
+        pool.queued_by_group[group] == 0 ||
+        certificates.certain(static_cast<int>(group / core::kJobCount),
+                             static_cast<int>(group % core::kJobCount));
+  }
+  if (every_task_keeps) {
+    ++pool.group_ticks;
+    pool.certified_decisions += pool.queue.size();
+  } else {
+    ++pool.scan_ticks;
+    scan_market_queue(pool, quote, certificates, fallback_priced, event.time);
+  }
+  note_market_price(pool, event.time);
+
+  dispatch(pool, event.time);
+  if (!pool.queue.empty()) {
+    arm_market_tick(pool, event.time);
+  }
+}
+
+void ShardedFleetSimulator::scan_market_queue(PoolRuntime& pool,
+                                              const MarketQuote& quote,
+                                              KeepCertificates& certificates,
+                                              bool fallback_priced,
+                                              double now) {
+  const MarketPolicyConfig& policy = config_.base.market;
+  Shard& shard = shard_of(pool);
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pool.queue.size(); ++i) {
     TaskRef& task = pool.queue[i];
@@ -679,7 +731,7 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
         // in job.stage_progress.
         Job& job = resident->second.job;
         JobHandoff msg;
-        msg.deliver_time = event.time + config_.handoff_latency_seconds;
+        msg.deliver_time = now + config_.handoff_latency_seconds;
         msg.dest_pool = ShardTopology::pool_index(decision.pool);
         msg.plan = resident->second.plan;
         msg.plan[job.stage] = decision.pool;
@@ -687,6 +739,7 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
         shard.outbox.push_back(std::move(msg));
         pool.jobs.erase(resident);
         if (!task.require_on_demand) --pool.spot_runnable;
+        --pool.queued_by_group[group_of(task)];
         pool.metrics.record_market_migration();
         continue;  // leave the task out of the kept queue
       }
@@ -695,13 +748,7 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
   }
   if (kept != pool.queue.size()) {
     pool.queue.resize(kept);
-    note_queue_depth(pool, event.time);
-  }
-  note_market_price(pool, event.time);
-
-  dispatch(pool, event.time);
-  if (!pool.queue.empty()) {
-    arm_market_tick(pool, event.time);
+    note_queue_depth(pool, now);
   }
 }
 
@@ -718,6 +765,7 @@ void ShardedFleetSimulator::enqueue_stage(PoolRuntime& pool,
   task.template_index = job.template_index;
   pool.queue.push_back(task);
   if (!task.require_on_demand) ++pool.spot_runnable;
+  ++pool.queued_by_group[group_of(task)];
   note_queue_depth(pool, now);
 }
 
@@ -740,6 +788,7 @@ void ShardedFleetSimulator::dispatch(PoolRuntime& pool, double now) {
     const TaskRef task = pool.queue[index];
     pool.queue.erase(pool.queue.begin() + static_cast<std::ptrdiff_t>(index));
     if (!task.require_on_demand) --pool.spot_runnable;
+    --pool.queued_by_group[group_of(task)];
     start_task(pool, vm_id, task, now);
   }
 }
@@ -891,10 +940,14 @@ void ShardedFleetSimulator::export_shard_stats(obs::Registry& registry,
   // Pool-local work counters, folded in canonical pool order.
   std::uint64_t certified = 0;
   std::uint64_t exact = 0;
+  std::uint64_t group_ticks = 0;
+  std::uint64_t scan_ticks = 0;
   std::uint64_t skips = 0;
   for (const auto& pool : pools_) {
     certified += pool->certified_decisions;
     exact += pool->exact_decisions;
+    group_ticks += pool->group_ticks;
+    scan_ticks += pool->scan_ticks;
     skips += pool->spot_vm_skips;
   }
   const auto with_path = [&labels](const char* path) {
@@ -906,6 +959,10 @@ void ShardedFleetSimulator::export_shard_stats(obs::Registry& registry,
       .add(certified);
   registry.counter("fleet_shard.market_decisions", with_path("exact"))
       .add(exact);
+  registry.counter("fleet_shard.market_ticks", with_path("group"))
+      .add(group_ticks);
+  registry.counter("fleet_shard.market_ticks", with_path("scan"))
+      .add(scan_ticks);
   registry.counter("fleet_shard.spot_vm_skips", labels).add(skips);
   for (std::size_t s = 0; s < shard_stats_.size(); ++s) {
     obs::Labels shard_labels = labels;

@@ -144,10 +144,11 @@ class ShardedFleetSimulator {
   /// Export fleet_shard.* counters/gauges per shard plus the window count
   /// (labels get a "shard" key), and the pool-local work counters summed
   /// in canonical pool order: market-tick decisions by path
-  /// (path="certified" | "exact") and spot VMs dispatch did not ask to
-  /// pick. The per-shard numbers are shard-count-dependent by
-  /// construction, so callers that need cross-shard-count byte-identity
-  /// skip this.
+  /// (path="certified" | "exact"), market ticks by path (path="group":
+  /// every queued group was certified and the queue was not scanned;
+  /// path="scan") and spot VMs dispatch did not ask to pick. The
+  /// per-shard numbers are shard-count-dependent by construction, so
+  /// callers that need cross-shard-count byte-identity skip this.
   void export_shard_stats(obs::Registry& registry,
                           const obs::Labels& labels = {}) const;
 
@@ -173,6 +174,11 @@ class ShardedFleetSimulator {
   /// JobHandoffs (paying the uniform handoff latency), so event times stay
   /// independent of the pool -> shard map.
   void handle_market_tick(PoolRuntime& pool, const ShardEvent& event);
+  /// The tick's per-task pass: certified tasks take only the fallback
+  /// test, the rest market_decide; migrated tasks leave the queue.
+  void scan_market_queue(PoolRuntime& pool, const MarketQuote& quote,
+                         KeepCertificates& certificates, bool fallback_priced,
+                         double now);
 
   void enqueue_stage(PoolRuntime& pool, std::uint64_t job_id, double now);
   void dispatch(PoolRuntime& pool, double now);
@@ -197,6 +203,10 @@ class ShardedFleetSimulator {
   std::vector<std::unique_ptr<PoolRuntime>> pools_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<SchedulerPolicy>> plan_policies_;  // per slot
+  // Per-window buffers, reused across windows instead of rebuilt.
+  std::vector<Job> admitted_;
+  std::vector<std::array<PoolKey, core::kJobCount>> plans_;
+  std::vector<Shard*> busy_shards_;
   LoadGenerator generator_;
   BackoffSchedule backoff_;
   MetricsCollector admission_metrics_;  // jobs_submitted lives here

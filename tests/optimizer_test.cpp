@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "cloud/heuristics.hpp"
 #include "core/optimizer.hpp"
+#include "util/rng.hpp"
 
 namespace edacloud::core {
 namespace {
@@ -103,6 +108,80 @@ TEST(OptimizerTest, PaperObjectiveVariantRunsToo) {
   const auto plan = paper_objective.optimize(sample_ladders(), 10000.0);
   EXPECT_TRUE(plan.feasible);
   EXPECT_LE(plan.total_runtime_seconds, 10000.0);
+}
+
+RuntimeLadders random_ladders(util::Rng& rng) {
+  RuntimeLadders ladders{};
+  for (auto& ladder : ladders) {
+    // Sublinear speedups from a 1-vCPU runtime of 0.5 s .. 3 h.
+    double runtime = rng.next_double(0.5, 3 * 3600.0);
+    for (double& rung : ladder) {
+      rung = runtime;
+      runtime *= rng.next_double(0.5, 1.0);
+    }
+  }
+  return ladders;
+}
+
+void expect_same_selection(const cloud::MckpSelection& a,
+                           const cloud::MckpSelection& b) {
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.choice, b.choice);
+  EXPECT_EQ(a.total_time_seconds, b.total_time_seconds);
+  EXPECT_EQ(a.total_cost_usd, b.total_cost_usd);
+  EXPECT_EQ(a.objective_value, b.objective_value);
+}
+
+TEST(OptimizerTest, ReusedStageBufferMatchesValueForm) {
+  // One buffer serves every call: spot stages (8 items) shrink to
+  // on-demand stages (4 items) and grow back, so stale items or labels
+  // would show. The greedy's out-param form reuses its scratch and
+  // selection the same way.
+  util::Rng rng(2026);
+  cloud::SpotModel spot;
+  spot.price_multiplier = 0.3;
+  spot.interruptions_per_hour = 0.5;
+  DeploymentOptimizer on_demand;
+  DeploymentOptimizer with_spot;
+  with_spot.enable_spot(spot);
+  std::vector<cloud::MckpStage> buffer;
+  cloud::MckpGreedyScratch scratch;
+  cloud::MckpSelection selection;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const bool use_spot = (trial / 3) % 2 == 0;
+    const DeploymentOptimizer& optimizer = use_spot ? with_spot : on_demand;
+    const RuntimeLadders ladders = random_ladders(rng);
+    optimizer.build_stages(ladders, buffer);
+    const auto expected = optimizer.build_stages(ladders);
+    ASSERT_EQ(buffer.size(), expected.size());
+    for (std::size_t l = 0; l < expected.size(); ++l) {
+      const JobKind job = kAllJobs[l];
+      EXPECT_EQ(buffer[l].name, expected[l].name);
+      ASSERT_EQ(buffer[l].items.size(), use_spot ? 8u : 4u);
+      ASSERT_EQ(buffer[l].items.size(), expected[l].items.size());
+      for (std::size_t j = 0; j < expected[l].items.size(); ++j) {
+        const cloud::MckpItem& got = buffer[l].items[j];
+        const cloud::MckpItem& want = expected[l].items[j];
+        EXPECT_EQ(got.time_seconds, want.time_seconds);
+        EXPECT_EQ(got.cost_usd, want.cost_usd);
+        EXPECT_EQ(got.label, want.label);
+        const int vcpus = perf::kVcpuOptions[j % 4];
+        EXPECT_EQ(got.label,
+                  perf::make_vm(recommended_family(job), vcpus).name() +
+                      (j >= 4 ? "-spot" : ""));
+        if (j < 4) {
+          EXPECT_EQ(got.time_seconds, ladders[l][j]);
+        }
+      }
+    }
+
+    const double fastest = cloud::fastest_completion_seconds(buffer);
+    const double deadline = rng.next_double(0.5 * fastest, 3.0 * fastest);
+    cloud::solve_mckp_greedy(buffer, deadline, scratch, selection);
+    expect_same_selection(selection,
+                          cloud::solve_mckp_greedy(buffer, deadline));
+  }
 }
 
 }  // namespace

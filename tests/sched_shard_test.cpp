@@ -340,11 +340,24 @@ TEST(SchedShardTest, PinnedExportDigests) {
         {"fleet_shard.spot_vm_skips", {}},
         {"fleet_shard.market_decisions", {{"path", "certified"}}},
         {"fleet_shard.market_decisions", {{"path", "exact"}}},
+        {"fleet_shard.market_ticks", {{"path", "group"}}},
+        {"fleet_shard.market_ticks", {{"path", "scan"}}},
     };
     for (const auto& [name, labels] : work) {
       EXPECT_GT(counter(0, name, labels), 0u) << name;
       EXPECT_EQ(counter(0, name, labels), counter(1, name, labels)) << name;
     }
+    // Decisions as recorded before ticks settled fully certified queues
+    // per (template, stage) group: skipping the scan must count the same.
+    EXPECT_EQ(counter(0, "fleet_shard.market_decisions",
+                      {{"path", "certified"}}),
+              474143u);
+    EXPECT_EQ(counter(0, "fleet_shard.market_decisions", {{"path", "exact"}}),
+              6680u);
+    EXPECT_EQ(counter(0, "fleet_shard.market_ticks", {{"path", "group"}}),
+              733u);
+    EXPECT_EQ(counter(0, "fleet_shard.market_ticks", {{"path", "scan"}}),
+              75u);
     EXPECT_GT(metrics.market_fallbacks, 0u);
     EXPECT_GT(metrics.market_migrations, 0u);
   }
