@@ -369,9 +369,10 @@ void BM_CostAwarePlan(benchmark::State& state) {
 BENCHMARK(BM_CostAwarePlan);
 
 // One market tick over `range(0)` queued tasks, as the fleet engine runs
-// it: quote the storm market, certify keeps per (template, stage), and call
-// market_decide only for tasks no certificate covers. The queue is the
-// benchmark's: every stage of the builtin templates, lognormal size jitter
+// it: quote the storm market, certify keeps per (template, stage) into
+// bytes kept across ticks, and call market_decide only for tasks no
+// certificate covers; allocs_per_tick counts operator new calls per tick.
+// The queue is the benchmark's: every stage of the builtin templates, lognormal size jitter
 // (sigma 0.25), a third of the tasks checkpointed part-way, waiting in the
 // compute-optimized 1-vCPU pool. That pool is the cheapest, so migrations
 // land there and its queues run deepest under the storm. Successive
@@ -393,17 +394,26 @@ void BM_MarketTick(benchmark::State& state) {
     job.stage_progress =
         rng.next_bool(1.0 / 3.0) ? rng.next_double(0.0, 0.9) : 0.0;
   }
+  const auto group_of = [](const sched::Job& job) {
+    return static_cast<std::size_t>(job.template_index) * core::kJobCount +
+           static_cast<std::size_t>(job.stage);
+  };
+  std::vector<std::size_t> queued(templates.size() * core::kJobCount, 0);
+  for (const sched::Job& job : queue) ++queued[group_of(job)];
+  std::vector<std::uint8_t> certain(queued.size(), 0);
   double now = 0.0;
   std::uint64_t certified = 0;
   std::uint64_t decisions = 0;
+  std::uint64_t ticks = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (auto _ : state) {
     now = std::fmod(now + 300.0, 24 * 3600.0);
     const sched::MarketQuote quote =
         sched::quote_market(*fleet.market, fleet, now);
-    sched::KeepCertificates certificates(quote, policy, templates, pool);
+    sched::certify_keeps(quote, policy, templates, pool, queued, certain);
     int moves = 0;
     for (const sched::Job& job : queue) {
-      if (certificates.certain(job.template_index, job.stage)) {
+      if (certain[group_of(job)] != 0) {
         ++certified;
         continue;
       }
@@ -416,8 +426,13 @@ void BM_MarketTick(benchmark::State& state) {
                    : 0;
     }
     decisions += queue.size();
+    ++ticks;
     benchmark::DoNotOptimize(moves);
   }
+  state.counters["allocs_per_tick"] =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          before) /
+      static_cast<double>(std::max<std::uint64_t>(ticks, 1));
   state.counters["certified_share"] =
       static_cast<double>(certified) /
       static_cast<double>(std::max<std::uint64_t>(decisions, 1));

@@ -337,7 +337,6 @@ int cmd_fleet_sim(const Args& args) {
   // Sharded engine knobs (DESIGN.md §13, docs/SIMULATION.md).
   args.read("--shards", sharded.shards);
   args.read("--handoff-latency", sharded.handoff_latency_seconds);
-  args.read("--lookahead", sharded.lookahead_seconds);
 
   // Virtual clock: span timestamps are simulated seconds, so same-seed
   // runs serialize to byte-identical trace files.
@@ -358,12 +357,11 @@ int cmd_fleet_sim(const Args& args) {
                 config.fleet.spot_bid_fraction);
   }
   sharded.threads = util::global_thread_count();
+  // The synchronization window is always as wide as the handoff latency.
   std::printf("fleet-sim: sharded engine, %d shard(s), handoff %.3gs, "
               "lookahead %.3gs\n",
               sharded.shards, sharded.handoff_latency_seconds,
-              sharded.lookahead_seconds > 0.0
-                  ? sharded.lookahead_seconds
-                  : sharded.handoff_latency_seconds);
+              sharded.handoff_latency_seconds);
   sched::ShardedFleetSimulator sim(sharded, sched::builtin_templates(),
                                    policy_name);
   const sched::FleetMetrics metrics = sim.run();
@@ -915,8 +913,6 @@ const std::vector<util::Command> kCommands = {
        within(1, sched::ShardTopology::kPoolCount)},
       {"--handoff-latency", "S", "simulated seconds between a job's stages",
        Kind::kReal, above(0)},
-      {"--lookahead", "S", "synchronization window width", Kind::kReal,
-       above(0)},
       {"--shard-stats", "", "print and export per-shard statistics",
        Kind::kSwitch},
       kTrace, kMetrics}},

@@ -337,10 +337,15 @@ shard_smoke() {
   cmp "${tmp}/shard_1.json" "${tmp}/shard_8t4.json"
 
   echo "=== shard smoke: engine banner, stats, flag validation ==="
-  "${cli}" fleet-sim --seed 11 --duration 1800 --shards 4 --lookahead 0.5 \
-    --shard-stats > "${tmp}/stats.out"
+  "${cli}" fleet-sim --seed 11 --duration 1800 --shards 4 --shard-stats \
+    > "${tmp}/stats.out"
   grep -q 'sharded engine, 4 shard(s)' "${tmp}/stats.out"
   grep -q 'shard 0:' "${tmp}/stats.out"
+  # The window is always the handoff latency; there is no knob to widen it.
+  "${cli}" fleet-sim --lookahead 1 > /dev/null 2>&1 && {
+    echo "shard smoke: removed --lookahead flag exited 0" >&2
+    return 1
+  }
   "${cli}" fleet-sim --shards 13 > /dev/null 2>&1 && {
     echo "shard smoke: out-of-range --shards exited 0" >&2
     return 1

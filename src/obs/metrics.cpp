@@ -1,11 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 
 namespace edacloud::obs {
@@ -15,29 +14,6 @@ namespace {
 Labels sorted(Labels labels) {
   std::sort(labels.begin(), labels.end());
   return labels;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
-/// Deterministic number formatting shared with the tracer: integral values
-/// print without a fraction, everything else as %.9g.
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "0";
-    return;
-  }
-  char buf[40];
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-  }
-  out += buf;
 }
 
 std::string labels_csv(const Labels& labels) {

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
+#include "obs/json.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -24,51 +23,6 @@ double steady_now_us() {
 thread_local std::uint32_t t_lane = 0;
 thread_local bool t_lane_assigned = false;
 thread_local std::uint32_t t_depth = 0;
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Deterministic number formatting: integers print without a fraction,
-/// everything else as %.9g. No locale dependence, so same-value events
-/// always serialize to the same bytes.
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "0";
-    return;
-  }
-  char buf[40];
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-  }
-  out += buf;
-}
 
 }  // namespace
 

@@ -1,13 +1,9 @@
 #pragma once
-// Target-utilization autoscaler. Each (family, vCPU) pool is sized so that
+// Target-utilization autoscaler of one (family, vCPU) pool, sized so that
 // busy + queued demand sits at `target_utilization` of capacity; scale-ups
 // react quickly (short cooldown, bounded step) while scale-downs are slow
 // and only ever retire idle machines — the classic asymmetric policy that
 // absorbs bursts without flapping.
-
-#include <map>
-
-#include "sched/fleet.hpp"
 
 namespace edacloud::sched {
 
@@ -32,19 +28,14 @@ class Autoscaler {
  public:
   explicit Autoscaler(AutoscalerConfig config) : config_(config) {}
 
-  /// Signed VM delta for `pool`: > 0 launch, < 0 retire idle machines,
+  /// Signed VM delta for the pool: > 0 launch, < 0 retire idle machines,
   /// 0 hold. Cooldown state advances only when a move is made.
-  int decide(const PoolKey& pool, const PoolDemand& demand, double now);
-
-  [[nodiscard]] const AutoscalerConfig& config() const { return config_; }
+  int decide(const PoolDemand& demand, double now);
 
  private:
   AutoscalerConfig config_;
-  struct PoolState {
-    double last_up = -1e18;
-    double last_down = -1e18;
-  };
-  std::map<PoolKey, PoolState> state_;
+  double last_up_ = -1e18;
+  double last_down_ = -1e18;
 };
 
 }  // namespace edacloud::sched

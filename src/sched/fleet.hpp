@@ -1,11 +1,10 @@
 #pragma once
-// The simulated VM fleet: pools of identical (family, vCPU) instances with
-// boot latency, per-second billing through cloud::PricingCatalog, and an
+// One simulated VM pool: identical (family, vCPU) instances with boot
+// latency, per-second billing through cloud::PricingCatalog, and an
 // optional spot tier (discounted rate, reclaimable mid-run). The fleet only
 // tracks machine state and money; *what* runs *where* is the policy's job.
 
 #include <compare>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -31,8 +30,6 @@ struct VmInstance {
   enum class State : std::uint8_t { kBooting, kIdle, kBusy, kRetired };
 
   int id = -1;
-  PoolKey pool;
-  perf::VmConfig config;
   bool spot = false;
   State state = State::kBooting;
   double launch_time = 0.0;
@@ -64,13 +61,13 @@ struct FleetConfig {
 
 class Fleet {
  public:
-  explicit Fleet(FleetConfig config);
+  /// An empty pool of `key` machines.
+  Fleet(PoolKey key, FleetConfig config);
 
-  /// Launch a VM into `pool` at `now`. `warm` skips the boot delay (used to
-  /// seed a pre-provisioned fleet at t = 0). Spot assignment is drawn from
-  /// `rng` at `spot_fraction`. Returns the new VM id.
-  int launch(const PoolKey& pool, double now, util::Rng& rng,
-             bool warm = false);
+  /// Launch a VM at `now`. `warm` skips the boot delay (used to seed a
+  /// pre-provisioned pool at t = 0). Spot assignment is drawn from `rng`
+  /// at `spot_fraction`. Returns the new VM id.
+  int launch(double now, util::Rng& rng, bool warm = false);
 
   void mark_ready(int id);
   /// Start a run. `work_seconds` is the useful-work component of the
@@ -78,7 +75,7 @@ class Fleet {
   /// pad the schedule).
   void assign(int id, std::uint64_t job, double now, double service_seconds,
               double work_seconds = -1.0);
-  /// Finish the current run and return the VM to the idle pool.
+  /// Finish the current run and return the VM to the idle set.
   void release(int id, double now);
   /// Retire the VM (scale-down or spot reclaim). Busy VMs are allowed —
   /// the in-flight run's elapsed time is credited as busy time.
@@ -90,21 +87,18 @@ class Fleet {
     return vms_;
   }
 
-  /// Idle VM ids in `pool`, ascending (the dispatch order).
-  [[nodiscard]] std::vector<int> idle_in(const PoolKey& pool) const;
-  /// The live idle-id set for `pool` (ascending), maintained incrementally —
-  /// the O(1)-per-transition view the sharded simulator dispatches from.
-  /// Invalidated by assign/retire of a member; advance iterators first.
-  [[nodiscard]] const std::set<int>& idle_set(const PoolKey& pool) const;
-  [[nodiscard]] int alive_count(const PoolKey& pool) const;
-  [[nodiscard]] int busy_count(const PoolKey& pool) const;
-  [[nodiscard]] int idle_count(const PoolKey& pool) const;
-  [[nodiscard]] int total_alive() const;
+  /// The live idle-id set, ascending (the dispatch order), maintained
+  /// incrementally. Invalidated by assign/retire of a member; advance
+  /// iterators first.
+  [[nodiscard]] const std::set<int>& idle_set() const { return idle_; }
+  /// Booting + idle + busy VMs, counted incrementally (no scan).
+  [[nodiscard]] int alive_count() const { return alive_; }
+  [[nodiscard]] int busy_count() const { return busy_; }
 
   /// Hourly rate of one VM at its launch instant, spot discount included
   /// (the market's launch-time price; constant for the static market).
   [[nodiscard]] double hourly_rate_usd(const VmInstance& vm) const;
-  /// Fleet bill at `now`: every VM pays per second (whole seconds, boot and
+  /// Pool bill at `now`: every VM pays per second (whole seconds, boot and
   /// idle time included) from launch until retirement or `now`. Spot VMs
   /// bill at the market's time-weighted mean price over their lifetime —
   /// the prevailing per-second price, not the launch-time multiplier.
@@ -112,21 +106,13 @@ class Fleet {
   [[nodiscard]] double busy_seconds_total() const;
   [[nodiscard]] double alive_seconds_total(double now) const;
 
-  [[nodiscard]] const FleetConfig& config() const { return config_; }
-
  private:
-  // Per-pool incremental tallies so count queries never rescan the VM list
-  // (a million-VM fleet would otherwise pay O(pool) per dispatch).
-  struct PoolCounts {
-    int alive = 0;
-    int busy = 0;
-  };
-
+  PoolKey key_;
   FleetConfig config_;
   std::vector<VmInstance> vms_;
-  std::map<PoolKey, std::set<int>> idle_by_pool_;
-  std::map<PoolKey, PoolCounts> counts_;
-  int total_alive_ = 0;
+  std::set<int> idle_;
+  int alive_ = 0;
+  int busy_ = 0;
 };
 
 }  // namespace edacloud::sched

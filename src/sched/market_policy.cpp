@@ -137,29 +137,18 @@ bool market_keep_is_certain(const MarketQuote& quote,
   return true;
 }
 
-KeepCertificates::KeepCertificates(const MarketQuote& quote,
-                                   const MarketPolicyConfig& policy,
-                                   const std::vector<JobTemplate>& templates,
-                                   const PoolKey& pool)
-    : quote_(quote),
-      policy_(policy),
-      templates_(templates),
-      pool_(pool),
-      state_(templates.size() * core::kJobCount, 0) {}
-
-bool KeepCertificates::certain(int template_index, int stage) {
-  std::uint8_t& state =
-      state_[static_cast<std::size_t>(template_index) * core::kJobCount +
-             static_cast<std::size_t>(stage)];
-  if (state == 0) {
-    state = market_keep_is_certain(
-                quote_, policy_,
-                templates_[static_cast<std::size_t>(template_index)], stage,
-                pool_)
-                ? 1
-                : 2;
+void certify_keeps(const MarketQuote& quote, const MarketPolicyConfig& policy,
+                   const std::vector<JobTemplate>& templates,
+                   const PoolKey& pool, const std::vector<std::size_t>& queued,
+                   std::vector<std::uint8_t>& certain) {
+  for (std::size_t group = 0; group < queued.size(); ++group) {
+    certain[group] =
+        queued[group] > 0 &&
+        market_keep_is_certain(quote, policy,
+                               templates[group / core::kJobCount],
+                               static_cast<int>(group % core::kJobCount),
+                               pool);
   }
-  return state == 1;
 }
 
 }  // namespace edacloud::sched

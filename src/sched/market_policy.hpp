@@ -12,7 +12,7 @@
 // (MarketQuote: 12 spot prices + 12 blended hourly rates) and every queued
 // task's decision then costs ladder lookups and multiplies, no market calls.
 // A tick first asks market_keep_is_certain once per (template, stage) in the
-// queue; tasks of a certified group skip market_decide entirely.
+// queue (certify_keeps); tasks of a certified group skip market_decide.
 
 #include <array>
 #include <cstdint>
@@ -113,24 +113,14 @@ struct MarketQuote {
                                           const JobTemplate& tmpl, int stage,
                                           const PoolKey& pool);
 
-/// market_keep_is_certain for one quote and one pool, asked per queued task
-/// and computed at most once per (template, stage). Keeps references to
-/// its arguments, which must outlive it (one market tick).
-class KeepCertificates {
- public:
-  KeepCertificates(const MarketQuote& quote, const MarketPolicyConfig& policy,
+/// One tick's keep certificates for `pool`: certain[g] = 1 when group g
+/// (template g / core::kJobCount, stage g % core::kJobCount) has queued
+/// tasks (queued[g] > 0) and market_keep_is_certain holds for it, else 0.
+/// `certain` must be sized like `queued` (templates.size() x kJobCount);
+/// the caller keeps it across ticks, so a tick allocates nothing.
+void certify_keeps(const MarketQuote& quote, const MarketPolicyConfig& policy,
                    const std::vector<JobTemplate>& templates,
-                   const PoolKey& pool);
-
-  [[nodiscard]] bool certain(int template_index, int stage);
-
- private:
-  const MarketQuote& quote_;
-  const MarketPolicyConfig& policy_;
-  const std::vector<JobTemplate>& templates_;
-  PoolKey pool_;
-  /// Per (template, stage): 0 = not computed yet, 1 = certain, 2 = not.
-  std::vector<std::uint8_t> state_;
-};
+                   const PoolKey& pool, const std::vector<std::size_t>& queued,
+                   std::vector<std::uint8_t>& certain);
 
 }  // namespace edacloud::sched

@@ -37,15 +37,20 @@ std::uint32_t vm_lane(int pool, int vm_id) {
          static_cast<std::uint32_t>(vm_id) % kBand;
 }
 
-/// Lane band for per-shard window spans (opt-in telemetry), far above any
-/// plausible VM lane.
-constexpr std::uint32_t kShardLaneBase = 0xFFFE0000u;
-
 /// Index of a task's (template, stage) group — the unit a market tick
 /// certifies at once.
 std::size_t group_of(const TaskRef& task) {
   return static_cast<std::size_t>(task.template_index) * core::kJobCount +
          static_cast<std::size_t>(task.stage);
+}
+
+/// The first multiple of `interval` strictly after `now`: a pure function
+/// of (now, interval), so per-pool tick trains are identical at every
+/// shard count.
+double next_multiple_after(double now, double interval) {
+  double next = (std::floor(now / interval) + 1.0) * interval;
+  if (next <= now) next += interval;
+  return next;
 }
 
 }  // namespace
@@ -66,10 +71,11 @@ struct ShardedFleetSimulator::PoolRuntime {
               std::size_t template_count)
       : key(ShardTopology::pool_at(pool_index)),
         index(pool_index),
-        fleet(config.base.fleet),
+        fleet(key, config.base.fleet),
         scaler(config.base.autoscaler),
         policy(std::move(pick_policy)),
         queued_by_group(template_count * core::kJobCount, 0),
+        keep_certain(queued_by_group.size(), 0),
         fleet_rng(pool_stream_seed(config.base.seed, pool_index, 0)),
         spot_rng(pool_stream_seed(config.base.seed, pool_index, 1)),
         crash_rng(pool_stream_seed(config.base.seed, pool_index, 2)),
@@ -90,6 +96,8 @@ struct ShardedFleetSimulator::PoolRuntime {
   /// Queued tasks per (template, stage) group (group_of). A market tick
   /// whose every nonzero group is certified to keep skips the queue scan.
   std::vector<std::size_t> queued_by_group;
+  /// This market tick's certify_keeps bytes, one per group; reused.
+  std::vector<std::uint8_t> keep_certain;
   /// Resident jobs by id. Lookup only: never iterate this table — hash
   /// order is not canonical, and letting it reach an event, metric or trace
   /// would break the byte-identity contract.
@@ -134,7 +142,6 @@ struct ShardedFleetSimulator::Shard {
   ShardEventQueue events;
   std::vector<JobHandoff> outbox;
   double now = 0.0;  // time of the last processed event
-  std::vector<obs::TraceEvent> window_spans;
 };
 
 ShardedFleetSimulator::ShardedFleetSimulator(ShardedSimConfig config,
@@ -148,9 +155,6 @@ ShardedFleetSimulator::ShardedFleetSimulator(ShardedSimConfig config,
       backoff_(config_.base.fault.backoff) {
   if (config_.handoff_latency_seconds <= 0.0) {
     throw std::invalid_argument("handoff_latency_seconds must be > 0");
-  }
-  if (config_.lookahead_seconds < 0.0) {
-    throw std::invalid_argument("lookahead_seconds must be >= 0");
   }
   if (config_.base.fault.max_attempts_per_stage < 1) {
     throw std::invalid_argument("max_attempts_per_stage must be >= 1");
@@ -176,8 +180,6 @@ ShardedFleetSimulator::ShardedFleetSimulator(ShardedSimConfig config,
     throw std::invalid_argument(
         "crash and interruption rates must be >= 0");
   }
-  lookahead_ = config_.lookahead_seconds > 0.0 ? config_.lookahead_seconds
-                                               : config_.handoff_latency_seconds;
   // Normalize the market seam before any pool copies the fleet config: a
   // null market becomes a StaticMarket over the flat spot model, shared by
   // every pool (markets are immutable, so sharing is thread-safe).
@@ -226,9 +228,9 @@ FleetMetrics ShardedFleetSimulator::run() {
     PoolRuntime& pool = *pools_[static_cast<std::size_t>(
         ShardTopology::pool_index(key))];
     for (int i = 0; i < count; ++i) {
-      pool.fleet.launch(key, 0.0, pool.fleet_rng, /*warm=*/true);
+      pool.fleet.launch(0.0, pool.fleet_rng, /*warm=*/true);
     }
-    pool.peak_alive = pool.fleet.total_alive();
+    pool.peak_alive = pool.fleet.alive_count();
     // Warm pools tick from t = 0 so an unused pre-provisioned pool still
     // scales itself down.
     arm_tick(pool, 0.0);
@@ -255,7 +257,7 @@ FleetMetrics ShardedFleetSimulator::run() {
       stop_time = lbts;
       break;
     }
-    const double window_end = lbts + lookahead_;
+    const double window_end = lbts + config_.handoff_latency_seconds;
     admit_jobs(window_end);
     execute_window(window_end);
     deliver_handoffs();
@@ -284,11 +286,6 @@ FleetMetrics ShardedFleetSimulator::run() {
   if (tracing_) {
     for (const auto& pool : pools_) {
       tracer.emit_batch(std::move(pool->trace_buffer));
-    }
-    if (config_.shard_window_spans) {
-      for (const auto& shard : shards_) {
-        tracer.emit_batch(std::move(shard->window_spans));
-      }
     }
     if (tracer.clock_mode() == obs::ClockMode::kVirtual) {
       tracer.set_virtual_time_seconds(drained);
@@ -367,9 +364,6 @@ void ShardedFleetSimulator::execute_window(double window_end) {
 }
 
 void ShardedFleetSimulator::run_shard(Shard& shard, double window_end) {
-  ShardStats& stats = shard_stats_[static_cast<std::size_t>(shard.index)];
-  const double window_start =
-      shard.events.empty() ? window_end : shard.events.peek().time;
   std::uint64_t processed = 0;
   while (!shard.events.empty() && shard.events.peek().time < window_end) {
     const ShardEvent event = shard.events.pop();
@@ -378,6 +372,7 @@ void ShardedFleetSimulator::run_shard(Shard& shard, double window_end) {
     PoolRuntime& pool = *pools_[static_cast<std::size_t>(event.pool)];
     switch (event.type) {
       case ShardEventType::kJobDeliver:
+      case ShardEventType::kTaskRetry:
         handle_deliver(pool, event);
         break;
       case ShardEventType::kVmBootComplete:
@@ -392,9 +387,6 @@ void ShardedFleetSimulator::run_shard(Shard& shard, double window_end) {
       case ShardEventType::kVmCrash:
         handle_attempt_killed(pool, event, /*spot_reclaim=*/false);
         break;
-      case ShardEventType::kTaskRetry:
-        handle_task_retry(pool, event);
-        break;
       case ShardEventType::kPoolTick:
         handle_pool_tick(pool, event);
         break;
@@ -402,19 +394,10 @@ void ShardedFleetSimulator::run_shard(Shard& shard, double window_end) {
         handle_market_tick(pool, event);
         break;
     }
-    pool.peak_alive = std::max(pool.peak_alive, pool.fleet.total_alive());
+    pool.peak_alive = std::max(pool.peak_alive, pool.fleet.alive_count());
   }
-  stats.events_processed += processed;
-  if (tracing_ && config_.shard_window_spans && processed > 0) {
-    obs::TraceEvent span;
-    span.name = "shard/window";
-    span.category = "sim";
-    span.ts_us = window_start * 1e6;
-    span.dur_us = std::max(0.0, shard.now - window_start) * 1e6;
-    span.tid = kShardLaneBase + static_cast<std::uint32_t>(shard.index);
-    span.args = {{"events", static_cast<double>(processed)}};
-    shard.window_spans.push_back(std::move(span));
-  }
+  shard_stats_[static_cast<std::size_t>(shard.index)].events_processed +=
+      processed;
 }
 
 void ShardedFleetSimulator::deliver_handoffs() {
@@ -425,13 +408,14 @@ void ShardedFleetSimulator::deliver_handoffs() {
       ++source_stats.handoffs_out;
       PoolRuntime& dest = *pools_[static_cast<std::size_t>(msg.dest_pool)];
       Shard& dest_shard = shard_of(dest);
+      // Invariant: a handoff pays the handoff latency, the window's width,
+      // so it can never land in its destination shard's past.
       if (msg.deliver_time < dest_shard.now) {
         throw std::logic_error(
             "lookahead violation: handoff into pool " + to_string(dest.key) +
             " at t=" + std::to_string(msg.deliver_time) +
             "s but its shard already advanced to t=" +
-            std::to_string(dest_shard.now) +
-            "s; lookahead_seconds must not exceed handoff_latency_seconds");
+            std::to_string(dest_shard.now) + "s");
       }
       const std::uint64_t id = msg.job.id;
       dest.jobs.emplace(id, PoolJob{std::move(msg.job), msg.plan});
@@ -475,13 +459,13 @@ void ShardedFleetSimulator::handle_task_complete(Shard& shard,
   const double service = vm.run_service;
   pool.metrics.record_checkpoint_overhead(
       std::max(0.0, vm.run_service - vm.run_work));
-  double cost = config_.base.fleet.catalog.job_cost_usd(vm.pool.family,
-                                                        vm.pool.vcpus, service);
+  double cost = config_.base.fleet.catalog.job_cost_usd(
+      pool.key.family, pool.key.vcpus, service);
   if (vm.spot) {
     // Prevailing mean spot price over the run window; the static market's
     // mean is the flat multiplier, bit-for-bit.
     cost *= config_.base.fleet.market->mean_price(
-        vm.pool.family, vm.pool.vcpus, vm.run_start, event.time);
+        pool.key.family, pool.key.vcpus, vm.run_start, event.time);
   }
   job.cost_usd += cost;
 
@@ -601,25 +585,17 @@ void ShardedFleetSimulator::handle_attempt_killed(PoolRuntime& pool,
   dispatch(pool, event.time);
 }
 
-void ShardedFleetSimulator::handle_task_retry(PoolRuntime& pool,
-                                              const ShardEvent& event) {
-  enqueue_stage(pool, event.job_id, event.time);
-  arm_tick(pool, event.time);
-  arm_market_tick(pool, event.time);
-  dispatch(pool, event.time);
-}
-
 void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
                                              const ShardEvent& event) {
   pool.tick_armed = false;
   PoolDemand demand;
   demand.queued = static_cast<int>(pool.queue.size());
-  demand.busy = pool.fleet.busy_count(pool.key);
-  demand.alive = pool.fleet.alive_count(pool.key);
-  const int delta = pool.scaler.decide(pool.key, demand, event.time);
+  demand.busy = pool.fleet.busy_count();
+  demand.alive = pool.fleet.alive_count();
+  const int delta = pool.scaler.decide(demand, event.time);
   if (delta > 0) {
     for (int i = 0; i < delta; ++i) {
-      const int id = pool.fleet.launch(pool.key, event.time, pool.fleet_rng);
+      const int id = pool.fleet.launch(event.time, pool.fleet_rng);
       shard_of(pool).events.push({event.time + config_.base.fleet.boot_seconds,
                                   ShardEventType::kVmBootComplete, pool.index,
                                   0, id});
@@ -627,7 +603,7 @@ void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
   } else if (delta < 0) {
     // Retire newest idle machines first; re-read the set each round since
     // retire() mutates it.
-    const std::set<int>& idle = pool.fleet.idle_set(pool.key);
+    const std::set<int>& idle = pool.fleet.idle_set();
     int retire = std::min(-delta, static_cast<int>(idle.size()));
     while (retire-- > 0) pool.fleet.retire(*idle.rbegin(), event.time);
   }
@@ -636,8 +612,8 @@ void ShardedFleetSimulator::handle_pool_tick(PoolRuntime& pool,
   // Keep ticking while pool-local work can still change the fleet: queued
   // or running tasks, or surplus machines the scaler may yet retire. All
   // pool-local signals, so tick cadence survives resharding.
-  if (!pool.queue.empty() || pool.fleet.busy_count(pool.key) > 0 ||
-      pool.fleet.alive_count(pool.key) > config_.base.autoscaler.min_vms) {
+  if (!pool.queue.empty() || pool.fleet.busy_count() > 0 ||
+      pool.fleet.alive_count() > config_.base.autoscaler.min_vms) {
     shard_of(pool).events.push(
         {event.time + config_.base.autoscaler.interval_seconds,
          ShardEventType::kPoolTick, pool.index, 0, -1});
@@ -657,7 +633,8 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
   // All a task of a certified group needs besides its own flag.
   const bool fallback_priced =
       market_fallback_priced(quote, config_.base.fleet, policy, pool.key);
-  KeepCertificates certificates(quote, policy, templates_, pool.key);
+  certify_keeps(quote, policy, templates_, pool.key, pool.queued_by_group,
+                pool.keep_certain);
 
   // Every task keeps its place when every queued group is certified and no
   // queued task can take the fallback (it is not priced, or every task is
@@ -666,18 +643,17 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
   for (std::size_t group = 0;
        every_task_keeps && group < pool.queued_by_group.size(); ++group) {
     every_task_keeps =
-        pool.queued_by_group[group] == 0 ||
-        certificates.certain(static_cast<int>(group / core::kJobCount),
-                             static_cast<int>(group % core::kJobCount));
+        pool.queued_by_group[group] == 0 || pool.keep_certain[group] != 0;
   }
   if (every_task_keeps) {
     ++pool.group_ticks;
     pool.certified_decisions += pool.queue.size();
   } else {
     ++pool.scan_ticks;
-    scan_market_queue(pool, quote, certificates, fallback_priced, event.time);
+    scan_market_queue(pool, quote, fallback_priced, event.time);
   }
-  note_market_price(pool, event.time);
+  note_counter(pool, pool.market_counter_name, event.time,
+               quote.spot_price[static_cast<std::size_t>(pool.index)]);
 
   dispatch(pool, event.time);
   if (!pool.queue.empty()) {
@@ -687,7 +663,6 @@ void ShardedFleetSimulator::handle_market_tick(PoolRuntime& pool,
 
 void ShardedFleetSimulator::scan_market_queue(PoolRuntime& pool,
                                               const MarketQuote& quote,
-                                              KeepCertificates& certificates,
                                               bool fallback_priced,
                                               double now) {
   const MarketPolicyConfig& policy = config_.base.market;
@@ -697,7 +672,7 @@ void ShardedFleetSimulator::scan_market_queue(PoolRuntime& pool,
     TaskRef& task = pool.queue[i];
     auto resident = pool.jobs.end();
     MarketDecision decision;
-    if (certificates.certain(task.template_index, task.stage)) {
+    if (pool.keep_certain[group_of(task)] != 0) {
       ++pool.certified_decisions;
       if (fallback_priced && !task.require_on_demand) {
         decision.action = MarketAction::kFallback;
@@ -748,7 +723,8 @@ void ShardedFleetSimulator::scan_market_queue(PoolRuntime& pool,
   }
   if (kept != pool.queue.size()) {
     pool.queue.resize(kept);
-    note_queue_depth(pool, now);
+    note_counter(pool, pool.queue_counter_name, now,
+                 static_cast<double>(pool.queue.size()));
   }
 }
 
@@ -766,12 +742,13 @@ void ShardedFleetSimulator::enqueue_stage(PoolRuntime& pool,
   pool.queue.push_back(task);
   if (!task.require_on_demand) ++pool.spot_runnable;
   ++pool.queued_by_group[group_of(task)];
-  note_queue_depth(pool, now);
+  note_counter(pool, pool.queue_counter_name, now,
+               static_cast<double>(pool.queue.size()));
 }
 
 void ShardedFleetSimulator::dispatch(PoolRuntime& pool, double now) {
   if (pool.queue.empty()) return;
-  const std::set<int>& idle = pool.fleet.idle_set(pool.key);
+  const std::set<int>& idle = pool.fleet.idle_set();
   auto it = idle.begin();
   while (it != idle.end() && !pool.queue.empty()) {
     const int vm_id = *it;
@@ -797,7 +774,7 @@ void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
                                        const TaskRef& task, double now) {
   Job& job = pool.resident(task.job_id)->second.job;
   VmInstance& vm = pool.fleet.vm(vm_id);
-  const double work = service_seconds(job, vm);
+  const double work = service_seconds(job, pool.key);
   const double service =
       config_.base.fault.restart == RestartModel::kCheckpoint
           ? checkpoint::effective_seconds(
@@ -806,7 +783,8 @@ void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
           : work;
   pool.fleet.assign(vm_id, job.id, now, service, work);
   ++job.stage_attempts;
-  note_queue_depth(pool, now);
+  note_counter(pool, pool.queue_counter_name, now,
+               static_cast<double>(pool.queue.size()));
   if (job.first_dispatch_time < 0.0) job.first_dispatch_time = now;
   pool.metrics.record_dispatch(now - task.enqueue_time);
 
@@ -821,7 +799,7 @@ void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
     // draw discipline is pool-local and shard-count-independent.
     const double bid = std::max(config_.base.fleet.spot_bid_fraction, job.bid);
     reclaim_in = config_.base.fleet.market->reclaim_draw(
-        vm.pool.family, vm.pool.vcpus, now, bid, pool.spot_rng);
+        pool.key.family, pool.key.vcpus, now, bid, pool.spot_rng);
   }
   double crash_in = kInf;
   if (config_.base.fault.crash_rate_per_hour > 0.0) {
@@ -847,52 +825,30 @@ void ShardedFleetSimulator::start_task(PoolRuntime& pool, int vm_id,
 
 void ShardedFleetSimulator::arm_tick(PoolRuntime& pool, double now) {
   if (pool.tick_armed) return;
-  const double interval = config_.base.autoscaler.interval_seconds;
-  // Ticks land on multiples of the interval, strictly after `now` — a pure
-  // function of (now, interval), so per-pool tick trains are identical at
-  // every shard count.
-  double next = (std::floor(now / interval) + 1.0) * interval;
-  if (next <= now) next += interval;
   shard_of(pool).events.push(
-      {next, ShardEventType::kPoolTick, pool.index, 0, -1});
+      {next_multiple_after(now, config_.base.autoscaler.interval_seconds),
+       ShardEventType::kPoolTick, pool.index, 0, -1});
   pool.tick_armed = true;
 }
 
 void ShardedFleetSimulator::arm_market_tick(PoolRuntime& pool, double now) {
   if (!config_.base.market.enabled || pool.market_tick_armed) return;
-  const double interval = config_.base.market.interval_seconds;
-  // Like arm_tick: market ticks land on interval multiples strictly after
-  // `now` — a pure function of (now, interval), identical at every shard
-  // count.
-  double next = (std::floor(now / interval) + 1.0) * interval;
-  if (next <= now) next += interval;
   shard_of(pool).events.push(
-      {next, ShardEventType::kMarketTick, pool.index, 0, -1});
+      {next_multiple_after(now, config_.base.market.interval_seconds),
+       ShardEventType::kMarketTick, pool.index, 0, -1});
   pool.market_tick_armed = true;
 }
 
-void ShardedFleetSimulator::note_market_price(PoolRuntime& pool, double now) {
+void ShardedFleetSimulator::note_counter(PoolRuntime& pool,
+                                         const std::string& name, double now,
+                                         double value) {
   if (!tracing_) return;
   obs::TraceEvent event;
-  event.name = pool.market_counter_name;
+  event.name = name;
   event.phase = 'C';
   event.ts_us = now * 1e6;
   event.tid = 0;
-  event.args.push_back(
-      {"value", config_.base.fleet.market->price_at(pool.key.family,
-                                                    pool.key.vcpus, now)});
-  pool.trace_buffer.push_back(std::move(event));
-}
-
-void ShardedFleetSimulator::note_queue_depth(PoolRuntime& pool, double now) {
-  if (!tracing_) return;
-  obs::TraceEvent event;
-  event.name = pool.queue_counter_name;
-  event.phase = 'C';
-  event.ts_us = now * 1e6;
-  event.tid = 0;
-  event.args.push_back(
-      {"value", static_cast<double>(pool.queue.size())});
+  event.args.push_back({"value", value});
   pool.trace_buffer.push_back(std::move(event));
 }
 
@@ -918,11 +874,11 @@ void ShardedFleetSimulator::trace_attempt(PoolRuntime& pool, const Job& job,
 }
 
 double ShardedFleetSimulator::service_seconds(const Job& job,
-                                              const VmInstance& vm) const {
+                                              const PoolKey& pool) const {
   const JobTemplate& tmpl = templates_[job.template_index];
   const double full =
-      tmpl.runtime(static_cast<core::JobKind>(job.stage), vm.pool.family,
-                   vm.pool.vcpus) *
+      tmpl.runtime(static_cast<core::JobKind>(job.stage), pool.family,
+                   pool.vcpus) *
       job.scale;
   return std::max(1e-9, full * (1.0 - job.stage_progress));
 }

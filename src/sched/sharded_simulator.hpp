@@ -14,13 +14,12 @@
 //
 //   LBTS       = min over shards (and the pending arrival) of the next
 //                event time — no shard may ever see an event earlier;
-//   window     = [LBTS, LBTS + lookahead);
+//   window     = [LBTS, LBTS + handoff_latency);
 //   guarantee  = a job handed off inside the window is delivered at
 //                send_time + handoff_latency >= window end, so delivering
 //                all handoffs at the barrier after the window can never
-//                create an event in a shard's past (when the configured
-//                lookahead <= the real handoff latency; the barrier
-//                asserts this and throws on violation).
+//                create an event in a shard's past (the barrier still
+//                checks this invariant and throws on violation).
 //
 // The hard contract: for a fixed (config, seed), metrics and traces are
 // byte-identical at ANY shard count and ANY thread count. What makes this
@@ -84,18 +83,10 @@ struct ShardedSimConfig {
   int shards = 1;
   /// Simulated seconds a job spends in transit between stages (result
   /// upload + scheduler round trip). Must be > 0: it is the lookahead the
-  /// conservative windows run on.
+  /// conservative windows run on, and every window is this wide.
   double handoff_latency_seconds = 1.0;
-  /// Synchronization window width; 0 = handoff_latency_seconds (the
-  /// largest safe value). Values above the handoff latency break the
-  /// conservative guarantee — the barrier detects that and throws.
-  double lookahead_seconds = 0.0;
   /// Worker threads for window execution (0 = the global default).
   int threads = 0;
-  /// Emit per-shard window spans on dedicated trace lanes. Off by default:
-  /// the lanes depend on the shard count, so runs that must be
-  /// byte-comparable across shard counts leave this off.
-  bool shard_window_spans = false;
 };
 
 /// Per-shard execution accounting (events_processed is also the bench's
@@ -115,7 +106,8 @@ class ShardedFleetSimulator {
   /// A pool's queue only ever holds tasks routed to that pool, so picks
   /// are pool-local at every shard count.
   /// Throws std::invalid_argument on an unknown policy, a non-positive
-  /// handoff latency or retry budget, or a negative lookahead.
+  /// handoff latency or retry budget, or a config the event loop cannot
+  /// finish.
   ShardedFleetSimulator(ShardedSimConfig config,
                         std::vector<JobTemplate> templates,
                         std::string policy_name);
@@ -161,13 +153,13 @@ class ShardedFleetSimulator {
   void deliver_handoffs();
   void run_shard(Shard& shard, double window_end);
 
+  /// A delivered job and a retried attempt both queue the job's stage.
   void handle_deliver(PoolRuntime& pool, const ShardEvent& event);
   void handle_boot(PoolRuntime& pool, const ShardEvent& event);
   void handle_task_complete(Shard& shard, PoolRuntime& pool,
                             const ShardEvent& event);
   void handle_attempt_killed(PoolRuntime& pool, const ShardEvent& event,
                              bool spot_reclaim);
-  void handle_task_retry(PoolRuntime& pool, const ShardEvent& event);
   void handle_pool_tick(PoolRuntime& pool, const ShardEvent& event);
   /// Pool-local market tick: re-evaluate the pool's queued tasks against
   /// current prices; migrations leave through the shard outbox as ordinary
@@ -177,8 +169,7 @@ class ShardedFleetSimulator {
   /// The tick's per-task pass: certified tasks take only the fallback
   /// test, the rest market_decide; migrated tasks leave the queue.
   void scan_market_queue(PoolRuntime& pool, const MarketQuote& quote,
-                         KeepCertificates& certificates, bool fallback_priced,
-                         double now);
+                         bool fallback_priced, double now);
 
   void enqueue_stage(PoolRuntime& pool, std::uint64_t job_id, double now);
   void dispatch(PoolRuntime& pool, double now);
@@ -186,19 +177,19 @@ class ShardedFleetSimulator {
                   double now);
   void arm_tick(PoolRuntime& pool, double now);
   void arm_market_tick(PoolRuntime& pool, double now);
-  void note_queue_depth(PoolRuntime& pool, double now);
-  void note_market_price(PoolRuntime& pool, double now);
+  /// Trace counter `name` of `pool` at `value` (no-op unless tracing).
+  void note_counter(PoolRuntime& pool, const std::string& name, double now,
+                    double value);
   void trace_attempt(PoolRuntime& pool, const Job& job, const VmInstance& vm,
                      int vm_id, double now, bool killed);
 
   [[nodiscard]] Shard& shard_of(const PoolRuntime& pool);
   [[nodiscard]] double service_seconds(const Job& job,
-                                       const VmInstance& vm) const;
+                                       const PoolKey& pool) const;
 
   ShardedSimConfig config_;
   std::vector<JobTemplate> templates_;
   ShardTopology topology_;
-  double lookahead_ = 0.0;
 
   std::vector<std::unique_ptr<PoolRuntime>> pools_;
   std::vector<std::unique_ptr<Shard>> shards_;

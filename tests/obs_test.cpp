@@ -305,6 +305,18 @@ TEST(RegistryTest, ExportsAreDeterministicAndOrdered) {
   EXPECT_NE(json.find("\"value\":3"), std::string::npos);
 }
 
+TEST(RegistryTest, JsonExportEscapesControlCharactersInLabels) {
+  Registry registry;
+  registry.counter("jobs", {{"design", "line1\nline2\tend"}}).add(1);
+  const std::string json = registry.to_json();
+  EXPECT_NE(json.find("\"design\":\"line1\\nline2\\tend\""), std::string::npos)
+      << json;
+  // No raw control character survives into the export's string bodies.
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+  EXPECT_EQ(json.find("line1\n"), std::string::npos);
+  expect_balanced_json(json);
+}
+
 TEST(RegistryTest, FleetMetricsExportLandsCountersAndGauges) {
   sched::FleetMetrics metrics;
   metrics.jobs_submitted = 10;

@@ -1,7 +1,7 @@
 // Tests for the sharded fleet simulator (DESIGN.md §13): the byte-identity
 // contract across shard and thread counts, cross-shard handoff accounting,
-// conservative-lookahead violation detection, and the Fleet incremental
-// counters the sharded dispatch path leans on.
+// config validation, and the Fleet incremental counters the sharded
+// dispatch path leans on.
 
 #include <gtest/gtest.h>
 
@@ -363,31 +363,12 @@ TEST(SchedShardTest, PinnedExportDigests) {
   }
 }
 
-// ---- Conservative lookahead -------------------------------------------------
-
-TEST(SchedShardTest, OversizedLookaheadViolationThrows) {
-  // Claiming more lookahead than the real handoff latency breaks the
-  // conservative guarantee: a shard can advance past another shard's
-  // in-flight message. The barrier must detect that, not corrupt the run.
-  ShardedSimConfig config;
-  config.base.seed = 3;
-  config.base.duration_seconds = 3600.0;
-  config.base.load.arrival_rate_per_hour = 120.0;
-  config.shards = 4;
-  config.handoff_latency_seconds = 0.05;
-  config.lookahead_seconds = 50.0;  // >> handoff latency: unsafe window
-  ShardedFleetSimulator sim(config, builtin_templates(), "cost");
-  EXPECT_THROW(sim.run(), std::logic_error);
-}
+// ---- Config validation ------------------------------------------------------
 
 TEST(SchedShardTest, RejectsInvalidConfig) {
   ShardedSimConfig config;
   config.handoff_latency_seconds = 0.0;
   EXPECT_THROW(ShardedFleetSimulator(config, builtin_templates(), "cost"),
-               std::invalid_argument);
-  ShardedSimConfig negative;
-  negative.lookahead_seconds = -1.0;
-  EXPECT_THROW(ShardedFleetSimulator(negative, builtin_templates(), "cost"),
                std::invalid_argument);
 }
 
@@ -429,15 +410,12 @@ TEST(SchedShardTest, RunIsSingleShot) {
 TEST(FleetCountersTest, IncrementalCountsMatchInstanceScan) {
   FleetConfig config;
   config.spot_fraction = 0.5;
-  Fleet fleet(config);
+  Fleet fleet({perf::InstanceFamily::kGeneralPurpose, 4}, config);
   util::Rng rng(42);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 4};
-  const PoolKey other{perf::InstanceFamily::kMemoryOptimized, 8};
 
   std::vector<int> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(fleet.launch(pool, 0.0, rng, true));
-  fleet.launch(other, 0.0, rng, true);
-  const int booting = fleet.launch(pool, 10.0, rng);  // not idle yet
+  for (int i = 0; i < 6; ++i) ids.push_back(fleet.launch(0.0, rng, true));
+  const int booting = fleet.launch(10.0, rng);  // not idle yet
 
   fleet.assign(ids[0], 1, 20.0, 100.0);
   fleet.assign(ids[1], 2, 20.0, 100.0);
@@ -446,35 +424,24 @@ TEST(FleetCountersTest, IncrementalCountsMatchInstanceScan) {
   fleet.retire(ids[1], 35.0);   // busy retire
   fleet.mark_ready(booting);
 
-  const auto scan = [&](const PoolKey& key) {
-    int alive = 0;
-    int busy = 0;
-    int idle = 0;
-    for (const auto& vm : fleet.instances()) {
-      if (vm.pool != key || vm.state == VmInstance::State::kRetired) continue;
-      ++alive;
-      if (vm.state == VmInstance::State::kBusy) ++busy;
-      if (vm.state == VmInstance::State::kIdle) ++idle;
-    }
-    EXPECT_EQ(fleet.alive_count(key), alive);
-    EXPECT_EQ(fleet.busy_count(key), busy);
-    EXPECT_EQ(fleet.idle_count(key), idle);
-    return alive;
-  };
-  const int total = scan(pool) + scan(other);
-  EXPECT_EQ(fleet.total_alive(), total);
+  int alive = 0;
+  int busy = 0;
+  std::vector<int> idle_scan;
+  for (const auto& vm : fleet.instances()) {
+    if (vm.state == VmInstance::State::kRetired) continue;
+    ++alive;
+    if (vm.state == VmInstance::State::kBusy) ++busy;
+    if (vm.state == VmInstance::State::kIdle) idle_scan.push_back(vm.id);
+  }
+  EXPECT_EQ(fleet.alive_count(), alive);
+  EXPECT_EQ(fleet.busy_count(), busy);
 
-  // idle_set view agrees with idle_in and only holds idle members.
-  const std::set<int>& idle = fleet.idle_set(pool);
-  const std::vector<int> listed = fleet.idle_in(pool);
-  EXPECT_EQ(std::vector<int>(idle.begin(), idle.end()), listed);
+  // The idle set holds exactly the idle members, ascending.
+  const std::set<int>& idle = fleet.idle_set();
+  EXPECT_EQ(std::vector<int>(idle.begin(), idle.end()), idle_scan);
   for (const int id : idle) {
     EXPECT_EQ(fleet.vm(id).state, VmInstance::State::kIdle);
   }
-  // Unknown pools answer empty, not throw.
-  const PoolKey unused{perf::InstanceFamily::kComputeOptimized, 1};
-  EXPECT_TRUE(fleet.idle_set(unused).empty());
-  EXPECT_EQ(fleet.alive_count(unused), 0);
 }
 
 }  // namespace

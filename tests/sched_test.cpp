@@ -171,22 +171,21 @@ TEST(LoadGeneratorTest, MixByNameRoundTripsAndRejectsUnknown) {
 TEST(FleetTest, BootAndBillingLifecycle) {
   FleetConfig config;
   config.boot_seconds = 60.0;
-  Fleet fleet(config);
+  Fleet fleet({perf::InstanceFamily::kGeneralPurpose, 4}, config);
   util::Rng rng(1);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 4};
-  const int id = fleet.launch(pool, 0.0, rng);
+  const int id = fleet.launch(0.0, rng);
   EXPECT_EQ(fleet.vm(id).state, VmInstance::State::kBooting);
-  EXPECT_EQ(fleet.idle_count(pool), 0);
+  EXPECT_EQ(fleet.idle_set().size(), 0u);
   fleet.mark_ready(id);
-  EXPECT_EQ(fleet.idle_count(pool), 1);
+  EXPECT_EQ(fleet.idle_set().size(), 1u);
 
   fleet.assign(id, 42, 100.0, 50.0);
-  EXPECT_EQ(fleet.busy_count(pool), 1);
+  EXPECT_EQ(fleet.busy_count(), 1);
   fleet.release(id, 150.0);
   EXPECT_DOUBLE_EQ(fleet.vm(id).busy_seconds, 50.0);
 
   fleet.retire(id, 200.0);
-  EXPECT_EQ(fleet.alive_count(pool), 0);
+  EXPECT_EQ(fleet.alive_count(), 0);
   // 200 billed seconds of a 4-vCPU general-purpose machine.
   const double rate = fleet.hourly_rate_usd(fleet.vm(id));
   EXPECT_NEAR(fleet.total_cost_usd(500.0), rate * 200.0 / 3600.0, 1e-9);
@@ -196,15 +195,15 @@ TEST(FleetTest, BootAndBillingLifecycle) {
 TEST(FleetTest, SpotInstancesGetDiscountedRate) {
   FleetConfig config;
   config.spot_fraction = 1.0;
-  Fleet fleet(config);
-  util::Rng rng(1);
   const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 8};
-  const int id = fleet.launch(pool, 0.0, rng);
+  Fleet fleet(pool, config);
+  util::Rng rng(1);
+  const int id = fleet.launch(0.0, rng);
   ASSERT_TRUE(fleet.vm(id).spot);
 
-  Fleet on_demand(FleetConfig{});
+  Fleet on_demand(pool, FleetConfig{});
   util::Rng rng2(1);
-  const int od_id = on_demand.launch(pool, 0.0, rng2);
+  const int od_id = on_demand.launch(0.0, rng2);
   ASSERT_FALSE(on_demand.vm(od_id).spot);
   EXPECT_NEAR(fleet.hourly_rate_usd(fleet.vm(id)),
               on_demand.hourly_rate_usd(on_demand.vm(od_id)) *
@@ -213,11 +212,11 @@ TEST(FleetTest, SpotInstancesGetDiscountedRate) {
 }
 
 TEST(FleetTest, IdleListIsSortedAscending) {
-  Fleet fleet(FleetConfig{});
+  Fleet fleet({perf::InstanceFamily::kMemoryOptimized, 2}, FleetConfig{});
   util::Rng rng(1);
-  const PoolKey pool{perf::InstanceFamily::kMemoryOptimized, 2};
-  for (int i = 0; i < 4; ++i) fleet.launch(pool, 0.0, rng, /*warm=*/true);
-  const auto idle = fleet.idle_in(pool);
+  for (int i = 0; i < 4; ++i) fleet.launch(0.0, rng, /*warm=*/true);
+  const std::vector<int> idle(fleet.idle_set().begin(),
+                              fleet.idle_set().end());
   ASSERT_EQ(idle.size(), 4u);
   for (std::size_t i = 1; i < idle.size(); ++i) {
     EXPECT_LT(idle[i - 1], idle[i]);
@@ -230,9 +229,8 @@ TEST(AutoscalerTest, ScalesUpUnderQueuedDemand) {
   AutoscalerConfig config;
   config.target_utilization = 0.5;
   Autoscaler scaler(config);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 4};
   const PoolDemand demand{.queued = 4, .busy = 2, .alive = 2};
-  EXPECT_GT(scaler.decide(pool, demand, 1000.0), 0);
+  EXPECT_GT(scaler.decide(demand, 1000.0), 0);
 }
 
 TEST(AutoscalerTest, UpCooldownBlocksImmediateRepeat) {
@@ -240,30 +238,27 @@ TEST(AutoscalerTest, UpCooldownBlocksImmediateRepeat) {
   config.scale_up_cooldown = 30.0;
   config.max_step_up = 1;
   Autoscaler scaler(config);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 1};
   const PoolDemand demand{.queued = 10, .busy = 0, .alive = 0};
-  EXPECT_EQ(scaler.decide(pool, demand, 100.0), 1);
-  EXPECT_EQ(scaler.decide(pool, demand, 110.0), 0);  // still cooling
-  EXPECT_EQ(scaler.decide(pool, demand, 131.0), 1);
+  EXPECT_EQ(scaler.decide(demand, 100.0), 1);
+  EXPECT_EQ(scaler.decide(demand, 110.0), 0);  // still cooling
+  EXPECT_EQ(scaler.decide(demand, 131.0), 1);
 }
 
 TEST(AutoscalerTest, ScalesDownIdleCapacityAfterCooldown) {
   AutoscalerConfig config;
   config.scale_down_cooldown = 60.0;
   Autoscaler scaler(config);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 1};
   const PoolDemand demand{.queued = 0, .busy = 0, .alive = 5};
-  EXPECT_LT(scaler.decide(pool, demand, 1000.0), 0);
-  EXPECT_EQ(scaler.decide(pool, demand, 1010.0), 0);  // cooling down
+  EXPECT_LT(scaler.decide(demand, 1000.0), 0);
+  EXPECT_EQ(scaler.decide(demand, 1010.0), 0);  // cooling down
 }
 
 TEST(AutoscalerTest, RespectsMaxVms) {
   AutoscalerConfig config;
   config.max_vms = 4;
   Autoscaler scaler(config);
-  const PoolKey pool{perf::InstanceFamily::kGeneralPurpose, 1};
   const PoolDemand demand{.queued = 100, .busy = 4, .alive = 4};
-  EXPECT_EQ(scaler.decide(pool, demand, 100.0), 0);
+  EXPECT_EQ(scaler.decide(demand, 100.0), 0);
 }
 
 // ---- Policies ---------------------------------------------------------------
