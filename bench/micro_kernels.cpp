@@ -2,16 +2,19 @@
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
 // sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
-// GCN forward pass and training step, the fleet's per-job admission plan
-// and the fleet engine's market-tick decisions. These quantify the
-// substrate itself rather than a paper figure. Cut mapping, CG placement and the STA sweeps run twice: with a
-// null perf::Sink (second arg 0) and instrumented on the characterize
-// workload's 8-config ladder (1).
+// GCN forward pass and training step, the fleet's per-job admission plan,
+// the fleet engine's market-tick decisions and the thread-pool round trip
+// of a 2-chunk parallel_for. These quantify the substrate itself rather
+// than a paper figure. Cut mapping, CG placement and the STA sweeps run
+// twice: with a null perf::Sink (second arg 0) and instrumented on the
+// characterize workload's 8-config ladder (1).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <new>
@@ -36,6 +39,7 @@
 #include "synth/engine.hpp"
 #include "tune/recipe_space.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/generators.hpp"
 
 namespace {
@@ -439,6 +443,71 @@ void BM_MarketTick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
 }
 BENCHMARK(BM_MarketTick)->Arg(64)->Arg(1024);
+
+/// `steps` dependent xorshift rounds: a fixed amount of scalar work the
+/// compiler can neither fold nor vectorize.
+std::uint64_t spin(std::uint64_t state, std::int64_t steps) {
+  for (std::int64_t i = 0; i < steps; ++i) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+  }
+  return state;
+}
+
+/// spin() steps per microsecond on this host, timed once.
+double spin_steps_per_us() {
+  static const double rate = [] {
+    constexpr std::int64_t kSteps = 1 << 22;
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(spin(0x9E3779B97F4A7C15ULL, kSteps));
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    return static_cast<double>(kSteps) / std::max(us, 1e-3);
+  }();
+  return rate;
+}
+
+// The thread-pool round trip the fleet engine pays to split a window over
+// two shards: a 2-chunk parallel_for on a `range(0)`-wide pool whose chunks
+// each spin `range(1)` ns of work. inline_us is the same two chunks run
+// one after the other on the calling thread; the pool pays once each chunk
+// holds more work than the round trip costs.
+void BM_ParallelForSmall(benchmark::State& state) {
+  util::ThreadPool pool(static_cast<int>(state.range(0)));
+  const auto steps = static_cast<std::int64_t>(
+      static_cast<double>(state.range(1)) * 1e-3 * spin_steps_per_us());
+  std::array<std::uint64_t, 2> out{};
+  const util::ThreadPool::ForBody body =
+      [&](std::size_t begin, std::size_t, std::size_t, unsigned) {
+        out[begin] = spin(begin + 1, steps);
+      };
+  std::int64_t passes = 0;
+  for (auto _ : state) {
+    pool.parallel_for(0, 2, 1, body);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++passes;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::int64_t pass = 0; pass < passes; ++pass) {
+    for (std::size_t chunk = 0; chunk < 2; ++chunk) {
+      body(chunk, chunk + 1, chunk, 0);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["inline_us"] =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - start)
+          .count() /
+      static_cast<double>(std::max<std::int64_t>(passes, 1));
+}
+BENCHMARK(BM_ParallelForSmall)
+    ->ArgsProduct({{2, 4}, {0, 1500, 8000, 16000, 30000}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

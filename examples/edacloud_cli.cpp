@@ -376,8 +376,9 @@ int cmd_fleet_sim(const Args& args) {
                   static_cast<unsigned long long>(stats.handoffs_out),
                   static_cast<unsigned long long>(stats.handoffs_in));
     }
-    std::printf("windows: %llu, events total: %llu\n",
+    std::printf("windows: %llu (%llu pooled), events total: %llu\n",
                 static_cast<unsigned long long>(sim.windows()),
+                static_cast<unsigned long long>(sim.pooled_windows()),
                 static_cast<unsigned long long>(sim.total_events()));
   }
   std::printf("%s", metrics.render().c_str());

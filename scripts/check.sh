@@ -338,9 +338,11 @@ shard_smoke() {
 
   echo "=== shard smoke: engine banner, stats, flag validation ==="
   "${cli}" fleet-sim --seed 11 --duration 1800 --shards 4 --shard-stats \
-    > "${tmp}/stats.out"
+    --metrics "${tmp}/stats_m.json" > "${tmp}/stats.out"
   grep -q 'sharded engine, 4 shard(s)' "${tmp}/stats.out"
   grep -q 'shard 0:' "${tmp}/stats.out"
+  grep -q 'pooled), events total:' "${tmp}/stats.out"
+  grep -q '"fleet_shard.pooled_windows"' "${tmp}/stats_m.json"
   # The window is always the handoff latency; there is no knob to widen it.
   "${cli}" fleet-sim --lookahead 1 > /dev/null 2>&1 && {
     echo "shard smoke: removed --lookahead flag exited 0" >&2

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "util/csv.hpp"
 #include "util/log.hpp"
 
 namespace edacloud::obs {
@@ -178,9 +179,12 @@ std::string Registry::to_csv() const {
   std::string out =
       "name,labels,type,value,count,sum,min,max,p50,p95,p99\n";
   for (const auto& [id, entry] : entries_) {
-    std::string row;
-    append_escaped(row, entry.name);
-    row += ",\"" + labels_csv(entry.labels) + "\",";
+    // RFC 4180 fields: the labels are always quoted, the name only when
+    // it needs to be.
+    std::string row = util::csv_field(entry.name) + "," +
+                      util::csv_field(labels_csv(entry.labels),
+                                      /*always_quote=*/true) +
+                      ",";
     switch (entry.kind) {
       case Kind::kCounter:
         row += "counter,";

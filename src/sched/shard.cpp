@@ -5,6 +5,28 @@
 
 namespace edacloud::sched {
 
+namespace {
+
+/// Adds the events before `end` in the heap subtree rooted at `node` to
+/// `count`, stopping at `cap`. Every event before `end` has all its
+/// ancestors before `end` too, so a root at or after `end` ends the walk
+/// of its subtree; the recursion is at most the heap's height deep.
+void count_subtree(const std::vector<ShardEvent>& heap, std::size_t node,
+                   double end, std::size_t cap, std::size_t& count) {
+  if (node >= heap.size() || count >= cap || !(heap[node].time < end)) return;
+  ++count;
+  count_subtree(heap, 2 * node + 1, end, cap, count);
+  count_subtree(heap, 2 * node + 2, end, cap, count);
+}
+
+}  // namespace
+
+std::size_t ShardEventQueue::count_before(double end, std::size_t cap) const {
+  std::size_t count = 0;
+  count_subtree(heap_, 0, end, cap, count);
+  return count;
+}
+
 ShardTopology::ShardTopology(int shard_count) : shard_count_(shard_count) {
   if (shard_count < 1 || shard_count > kPoolCount) {
     throw std::invalid_argument("shard_count must be in [1, " +

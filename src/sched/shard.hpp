@@ -16,9 +16,9 @@
 //     content, so a pool's event sequence is identical whether its shard
 //     owns 1 pool or all 12.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "core/flow.hpp"
@@ -62,26 +62,38 @@ struct ShardEventLater {
   }
 };
 
-/// One shard's event queue. There is deliberately no insertion
-/// sequence number: ordering must not depend on *when* an event was pushed,
-/// because barrier-delivered handoffs arrive in coordinator order while
-/// locally-scheduled events arrive in execution order, and those interleave
-/// differently at different shard counts.
+/// One shard's event queue: a binary min-heap in a plain vector, driven by
+/// std::push_heap / std::pop_heap with ShardEventLater — the exact algorithm
+/// std::priority_queue runs, exposed so count_before can read the array.
+/// There is deliberately no insertion sequence number: ordering must not
+/// depend on *when* an event was pushed, because barrier-delivered handoffs
+/// arrive in coordinator order while locally-scheduled events arrive in
+/// execution order, and those interleave differently at different shard
+/// counts.
 class ShardEventQueue {
  public:
-  void push(const ShardEvent& event) { heap_.push(event); }
+  void push(const ShardEvent& event) {
+    heap_.push_back(event);
+    std::push_heap(heap_.begin(), heap_.end(), ShardEventLater{});
+  }
   ShardEvent pop() {
-    ShardEvent event = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), ShardEventLater{});
+    const ShardEvent event = heap_.back();
+    heap_.pop_back();
     return event;
   }
-  [[nodiscard]] const ShardEvent& peek() const { return heap_.top(); }
+  [[nodiscard]] const ShardEvent& peek() const { return heap_.front(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
+  /// Queued events with time < `end`, counted up to `cap` (the result is
+  /// min(count, cap)). A child is never earlier than its parent, so the
+  /// walk skips every subtree whose root is not before `end`; it visits at
+  /// most `cap` counted nodes and their children.
+  [[nodiscard]] std::size_t count_before(double end, std::size_t cap) const;
+
  private:
-  std::priority_queue<ShardEvent, std::vector<ShardEvent>, ShardEventLater>
-      heap_;
+  std::vector<ShardEvent> heap_;
 };
 
 /// A job travelling between stages (or from admission to its first pool).

@@ -16,6 +16,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Events before the window's end that a shard must hold for its window to
+/// be worth a thread-pool round trip; execute_window splits a window only
+/// when two shards reach it. micro_kernels' BM_ParallelForSmall times a
+/// 2-chunk parallel_for at ~17-20 us more than its larger chunk, so a
+/// split pays only once the smaller chunk holds more work than that
+/// (EXPERIMENTS.md, "Fleet windows that pay for the pool"). A fleet event
+/// costs ~0.5-1 us, so 48 events (~25-50 us) clear the round trip with a
+/// margin for its run-to-run spread.
+constexpr std::size_t kSplitEvents = 48;
+
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {
   std::uint64_t state = seed ^ (salt * 0x9E3779B97F4A7C15ULL);
   return util::splitmix64(state);
@@ -336,9 +346,13 @@ void ShardedFleetSimulator::admit_jobs(double window_end) {
 }
 
 void ShardedFleetSimulator::execute_window(double window_end) {
-  // Only shards with an event before window_end have work. Most windows
-  // hold work for one shard, which runs right here with no thread-pool
-  // round trip; which thread runs a shard never changes what it computes.
+  // Only shards with an event before window_end have work, and a
+  // thread-pool round trip costs more than a light shard's whole window.
+  // So the window goes to the pool only when two busy shards each hold
+  // kSplitEvents events before window_end; otherwise every busy shard runs
+  // right here, in ascending shard order. A shard's window is single-writer
+  // and never depends on which thread runs it, so both paths compute the
+  // same bytes.
   std::vector<Shard*>& busy = busy_shards_;
   busy.clear();
   for (const auto& shard : shards_) {
@@ -346,10 +360,21 @@ void ShardedFleetSimulator::execute_window(double window_end) {
       busy.push_back(shard.get());
     }
   }
-  if (busy.size() == 1) {
-    run_shard(*busy.front(), window_end);
+  int heavy = 0;
+  if (busy.size() >= 2) {
+    for (const Shard* shard : busy) {
+      if (shard->events.count_before(window_end, kSplitEvents) <
+          kSplitEvents) {
+        continue;
+      }
+      if (++heavy == 2) break;
+    }
+  }
+  if (heavy < 2) {
+    for (Shard* shard : busy) run_shard(*shard, window_end);
     return;
   }
+  ++pooled_windows_;
   // Grain 1: each chunk is exactly one shard, so a shard's events are
   // processed by one thread per window (single-writer pool state), and the
   // work a chunk does depends only on its index — the thread-pool
@@ -892,6 +917,7 @@ std::uint64_t ShardedFleetSimulator::total_events() const {
 void ShardedFleetSimulator::export_shard_stats(obs::Registry& registry,
                                                const obs::Labels& labels) const {
   registry.counter("fleet_shard.windows", labels).add(windows_);
+  registry.counter("fleet_shard.pooled_windows", labels).add(pooled_windows_);
   registry.counter("fleet_shard.events_total", labels).add(total_events());
   // Pool-local work counters, folded in canonical pool order.
   std::uint64_t certified = 0;

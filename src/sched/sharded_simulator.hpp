@@ -9,8 +9,10 @@
 //
 // The fleet is partitioned by (family, vCPU) pool: every pool — its VMs,
 // queue, autoscaler, RNG streams and metrics — is owned by exactly one
-// shard, and shards execute their event queues concurrently on
-// util::thread_pool inside conservative synchronization windows:
+// shard, and shards execute their event queues inside conservative
+// synchronization windows — concurrently on util::thread_pool when two
+// shards each have enough events in the window to pay for the round trip,
+// inline on the coordinator otherwise:
 //
 //   LBTS       = min over shards (and the pending arrival) of the next
 //                event time — no shard may ever see an event earlier;
@@ -132,10 +134,16 @@ class ShardedFleetSimulator {
   [[nodiscard]] std::uint64_t total_events() const;
   /// Synchronization windows executed (== barriers).
   [[nodiscard]] std::uint64_t windows() const { return windows_; }
+  /// Windows handed to the thread pool: those in which two shards each
+  /// held enough events to pay for the round trip (at one thread the pool
+  /// runs them inline too). The rest ran inline on the coordinator.
+  [[nodiscard]] std::uint64_t pooled_windows() const {
+    return pooled_windows_;
+  }
 
-  /// Export fleet_shard.* counters/gauges per shard plus the window count
-  /// (labels get a "shard" key), and the pool-local work counters summed
-  /// in canonical pool order: market-tick decisions by path
+  /// Export fleet_shard.* counters/gauges per shard (labels get a "shard"
+  /// key), the window and pooled-window counts, and the pool-local work
+  /// counters summed in canonical pool order: market-tick decisions by path
   /// (path="certified" | "exact"), market ticks by path (path="group":
   /// every queued group was certified and the queue was not scanned;
   /// path="scan") and spot VMs dispatch did not ask to pick. The
@@ -206,6 +214,7 @@ class ShardedFleetSimulator {
   double next_arrival_ = 0.0;
   std::uint64_t next_job_id_ = 0;
   std::uint64_t windows_ = 0;
+  std::uint64_t pooled_windows_ = 0;
   std::vector<ShardStats> shard_stats_;
   bool tracing_ = false;
   bool ran_ = false;

@@ -4,14 +4,10 @@
 
 namespace edacloud::util {
 
-namespace {
-
-bool needs_quoting(const std::string& cell) {
-  return cell.find_first_of(",\"\n\r") != std::string::npos;
-}
-
-std::string escape(const std::string& cell) {
-  if (!needs_quoting(cell)) return cell;
+std::string csv_field(const std::string& cell, bool always_quote) {
+  if (!always_quote && cell.find_first_of(",\"\n\r") == std::string::npos) {
+    return cell;
+  }
   std::string out = "\"";
   for (char ch : cell) {
     if (ch == '"') out += "\"\"";
@@ -21,10 +17,12 @@ std::string escape(const std::string& cell) {
   return out;
 }
 
+namespace {
+
 void emit_row(std::string& out, const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i != 0) out += ",";
-    out += escape(cells[i]);
+    out += csv_field(cells[i]);
   }
   out += "\n";
 }

@@ -7,6 +7,12 @@
 
 namespace edacloud::util {
 
+/// `cell` as one RFC 4180 field: inside quotes with each `"` doubled when
+/// it holds a comma, a quote or a line break, or when `always_quote` is
+/// set; as is otherwise.
+[[nodiscard]] std::string csv_field(const std::string& cell,
+                                    bool always_quote = false);
+
 class CsvWriter {
  public:
   explicit CsvWriter(std::vector<std::string> headers);

@@ -317,6 +317,56 @@ TEST(RegistryTest, JsonExportEscapesControlCharactersInLabels) {
   expect_balanced_json(json);
 }
 
+// RFC 4180 reader: records of fields, quoted fields may hold commas,
+// doubled quotes and line breaks.
+std::vector<std::vector<std::string>> read_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> records(1);
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field += c;
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field += '"';
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      records.back().push_back(std::move(field));
+      field.clear();
+    } else if (c == '\n') {
+      records.back().push_back(std::move(field));
+      field.clear();
+      records.emplace_back();
+    } else {
+      field += c;
+    }
+  }
+  if (records.back().empty()) records.pop_back();
+  return records;
+}
+
+TEST(RegistryTest, CsvExportQuotesLabelValues) {
+  Registry registry;
+  registry.counter("jobs", {{"design", "a\"b,c"}}).add(1);
+  registry.gauge("odd,\"name\"\nhere").set(2.0);
+  const auto records = read_csv(registry.to_csv());
+  ASSERT_EQ(records.size(), 3u);
+  for (const auto& record : records) EXPECT_EQ(record.size(), 11u);
+  // Rows sort by name: `jobs` before `odd,...`.
+  EXPECT_EQ(records[1][0], "jobs");
+  EXPECT_EQ(records[1][1], "design=a\"b,c");
+  EXPECT_EQ(records[1][3], "1");
+  EXPECT_EQ(records[2][0], "odd,\"name\"\nhere");
+  EXPECT_EQ(records[2][1], "");
+  EXPECT_EQ(records[2][2], "gauge");
+}
+
 TEST(RegistryTest, FleetMetricsExportLandsCountersAndGauges) {
   sched::FleetMetrics metrics;
   metrics.jobs_submitted = 10;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <queue>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -19,6 +21,7 @@
 #include "sched/load_gen.hpp"
 #include "sched/shard.hpp"
 #include "sched/sharded_simulator.hpp"
+#include "util/rng.hpp"
 
 namespace edacloud::sched {
 namespace {
@@ -122,6 +125,49 @@ TEST(ShardEventQueueTest, OrdersByIntrinsicKeyNotInsertion) {
   EXPECT_EQ(first.pool, 2);               // lower pool first at equal type
   EXPECT_EQ(queue.pop().pool, 7);
   EXPECT_EQ(queue.pop().type, ShardEventType::kPoolTick);
+}
+
+TEST(ShardEventQueueTest, CountBeforeIsExactAndCapped) {
+  // Coarse integer times make many ties, so windows ending exactly on an
+  // event time check that count_before is strict, like run_shard's loop.
+  // The pops also keep the heap's order: the same as std::priority_queue
+  // fed the same operations.
+  util::Rng rng(2026);
+  ShardEventQueue queue;
+  std::priority_queue<ShardEvent, std::vector<ShardEvent>, ShardEventLater>
+      reference;
+  const auto brute_force_count = [](ShardEventQueue copy, double end) {
+    std::size_t count = 0;
+    while (!copy.empty() && copy.pop().time < end) ++count;
+    return count;
+  };
+  for (int step = 0; step < 600; ++step) {
+    if (!queue.empty() && rng.next_bool(0.35)) {
+      const ShardEvent popped = queue.pop();
+      const ShardEvent expected = reference.top();
+      reference.pop();
+      ASSERT_EQ(popped.time, expected.time);
+      ASSERT_EQ(popped.pool, expected.pool);
+      ASSERT_EQ(popped.job_id, expected.job_id);
+    } else {
+      const ShardEvent event{
+          static_cast<double>(rng.next_int(0, 40)),
+          static_cast<ShardEventType>(rng.next_int(0, 7)),
+          static_cast<int>(rng.next_int(0, 11)),
+          static_cast<std::uint64_t>(step), -1};
+      queue.push(event);
+      reference.push(event);
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+    for (const double end : {0.0, 3.0, 10.0, 17.5, 25.0, 41.0}) {
+      const std::size_t exact = brute_force_count(queue, end);
+      EXPECT_EQ(queue.count_before(end, queue.size() + 1), exact);
+      for (const std::size_t cap : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{5}, std::size_t{48}}) {
+        EXPECT_EQ(queue.count_before(end, cap), std::min(exact, cap));
+      }
+    }
+  }
 }
 
 // ---- Byte-identity across shard counts --------------------------------------
@@ -361,6 +407,71 @@ TEST(SchedShardTest, PinnedExportDigests) {
     EXPECT_GT(metrics.market_fallbacks, 0u);
     EXPECT_GT(metrics.market_migrations, 0u);
   }
+}
+
+// ext_fleet_scale's rung shape: `vms` warm VMs spread evenly over the 12
+// pools, the autoscaler pinned around that size, ~2 uniform-mix jobs per
+// VM-hour and a 5 s handoff window.
+ShardedSimConfig fleet_scale_config(int vms, double duration_seconds) {
+  ShardedSimConfig config;
+  config.base.seed = 20260807;
+  config.base.duration_seconds = duration_seconds;
+  config.base.load.arrival_rate_per_hour = 2.0 * vms;
+  config.base.load.mix = uniform_mix();
+  config.base.fleet.boot_seconds = 45.0;
+  const int per_pool = std::max(1, vms / ShardTopology::kPoolCount);
+  for (int pool = 0; pool < ShardTopology::kPoolCount; ++pool) {
+    config.base.warm_pools.emplace_back(ShardTopology::pool_at(pool),
+                                        per_pool);
+  }
+  config.base.autoscaler.min_vms = per_pool;
+  config.base.autoscaler.max_vms = 2 * per_pool;
+  config.base.autoscaler.max_step_up = std::max(8, per_pool / 8);
+  config.handoff_latency_seconds = 5.0;
+  return config;
+}
+
+TEST(SchedShardTest, HeavyWindowsRunOnThePool) {
+  // ext_fleet_scale's 10^5-VM rung, cut to five minutes of arrivals: once
+  // its queues fill, several shards hold enough events in one 5 s window
+  // that execute_window splits it across the pool. The split must not
+  // change a byte of the metrics.
+  ShardedSimConfig config = fleet_scale_config(100'000, 300.0);
+  config.shards = 4;
+  config.threads = 4;
+  ShardedFleetSimulator sim(config, builtin_templates(), "cost");
+  const FleetMetrics metrics = sim.run();
+  EXPECT_GT(sim.pooled_windows(), 0u);
+  EXPECT_LT(sim.pooled_windows(), sim.windows());
+
+  ShardedSimConfig serial_config = config;
+  serial_config.shards = 1;
+  serial_config.threads = 1;
+  ShardedFleetSimulator serial(serial_config, builtin_templates(), "cost");
+  const FleetMetrics serial_metrics = serial.run();
+  EXPECT_EQ(serial.pooled_windows(), 0u);  // one shard never splits
+  EXPECT_EQ(serial.windows(), sim.windows());
+  obs::Registry exported[2];
+  metrics.export_to(exported[0]);
+  serial_metrics.export_to(exported[1]);
+  EXPECT_EQ(exported[0].to_json(), exported[1].to_json());
+}
+
+TEST(SchedShardTest, LightWindowsRunInline) {
+  // The benchmark's fleet never holds enough events in one window on two
+  // shards to pay for the pool, so every window runs inline; the window
+  // count is the one the engine made before the split rule.
+  ShardedFleetSimulator sim(benchmark_fleet_config(), builtin_templates(),
+                            "cost");
+  sim.run();
+  EXPECT_EQ(sim.pooled_windows(), 0u);
+  EXPECT_EQ(sim.windows(), 30883u);
+  obs::Registry stats;
+  sim.export_shard_stats(stats);
+  const obs::Counter* pooled =
+      stats.find_counter("fleet_shard.pooled_windows", {});
+  ASSERT_NE(pooled, nullptr);
+  EXPECT_EQ(pooled->value(), 0u);
 }
 
 // ---- Config validation ------------------------------------------------------
