@@ -225,7 +225,7 @@ void BM_CacheSimLlc(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimLlc);
 
-// Counter simulation alone: the event logs of one instrumented gen_alu(16)
+// Counter simulation alone: the event log of one instrumented gen_alu(16)
 // route, replayed into a fresh Instrument over the 8-config benchmark
 // ladder (general-purpose and memory-optimized, 1-8 vCPUs). Building the
 // Instrument is timed too: every instrumented stage run pays it.
@@ -236,13 +236,12 @@ void BM_InstrumentReplay(benchmark::State& state) {
       engine.synthesize(workloads::gen_alu(16), synth::default_recipe());
   place::QuadraticPlacer placer;
   const auto placement = placer.place(mapped.netlist);
-  std::vector<perf::EventLog> logs;
-  (void)route::GridRouter().run(mapped.netlist, placement, configs, &logs);
-  std::size_t events = 0;
-  for (const auto& log : logs) events += log.size();
+  perf::EventLog log;
+  (void)route::GridRouter().route(mapped.netlist, placement, perf::Sink(log));
+  const std::size_t events = log.size();
   for (auto _ : state) {
     perf::Instrument instrument(configs);
-    for (const auto& log : logs) instrument.replay(log);
+    instrument.replay(log);
     benchmark::DoNotOptimize(instrument.counts(configs.size() - 1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

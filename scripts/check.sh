@@ -15,7 +15,7 @@ run_pass() {
   echo "=== ${name}: configure (${build_dir}) ==="
   cmake -B "${build_dir}" -S . "$@"
   echo "=== ${name}: build ==="
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "$(nproc)"
   echo "=== ${name}: ctest ==="
   (cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)")
 }
@@ -110,6 +110,23 @@ trace_smoke() {
 }
 
 trace_smoke
+
+# Route smoke-run: a design whose grid is large enough for speculative
+# routing, flowed serially and at four threads; the QoR tables must be
+# byte-identical (DESIGN.md "How each engine stays bit-identical").
+route_smoke() {
+  local cli="build/examples/edacloud_cli"
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' RETURN
+
+  echo "=== route smoke: speculative routing equals serial ==="
+  "${cli}" flow multiplier 16 --threads 1 > "${tmp}/flow_t1.txt"
+  "${cli}" flow multiplier 16 --threads 4 > "${tmp}/flow_t4.txt"
+  cmp "${tmp}/flow_t1.txt" "${tmp}/flow_t4.txt"
+}
+
+route_smoke
 
 # Serving smoke-run: bring up the real job server on an ephemeral port,
 # drive it with the seeded loadgen, and fail tier-1 if same-seed exports
@@ -502,7 +519,7 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "=== tsan: configure (build-tsan) ==="
   cmake -B build-tsan -S . -DEDACLOUD_SANITIZE=tsan
   echo "=== tsan: build ==="
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   echo "=== tsan: ctest (concurrency suites) ==="
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
     -R 'ThreadPool|RouterTest|StaTest.BitIdentical|MatrixTest.Kernels|GcnGoldenTest|TracerTest|SvcServerTest|SvcServerDeterminismTest|SvcLoadgenTest|SvcFuzzTest|MlBatchTest|SchedShardTest|MarketShardTest|PolicyTest|SimulatorTest|FaultInjectionTest|MarketSimTest|TuneTest|SynthLatticeTest|RecipeSpaceTest')

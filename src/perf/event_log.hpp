@@ -7,18 +7,18 @@
 // per worker would make totals a function of the thread count — exactly what
 // the determinism guarantee forbids. Instead, a parallel section reports
 // through perf::Sinks (sink.hpp) that record into thread-private EventLogs
-// (one per committed route search / per level chunk), and the engine replays
-// the logs into its parent sink serially, in an order fixed by the algorithm
-// (commit order, chunk order). The simulators then see a bit-identical event
-// stream at any thread count. A parent sink may itself be a log: replaying
-// into a log appends the events in order, so logged sections nest.
+// (one per level chunk), and the engine replays the logs into its parent
+// sink serially, in an order fixed by the algorithm (chunk order). The
+// simulators then see a bit-identical event stream at any thread count. A
+// parent sink may itself be a log: replaying into a log appends the events
+// in order, so logged sections nest.
 //
 // Recording costs about as much as the work it records (a maze expansion
-// logs ~25 events), so engines log only work that will be replayed: the
-// router searches the attempts of a round unlogged and re-runs just the
-// committing searches with logs (route/router.cpp). Under a null parent
-// sink no log is allocated and every recording sink is null, so
-// uninstrumented flows pay nothing for this machinery.
+// logs ~25 events), so engines log only where a section runs in parallel.
+// The router logs nothing: an instrumented route searches serially in
+// commit order and reports straight into its sink (route/router.hpp).
+// Under a null parent sink no log is allocated and every recording sink is
+// null, so uninstrumented flows pay nothing for this machinery.
 
 #include <cstdint>
 #include <vector>

@@ -11,7 +11,9 @@
 // replay them into their parent sink in chunk order, so the Instrument's
 // stateful simulators see the same event stream at any thread count (see
 // event_log.hpp). The parent may itself be a log sink: replaying into a log
-// appends the events in order, so logged sections nest.
+// appends the events in order, so logged sections nest. A section that
+// stays serial under a non-null sink (instrumented routing) reports into
+// it directly and logs nothing.
 
 #include <cstddef>
 #include <cstdint>

@@ -29,7 +29,7 @@ struct Connection {
   std::uint32_t bbox_lo_x, bbox_lo_y, bbox_hi_x, bbox_hi_y;
 };
 
-/// 64x64 coarse occupancy signature of a bounding box, for wave grouping.
+/// 64x64 coarse occupancy signature of a path, for wave grouping.
 constexpr int kMaskSide = 64;
 constexpr int kMaskWords = kMaskSide * kMaskSide / 64;
 
@@ -46,9 +46,6 @@ struct BboxMask {
     for (int i = 0; i < kMaskWords; ++i) bits[i] |= other.bits[i];
   }
   void set(std::uint32_t bit) { bits[bit >> 6] |= 1ULL << (bit & 63); }
-  [[nodiscard]] bool test(std::uint32_t bit) const {
-    return ((bits[bit >> 6] >> (bit & 63)) & 1) != 0;
-  }
 };
 
 /// Coarse mask coordinate of grid coordinate `v`.
@@ -62,41 +59,56 @@ std::uint32_t coarse_bit(std::uint32_t x, std::uint32_t y, int grid) {
   return coarse(y, grid) * kMaskSide + coarse(x, grid);
 }
 
+/// The two grid cells a grid edge joins: (x, y) and (x + dx, y + dy).
+struct EdgeEnds {
+  std::uint32_t x, y, dx, dy;
+};
+
+EdgeEnds edge_ends(std::uint32_t edge, int grid) {
+  const std::uint32_t side = static_cast<std::uint32_t>(grid);
+  const std::uint32_t h_edges = side * (side - 1);
+  if (edge < h_edges) return {edge % (side - 1), edge / (side - 1), 1, 0};
+  const std::uint32_t v = edge - h_edges;
+  return {v / (side - 1), v % (side - 1), 0, 1};
+}
+
 /// Mask of the coarse cells actually crossed by a routed path — far
 /// thinner than the bounding box, so independent nets pack densely.
 BboxMask make_path_mask(const std::vector<std::uint32_t>& edges, int grid) {
   BboxMask mask;
-  const std::uint32_t side = static_cast<std::uint32_t>(grid);
-  const std::uint32_t h_edges = side * (side - 1);
   for (std::uint32_t e : edges) {
-    if (e < h_edges) {
-      const std::uint32_t y = e / (side - 1);
-      const std::uint32_t x = e % (side - 1);
-      mask.set(coarse_bit(x, y, grid));
-      mask.set(coarse_bit(x + 1, y, grid));
-    } else {
-      const std::uint32_t v = e - h_edges;
-      const std::uint32_t x = v / (side - 1);
-      const std::uint32_t y = v % (side - 1);
-      mask.set(coarse_bit(x, y, grid));
-      mask.set(coarse_bit(x, y + 1, grid));
-    }
+    const EdgeEnds ends = edge_ends(e, grid);
+    mask.set(coarse_bit(ends.x, ends.y, grid));
+    mask.set(coarse_bit(ends.x + ends.dx, ends.y + ends.dy, grid));
   }
   return mask;
 }
 
-BboxMask make_mask(const Connection& connection, int grid) {
-  BboxMask mask;
-  const std::uint32_t lx = coarse(connection.bbox_lo_x, grid);
-  const std::uint32_t hx = coarse(connection.bbox_hi_x, grid);
-  const std::uint32_t ly = coarse(connection.bbox_lo_y, grid);
-  const std::uint32_t hy = coarse(connection.bbox_hi_y, grid);
-  for (std::uint32_t y = ly; y <= hy; ++y) {
-    for (std::uint32_t x = lx; x <= hx; ++x) {
-      mask.set(y * kMaskSide + x);
-    }
+/// The cells a connection's search may visit: its bounding box inflated
+/// by a margin that lets detours route around congestion. A connected
+/// rectangle holding both endpoints, so a search inside it always reaches
+/// its target.
+struct SearchWindow {
+  int lo_x, lo_y, hi_x, hi_y;
+
+  [[nodiscard]] bool holds(int x, int y) const {
+    return x >= lo_x && x <= hi_x && y >= lo_y && y <= hi_y;
   }
-  return mask;
+  /// True when both cells of `edge` lie inside: the search reads its cost.
+  [[nodiscard]] bool reads(const EdgeEnds& edge) const {
+    const int x = static_cast<int>(edge.x);
+    const int y = static_cast<int>(edge.y);
+    return holds(x, y) && holds(x + static_cast<int>(edge.dx),
+                                y + static_cast<int>(edge.dy));
+  }
+};
+
+SearchWindow search_window(const Connection& connection, int grid) {
+  const int margin = 2 + grid / 32;
+  return {std::max(0, static_cast<int>(connection.bbox_lo_x) - margin),
+          std::max(0, static_cast<int>(connection.bbox_lo_y) - margin),
+          std::min(grid - 1, static_cast<int>(connection.bbox_hi_x) + margin),
+          std::min(grid - 1, static_cast<int>(connection.bbox_hi_y) + margin)};
 }
 
 struct RouteOp {
@@ -124,6 +136,17 @@ struct GridState {
     const int h_edges = grid * (grid - 1);
     return h_edges + x0 * (grid - 1) + y;
   }
+
+  [[nodiscard]] float step(int edge, const RouterOptions& options) const {
+    return step_cost(usage[edge], capacity[edge], history[edge], options);
+  }
+  /// True when one more use of `edge` changes its step cost.
+  [[nodiscard]] bool bump_moves_step(std::uint32_t edge,
+                                     const RouterOptions& options) const {
+    const auto bumped = static_cast<std::uint16_t>(usage[edge] + 1);
+    return step_cost(bumped, capacity[edge], history[edge], options) !=
+           step(static_cast<int>(edge), options);
+  }
 };
 
 /// Congestion-aware A* over the grid. Read-only against the grid state
@@ -140,11 +163,15 @@ class Maze {
     parent_.assign(cells, 0);
   }
 
-  /// Route one connection within its (slightly inflated) bbox.
-  /// Appends the used edges to `edges_out`; returns expansions (0 = fail).
+  /// Route one connection within its search window. Appends the used
+  /// edges to `edges_out` and, when `expanded` is non-null, every cell whose
+  /// neighbours it relaxed; returns expansions. A pure function of the
+  /// connection, its stream id and the step costs it read: those of the
+  /// in-window edges at the expanded cells.
   std::uint64_t route(const Connection& connection,
                       std::vector<std::uint32_t>& edges_out,
-                      std::uint32_t stream, perf::Sink sink) {
+                      std::uint32_t stream, perf::Sink sink,
+                      std::vector<std::uint32_t>* expanded = nullptr) {
     ++epoch_;
     stream_ = stream;
     const int grid = state_.grid;
@@ -152,12 +179,7 @@ class Maze {
     const int sy = static_cast<int>(connection.source / grid);
     const int tx = static_cast<int>(connection.target % grid);
     const int ty = static_cast<int>(connection.target / grid);
-    // Inflated search window (lets detours route around congestion).
-    const int margin = 2 + grid / 32;
-    const int lo_x = std::max(0, static_cast<int>(connection.bbox_lo_x) - margin);
-    const int lo_y = std::max(0, static_cast<int>(connection.bbox_lo_y) - margin);
-    const int hi_x = std::min(grid - 1, static_cast<int>(connection.bbox_hi_x) + margin);
-    const int hi_y = std::min(grid - 1, static_cast<int>(connection.bbox_hi_y) + margin);
+    const SearchWindow window = search_window(connection, grid);
 
     auto heuristic = [tx, ty](int x, int y) {
       return static_cast<float>(std::abs(x - tx) + std::abs(y - ty));
@@ -197,24 +219,16 @@ class Maze {
       const bool stale = f - heuristic(x, y) > here + 1e-4f;
       sink.branch(kGridBase ^ 0x2, stale);
       if (stale) continue;
+      if (expanded != nullptr) expanded->push_back(cell);
 
       constexpr int kDx[4] = {1, -1, 0, 0};
       constexpr int kDy[4] = {0, 0, 1, -1};
       for (int dir = 0; dir < 4; ++dir) {
         const int nx = x + kDx[dir];
         const int ny = y + kDy[dir];
-        if (nx < lo_x || nx > hi_x || ny < lo_y || ny > hi_y) continue;
+        if (!window.holds(nx, ny)) continue;
         const int edge = state_.edge_between(x, y, nx, ny);
-        const float congestion =
-            static_cast<float>(state_.usage[edge]) /
-            static_cast<float>(state_.capacity[edge]);
-        const float step =
-            1.0f +
-            static_cast<float>(options_.congestion_weight) *
-                std::max(0.0f, congestion - 0.8f) +
-            static_cast<float>(options_.history_weight) *
-                state_.history[edge];
-        const float candidate = here + step;
+        const float candidate = here + state_.step(edge, options_);
         const std::uint32_t neighbor =
             static_cast<std::uint32_t>(ny) * grid + nx;
         const bool improves = candidate < cost_of(neighbor) - 1e-5f;
@@ -233,7 +247,10 @@ class Maze {
       }
     }
 
-    if (cost_of(connection.target) == kInfinity) return 0;
+    if (cost_of(connection.target) == kInfinity) {
+      throw std::logic_error(
+          "route: a search did not reach its target inside its window");
+    }
 
     // Backtrack parents (usage is bumped when the caller commits the path).
     std::uint32_t cursor = connection.target;
@@ -274,18 +291,19 @@ class Maze {
 
 }  // namespace
 
-RoutingResult GridRouter::run(const Netlist& netlist,
-                              const place::Placement& placement,
-                              const std::vector<perf::VmConfig>& configs,
-                              std::vector<perf::EventLog>* replayed) const {
+RoutingResult GridRouter::run(
+    const Netlist& netlist, const place::Placement& placement,
+    const std::vector<perf::VmConfig>& configs) const {
   perf::Instrument instrument = perf::Instrument::for_configs(configs);
-  const perf::Sink sink(instrument);
-  // Every instrumentation event reaches `sink` through here, as a log.
-  auto replay = [&](const perf::EventLog& log) {
-    sink.replay(log);
-    if (sink && replayed != nullptr) replayed->push_back(log);
-  };
+  RoutingResult result = route(netlist, placement, perf::Sink(instrument));
+  result.profile.configs = configs;
+  result.profile.counts = instrument.counts();
+  return result;
+}
 
+RoutingResult GridRouter::route(const Netlist& netlist,
+                                const place::Placement& placement,
+                                perf::Sink sink) const {
   RoutingResult result;
 
   // ---- grid sizing -----------------------------------------------------------
@@ -352,7 +370,10 @@ RoutingResult GridRouter::run(const Netlist& netlist,
 
   const int threads =
       options_.threads > 0 ? options_.threads : util::global_thread_count();
-  const int slot_count = util::parallel_slot_count(threads);
+  // Instrumented searches report straight into `sink` in commit order, so
+  // only uninstrumented runs speculate.
+  const bool speculate = !sink && threads > 1 && grid >= kSpeculateMinGrid;
+  const int slot_count = util::parallel_slot_count(speculate ? threads : 1);
   // One maze per worker slot, built lazily (the scratch arrays are
   // grid-sized). A slot is only ever driven by one thread at a time.
   std::vector<std::unique_ptr<Maze>> mazes(
@@ -362,167 +383,127 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     if (!maze) maze = std::make_unique<Maze>(state, options_);
     return *maze;
   };
+  Maze& home = maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
 
   std::vector<std::vector<std::uint32_t>> routed_edges(connections.size());
   std::vector<RouteOp> ops;
   ops.reserve(connections.size());
 
-  // Batched conflict-resolution routing (the TritonRoute/Galois recipe):
-  // each round routes every pending connection in parallel against a frozen
-  // grid, then commits serially in pending order. A path whose coarse
-  // region overlaps an earlier commit from the same round is deferred and
-  // rerouted next round against the updated grid — so no thread ever
-  // observes a concurrent usage write, and commit order (and with it usage,
-  // history, QoR and the replayed instrumentation stream) depends only on
-  // the connection order, never the thread count. Every round commits at
-  // least the first pending connection; after kMaxBatchRounds the heavily
-  // conflicting stragglers are finished serially against live state.
-  //
-  // A round is decided in fixed slices of kSlice pending attempts. Every
-  // path crosses the coarse cells of both its endpoints, so an attempt
-  // whose source or target cell is already in the round's committed mask
-  // would fail the overlap test whatever path it found: it is deferred
-  // without a search. The rest of the slice is searched in parallel, then
-  // decided serially.
-  constexpr int kMaxBatchRounds = 6;
-  constexpr std::size_t kBatchGrain = 8;  // fixed: chunking must not depend
-                                          // on the thread count
-  constexpr std::size_t kSlice = 32;      // fixed; outputs do not depend on it
-  struct Attempt {
+  auto commit = [&](std::uint32_t idx, std::vector<std::uint32_t>&& edges,
+                    std::uint64_t expansions, int op_iteration) {
+    result.total_expansions += expansions;
+    ops.push_back({idx, static_cast<double>(expansions), op_iteration});
+    for (std::uint32_t edge : edges) ++state.usage[edge];
+    routed_edges[idx] = std::move(edges);
+  };
+
+  // Speculation: each window of kWindow pending connections is searched in
+  // parallel against the grid at window start, then committed in pending
+  // order. A commit whose usage bump changes an edge's step cost marks the
+  // edge dirty. A later search of the window that read a dirty edge (one
+  // inside its search window, at a cell it expanded) read a stale cost and
+  // is searched again against live state. Every other search is the one
+  // the serial loop would run, because history and capacity are fixed
+  // within a batch.
+  constexpr std::size_t kWindow = 32;  // fixed; outputs do not depend on it
+  struct alignas(64) Attempt {  // own cache line: workers push_back in it
     std::vector<std::uint32_t> edges;
+    std::vector<std::uint32_t> expanded;
     std::uint64_t expansions = 0;
-    bool routed = false;
   };
-  struct BatchStats {
-    int rounds = 0;
-    std::uint64_t searched = 0;     // first-pass and straggler searches run
-    std::uint64_t prefiltered = 0;  // attempts deferred without a search
+  struct SearchStats {
+    std::uint64_t windows = 0;     // speculative windows
+    std::uint64_t speculated = 0;  // searches run in them
+    std::uint64_t researched = 0;  // rejected and searched again serially
   };
-
-  auto endpoint_committed = [&](const BboxMask& committed,
-                                std::uint32_t idx) {
-    const Connection& c = connections[idx];
-    const std::uint32_t side = static_cast<std::uint32_t>(grid);
-    return committed.test(coarse_bit(c.source % side, c.source / side, grid)) ||
-           committed.test(coarse_bit(c.target % side, c.target / side, grid));
-  };
-
-  // One routing attempt against the current grid; events go to `events`.
-  // A pure function of the grid, the connection and its stream id — Maze
-  // scratch is epoch-guarded.
-  auto route_one = [&](std::uint32_t idx, Maze& maze, perf::Sink events) {
-    Attempt attempt;
-    attempt.expansions =
-        maze.route(connections[idx], attempt.edges, idx, events);
-    attempt.routed = attempt.expansions > 0;
-    return attempt;
-  };
-
-  auto commit = [&](std::uint32_t idx, Attempt&& attempt, int op_iteration,
-                    bool count_routed) {
-    if (count_routed) ++result.routed_count;
-    ops.push_back({idx, static_cast<double>(attempt.expansions), op_iteration});
-    for (std::uint32_t edge : attempt.edges) ++state.usage[edge];
-    routed_edges[idx] = std::move(attempt.edges);
+  std::vector<Attempt> attempts(speculate ? kWindow : 0);
+  std::vector<EdgeEnds> dirty;
+  // seen[cell] == seen_mark: the attempt under test expanded the cell.
+  std::vector<std::uint32_t> seen(
+      speculate ? static_cast<std::size_t>(grid) * grid : 0, 0);
+  std::uint32_t seen_mark = 0;
+  auto read_dirty = [&](const Attempt& attempt, const SearchWindow& window) {
+    if (std::none_of(dirty.begin(), dirty.end(), [&](const EdgeEnds& e) {
+          return window.reads(e);
+        })) {
+      return false;
+    }
+    ++seen_mark;
+    for (std::uint32_t cell : attempt.expanded) seen[cell] = seen_mark;
+    auto expanded = [&](std::uint32_t x, std::uint32_t y) {
+      return seen[static_cast<std::size_t>(y) * grid + x] == seen_mark;
+    };
+    return std::any_of(dirty.begin(), dirty.end(), [&](const EdgeEnds& e) {
+      return window.reads(e) &&
+             (expanded(e.x, e.y) || expanded(e.x + e.dx, e.y + e.dy));
+    });
   };
 
-  // Routes `pending` to completion.
-  auto route_batch = [&](std::vector<std::uint32_t> pending, int op_iteration,
-                         bool count_routed) {
-    BatchStats stats;
-    std::vector<std::size_t> searching;
-    while (!pending.empty() && stats.rounds < kMaxBatchRounds) {
-      ++stats.rounds;
-      const std::size_t n = pending.size();
-      std::vector<Attempt> attempts(n);
-      std::vector<std::size_t> winners;
-      std::vector<std::uint32_t> deferred;
-      BboxMask committed_mask;
-      for (std::size_t begin = 0; begin < n; begin += kSlice) {
-        const std::size_t end = std::min(n, begin + kSlice);
-        searching.clear();
-        for (std::size_t i = begin; i < end; ++i) {
-          if (!endpoint_committed(committed_mask, pending[i])) {
-            searching.push_back(i);
-          }
-        }
-        stats.searched += searching.size();
-        stats.prefiltered += (end - begin) - searching.size();
-        util::parallel_for(
-            threads, 0, searching.size(), kBatchGrain,
-            [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
-                unsigned slot) {
-              Maze& maze = maze_for(slot);
-              for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
-                const std::size_t i = searching[k];
-                attempts[i] = route_one(pending[i], maze, perf::Sink());
-              }
-            });
-
-        // Serial deterministic commit decision. An attempt searched above
-        // can still be endpoint-covered by a commit earlier in this slice;
-        // its search is then not read, so it counts no expansions.
-        for (std::size_t i = begin; i < end; ++i) {
-          if (endpoint_committed(committed_mask, pending[i])) {
-            deferred.push_back(pending[i]);
-            continue;
-          }
-          const Attempt& attempt = attempts[i];
-          result.total_expansions += attempt.expansions;
-          if (!attempt.routed) continue;  // unroutable: dropped, as in serial
-          const BboxMask mask = make_path_mask(attempt.edges, grid);
-          if (committed_mask.overlaps(mask)) {
-            deferred.push_back(pending[i]);
-            continue;
-          }
-          committed_mask.merge(mask);
-          winners.push_back(i);
-        }
-      }
-
-      // Instrumented runs log only the searches that commit: the winners
-      // are routed again, still against the frozen grid, so each log is
-      // exactly the one its first-pass search would have recorded.
-      perf::ChunkLogs logs(sink, winners.size());
+  // Routes `pending` in order, each connection searched against the grid
+  // its predecessors left. Speculation stops for the rest of the batch
+  // after a window whose re-searches expanded more than half its nodes:
+  // later connections are longer, so they would fare no better.
+  auto route_batch = [&](const std::vector<std::uint32_t>& pending,
+                         int op_iteration) {
+    SearchStats stats;
+    std::size_t next = 0;  // first connection not yet committed
+    for (bool speculating = speculate;
+         speculating && next < pending.size();) {
+      const std::size_t begin = next;
+      const std::size_t end = std::min(pending.size(), begin + kWindow);
+      ++stats.windows;
+      stats.speculated += end - begin;
       util::parallel_for(
-          threads, 0, logs.size(), kBatchGrain,
+          threads, begin, end, 1,
           [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
               unsigned slot) {
             Maze& maze = maze_for(slot);
-            for (std::size_t w = chunk_begin; w < chunk_end; ++w) {
-              const std::size_t i = winners[w];
-              const Attempt again = route_one(pending[i], maze, logs[w]);
-              if (again.edges != attempts[i].edges ||
-                  again.expansions != attempts[i].expansions) {
-                throw std::logic_error(
-                    "route: instrumented re-route diverged from its first "
-                    "pass");
-              }
+            for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
+              Attempt& attempt = attempts[k - begin];
+              attempt.edges.clear();
+              attempt.expanded.clear();
+              attempt.expansions =
+                  maze.route(connections[pending[k]], attempt.edges,
+                             pending[k], {}, &attempt.expanded);
             }
           });
-
-      for (const perf::EventLog& log : logs) replay(log);
-      for (const std::size_t i : winners) {
-        commit(pending[i], std::move(attempts[i]), op_iteration, count_routed);
+      dirty.clear();
+      std::uint64_t window_expansions = 0;
+      std::uint64_t researched_expansions = 0;
+      for (; next < end; ++next) {
+        const std::uint32_t idx = pending[next];
+        Attempt& attempt = attempts[next - begin];
+        if (read_dirty(attempt, search_window(connections[idx], grid))) {
+          ++stats.researched;
+          attempt.edges.clear();
+          attempt.expansions =
+              home.route(connections[idx], attempt.edges, idx, {});
+          researched_expansions += attempt.expansions;
+        }
+        window_expansions += attempt.expansions;
+        for (std::uint32_t edge : attempt.edges) {
+          if (state.bump_moves_step(edge, options_)) {
+            dirty.push_back(edge_ends(edge, grid));
+          }
+        }
+        commit(idx, std::move(attempt.edges), attempt.expansions,
+               op_iteration);
       }
-      pending = std::move(deferred);
+      speculating = 2 * researched_expansions <= window_expansions;
     }
-
-    // Serial straggler tail against live state (fixed order, deterministic).
-    if (!pending.empty()) {
-      Maze& maze =
-          maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
-      for (std::uint32_t idx : pending) {
-        perf::EventLog log;
-        Attempt attempt = route_one(idx, maze, sink.child(log));
-        ++stats.searched;
-        result.total_expansions += attempt.expansions;
-        if (!attempt.routed) continue;
-        replay(log);
-        commit(idx, std::move(attempt), op_iteration, count_routed);
-      }
+    for (; next < pending.size(); ++next) {
+      const std::uint32_t idx = pending[next];
+      std::vector<std::uint32_t> edges;
+      const std::uint64_t expansions =
+          home.route(connections[idx], edges, idx, sink);
+      commit(idx, std::move(edges), expansions, op_iteration);
     }
     return stats;
+  };
+  auto count_searches = [](obs::ScopedSpan& span, const SearchStats& stats) {
+    span.counter("windows", static_cast<double>(stats.windows));
+    span.counter("speculated", static_cast<double>(stats.speculated));
+    span.counter("researched", static_cast<double>(stats.researched));
   };
 
   // ---- initial routing ----------------------------------------------------------
@@ -531,12 +512,8 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     initial_span.counter("connections",
                          static_cast<double>(connections.size()));
     initial_span.counter("threads", static_cast<double>(threads));
-    const BatchStats stats =
-        route_batch(order, /*op_iteration=*/0, /*count_routed=*/true);
-    initial_span.counter("batch_rounds", static_cast<double>(stats.rounds));
-    initial_span.counter("searched", static_cast<double>(stats.searched));
-    initial_span.counter("prefiltered",
-                         static_cast<double>(stats.prefiltered));
+    count_searches(initial_span, route_batch(order, /*op_iteration=*/0));
+    result.routed_count = connections.size();
     initial_span.counter("routed", static_cast<double>(result.routed_count));
   }
 
@@ -548,8 +525,6 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     // Find overflowed edges, accumulate history.
     std::vector<bool> overflowed(edge_count, false);
     std::size_t overflow_count = 0;
-    perf::EventLog scan_log;
-    const perf::Sink scan = sink.child(scan_log);
     for (std::size_t e = 0; e < edge_count; ++e) {
       const bool over = state.usage[e] > state.capacity[e];
       if (over) {
@@ -558,23 +533,20 @@ RoutingResult GridRouter::run(const Netlist& netlist,
         state.history[e] += 1.0f;
       }
       if (e % 16 == 0) {
-        scan.load(kGridBase + e * 48);
-        scan.branch(kGridBase ^ 0x4, over);
+        sink.load(kGridBase + e * 48);
+        sink.branch(kGridBase ^ 0x4, over);
       }
     }
-    replay(scan_log);
-    scan_log.clear();
     result.overflowed_edges = overflow_count;
     ripup_span.counter("overflowed_edges",
                        static_cast<double>(overflow_count));
     if (overflow_count == 0) break;
 
     // Rip up every connection crossing an overflowed edge, then reroute
-    // the ripped set in batched rounds against the relieved grid.
+    // the ripped set in order against the relieved grid.
     std::vector<std::uint32_t> ripped;
     for (std::uint32_t idx : order) {
       auto& edges = routed_edges[idx];
-      if (edges.empty()) continue;
       bool crosses = false;
       for (std::uint32_t edge : edges) {
         if (overflowed[edge]) {
@@ -582,19 +554,13 @@ RoutingResult GridRouter::run(const Netlist& netlist,
           break;
         }
       }
-      scan.branch(kGridBase ^ 0x5, crosses);
+      sink.branch(kGridBase ^ 0x5, crosses);
       if (!crosses) continue;
       for (std::uint32_t edge : edges) --state.usage[edge];
       edges.clear();
       ripped.push_back(idx);
     }
-    replay(scan_log);
-    const BatchStats stats = route_batch(std::move(ripped), iteration + 1,
-                                         /*count_routed=*/false);
-    ripup_span.counter("batch_rounds", static_cast<double>(stats.rounds));
-    ripup_span.counter("searched", static_cast<double>(stats.searched));
-    ripup_span.counter("prefiltered",
-                       static_cast<double>(stats.prefiltered));
+    count_searches(ripup_span, route_batch(ripped, iteration + 1));
   }
   result.rrr_iterations = iteration;
 
@@ -642,10 +608,7 @@ RoutingResult GridRouter::run(const Netlist& netlist,
     std::vector<std::vector<double>> wave_costs;
     for (const RouteOp* op_ptr : iteration_ops) {
       const RouteOp& op = *op_ptr;
-      const auto& final_edges = routed_edges[op.connection];
-      const BboxMask mask =
-          final_edges.empty() ? make_mask(connections[op.connection], grid)
-                              : make_path_mask(final_edges, grid);
+      const BboxMask mask = make_path_mask(routed_edges[op.connection], grid);
       std::size_t wave = wave_masks.size();
       for (std::size_t w = 0; w < wave_masks.size(); ++w) {
         if (!wave_masks[w].overlaps(mask)) {
@@ -685,8 +648,6 @@ RoutingResult GridRouter::run(const Netlist& netlist,
   result.connection_edges = std::move(routed_edges);
 
   result.profile.job = "routing";
-  result.profile.configs = configs;
-  result.profile.counts = instrument.counts();
   result.profile.tasks = std::move(tasks);
   return result;
 }

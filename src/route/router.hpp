@@ -12,28 +12,32 @@
 // between waves and rip-up iterations. Large designs produce wide waves
 // (near-linear speedup); small designs cap out — exactly Fig. 3.
 //
-// Parallelism model (measured): with RouterOptions::threads > 1 the engine
-// actually routes in batched conflict-resolution rounds on the shared
-// util::ThreadPool — every pending connection is routed in parallel against
-// a frozen grid, then committed serially in a fixed order; a path whose
-// coarse region overlaps an earlier commit from the same round is deferred
-// to the next round against the updated grid. Commit order — and therefore
-// usage, history, QoR and the replayed perf-event stream — depends only on
-// the connection order, never the thread count, so results are bit-identical
-// at any width. A round is decided in fixed slices of pending attempts; an
-// attempt whose source or target coarse cell an earlier commit of the round
-// already covers is deferred without a search (its path would cross that
-// cell), and only the rest of the slice is searched. Instrumented rounds
-// search unlogged first and then re-run only the committing searches with
-// event logs, still against the frozen grid, so deferred attempts record
-// nothing.
+// Routing order: each batch — the initial connection order, then each
+// rip-up set — is routed in pending order against live grid state, every
+// connection searched once and committed at once. Instrumented searches
+// report straight into the run's perf::Sink, so the event stream is the
+// serial one at any thread count.
+//
+// Parallelism model (measured): uninstrumented runs with
+// RouterOptions::threads > 1 on grids of at least kSpeculateMinGrid cells a
+// side speculate exactly. Each fixed window of pending connections is
+// searched in parallel on the shared util::ThreadPool against the grid as
+// it stood at window start, then committed in pending order. A search is
+// accepted unless an earlier commit of the same window changed the step
+// cost (step_cost below) of an edge inside its search window; a rejected
+// one is searched again serially against live state. Within a batch,
+// history and capacity are fixed and the step cost moves with usage only
+// past the 0.8 knee, so an accepted search is the one the serial loop
+// would have run: paths, expansions and QoR equal the serial loop at any
+// width.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "nl/netlist.hpp"
-#include "perf/event_log.hpp"
 #include "perf/runtime_model.hpp"
+#include "perf/sink.hpp"
 #include "place/placer.hpp"
 
 namespace edacloud::route {
@@ -46,11 +50,30 @@ struct RouterOptions {
   int max_rrr_iterations = 3;  // rip-up-and-reroute rounds
   double congestion_weight = 2.0;
   double history_weight = 1.5;
-  /// Worker threads for the batched parallel maze search (0 = the global
-  /// default from util::global_thread_count(); 1 = serial). Any value
-  /// produces bit-identical results — see the header comment.
+  /// Worker threads for speculative maze search (0 = the global default
+  /// from util::global_thread_count(); 1 = serial). Any value produces
+  /// bit-identical results — see the header comment.
   int threads = 0;
 };
+
+/// Smallest grid side on which uninstrumented multi-threaded runs
+/// speculate; smaller grids route serially, where a window's searches are
+/// too short to pay for a pool hand-off (EXPERIMENTS.md "Routing in
+/// pending order").
+inline constexpr int kSpeculateMinGrid = 32;
+
+/// A* step cost of one grid edge: 1, plus congestion past 80% of capacity,
+/// plus history. Below the knee a usage change leaves it bit-identical.
+[[nodiscard]] inline float step_cost(std::uint16_t usage,
+                                     std::uint16_t capacity, float history,
+                                     const RouterOptions& options) {
+  const float congestion =
+      static_cast<float>(usage) / static_cast<float>(capacity);
+  return 1.0f +
+         static_cast<float>(options.congestion_weight) *
+             std::max(0.0f, congestion - 0.8f) +
+         static_cast<float>(options.history_weight) * history;
+}
 
 struct RoutingResult {
   int grid_size = 0;
@@ -59,8 +82,7 @@ struct RoutingResult {
   std::uint64_t wirelength_gedges = 0;  // total grid edges used
   std::size_t overflowed_edges = 0;     // after the final iteration
   int rrr_iterations = 0;
-  /// A* node pops of the searches the commit decisions read (attempts
-  /// deferred for a covered endpoint count none).
+  /// A* node pops of the committed searches (one per connection per batch).
   std::uint64_t total_expansions = 0;
   std::size_t wave_count = 0;           // parallel wave depth
   /// Per-connection grid-edge lists (backtrack order); consumed by the
@@ -74,13 +96,16 @@ class GridRouter {
   explicit GridRouter(RouterOptions options = {}) : options_(options) {}
 
   /// Route the placed netlist; instrumented when configs is non-empty.
-  /// An instrumented run appends a copy of every event log it replays, in
-  /// replay order, to `replayed` when that is non-null (kernel benchmarks
-  /// time the replay alone from these).
   [[nodiscard]] RoutingResult run(
       const nl::Netlist& netlist, const place::Placement& placement,
-      const std::vector<perf::VmConfig>& configs,
-      std::vector<perf::EventLog>* replayed = nullptr) const;
+      const std::vector<perf::VmConfig>& configs) const;
+
+  /// The same routing, reporting every instrumentation event into `sink`
+  /// (the profile's configs and counts stay empty). A non-null sink
+  /// disables speculation, as an Instrument does.
+  [[nodiscard]] RoutingResult route(const nl::Netlist& netlist,
+                                    const place::Placement& placement,
+                                    perf::Sink sink) const;
 
   [[nodiscard]] const RouterOptions& options() const { return options_; }
 

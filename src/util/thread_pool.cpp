@@ -15,6 +15,8 @@ int this_thread_pool_slot() { return t_pool_slot; }
 
 ThreadPool::ThreadPool(int threads) {
   const int worker_count = std::max(0, threads - 1);
+  sleepers_ =
+      std::make_unique<Sleeper[]>(static_cast<std::size_t>(worker_count));
   workers_.reserve(static_cast<std::size_t>(worker_count));
   for (int w = 0; w < worker_count; ++w) {
     workers_.emplace_back(
@@ -27,7 +29,9 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     stop_ = true;
   }
-  queue_cv_.notify_all();
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    sleepers_[w].wake.notify_one();
+  }
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -55,29 +59,33 @@ void ThreadPool::run_chunks(Job& job, unsigned slot) {
   }
 }
 
+std::shared_ptr<ThreadPool::Job> ThreadPool::joinable_job(unsigned slot) {
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    if ((*it)->next_chunk.load() >= (*it)->chunk_total) {
+      it = queue_.erase(it);
+      continue;
+    }
+    if (static_cast<int>(slot) < (*it)->width) return *it;
+    ++it;
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop(unsigned slot) {
   t_pool_slot = static_cast<int>(slot);
+  Sleeper& self = sleepers_[slot - 1];
   for (;;) {
     std::shared_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_) return;
-      // Drop jobs with no unclaimed chunks, then take the first one this
-      // worker is allowed to join (participation is capped by job width).
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        if ((*it)->next_chunk.load() >= (*it)->chunk_total) {
-          it = queue_.erase(it);
-          continue;
-        }
-        if (static_cast<int>(slot) < (*it)->width) {
-          job = *it;
-          break;
-        }
-        ++it;
+      while (!stop_ && !(job = joinable_job(slot))) {
+        self.parked = true;
+        self.wake.wait(lock);
+        self.parked = false;
       }
+      if (stop_) return;
     }
-    if (job) run_chunks(*job, slot);
+    run_chunks(*job, slot);
   }
 }
 
@@ -112,23 +120,36 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     queue_.push_back(job);
+    // Wake parked workers the job can use, one per chunk beyond the
+    // caller's; a worker already awake joins on its own.
+    std::size_t helpers =
+        std::min(chunks, static_cast<std::size_t>(width)) - 1;
+    for (int slot = 1; slot < width && helpers > 0; ++slot) {
+      Sleeper& sleeper = sleepers_[slot - 1];
+      if (!sleeper.parked) continue;
+      sleeper.parked = false;
+      sleeper.wake.notify_one();
+      --helpers;
+    }
   }
-  queue_cv_.notify_all();
 
   run_chunks(*job, caller_slot);
+  // Captured exceptions move here, so this thread releases them whichever
+  // thread drops the last reference to the job.
+  std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
   {
     std::unique_lock<std::mutex> lock(job->mutex);
     job->done_cv.wait(
         lock, [&] { return job->chunks_done.load() == job->chunk_total; });
+    errors = std::move(job->errors);
   }
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     queue_.erase(std::remove(queue_.begin(), queue_.end(), job), queue_.end());
   }
-  if (job->failed.load()) {
-    std::lock_guard<std::mutex> lock(job->mutex);
+  if (!errors.empty()) {
     auto lowest = std::min_element(
-        job->errors.begin(), job->errors.end(),
+        errors.begin(), errors.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
     std::rethrow_exception(lowest->second);
   }

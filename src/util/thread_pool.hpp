@@ -16,7 +16,11 @@
 //
 // Exceptions thrown by chunk bodies are captured per chunk; once a chunk has
 // failed, unclaimed chunks are skipped, and the exception of the
-// lowest-indexed failed chunk is rethrown on the submitting thread.
+// lowest-indexed failed chunk is rethrown on the submitting thread, which
+// also releases every captured exception.
+//
+// A job wakes at most min(chunks, width) - 1 parked workers, each on its own
+// condition variable; a worker outside a job's width stays parked.
 //
 // Engines address thread-private scratch (e.g. per-worker maze arrays)
 // through the `worker_slot` argument of the chunk body: slot 0 is the
@@ -120,13 +124,24 @@ class ThreadPool {
     std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
   };
 
+  /// A parked worker's wake-up channel, guarded by queue_mutex_.
+  struct Sleeper {
+    std::condition_variable wake;
+    bool parked = false;
+  };
+
   void worker_loop(unsigned slot);
+  /// First queued job `slot` may join, dropping jobs with no unclaimed
+  /// chunks on the way; null when there is none. Caller holds queue_mutex_.
+  std::shared_ptr<Job> joinable_job(unsigned slot);
   /// Claim and run chunks until none are left unclaimed.
   static void run_chunks(Job& job, unsigned slot);
 
   std::vector<std::thread> workers_;
+  // One per worker (index slot - 1): a submitter wakes only parked workers
+  // its job can use, at most one per chunk beyond its own.
+  std::unique_ptr<Sleeper[]> sleepers_;
   std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::vector<std::shared_ptr<Job>> queue_;
   bool stop_ = false;
 };
