@@ -1,8 +1,9 @@
 // Extension — measured vs modeled strong-scaling of the stage engines.
 // The paper's Fig. 2(d)/Fig. 3 speedups come from the runtime model's
-// task-graph replay; since the stage engines now actually run multi-threaded
-// (speculative routing, levelized STA, row-blocked GCN kernels), this harness
-// puts real host wall-clock next to the modeled ladder at 1/2/4/8 workers.
+// task-graph replay; since some stage engines now actually run
+// multi-threaded (levelized STA, row-blocked GCN kernels; routing searches
+// serially), this harness puts real host wall-clock next to the modeled
+// ladder at 1/2/4/8 workers.
 //
 // Honest-numbers note: on a single-core host (or a loaded CI box) measured
 // speedups sit near 1.0x regardless of thread count — the modeled column is

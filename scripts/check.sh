@@ -111,8 +111,8 @@ trace_smoke() {
 
 trace_smoke
 
-# Route smoke-run: a design whose grid is large enough for speculative
-# routing, flowed serially and at four threads; the QoR tables must be
+# Route smoke-run: a mid-sized design (grid 48, three rip-up rounds)
+# flowed serially and at four threads; the QoR tables must be
 # byte-identical (DESIGN.md "How each engine stays bit-identical").
 route_smoke() {
   local cli="build/examples/edacloud_cli"
@@ -120,7 +120,7 @@ route_smoke() {
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
 
-  echo "=== route smoke: speculative routing equals serial ==="
+  echo "=== route smoke: flow QoR equal at 1 and 4 threads ==="
   "${cli}" flow multiplier 16 --threads 1 > "${tmp}/flow_t1.txt"
   "${cli}" flow multiplier 16 --threads 4 > "${tmp}/flow_t4.txt"
   cmp "${tmp}/flow_t1.txt" "${tmp}/flow_t4.txt"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <queue>
 #include <stdexcept>
 
@@ -59,27 +58,25 @@ std::uint32_t coarse_bit(std::uint32_t x, std::uint32_t y, int grid) {
   return coarse(y, grid) * kMaskSide + coarse(x, grid);
 }
 
-/// The two grid cells a grid edge joins: (x, y) and (x + dx, y + dy).
-struct EdgeEnds {
-  std::uint32_t x, y, dx, dy;
-};
-
-EdgeEnds edge_ends(std::uint32_t edge, int grid) {
-  const std::uint32_t side = static_cast<std::uint32_t>(grid);
-  const std::uint32_t h_edges = side * (side - 1);
-  if (edge < h_edges) return {edge % (side - 1), edge / (side - 1), 1, 0};
-  const std::uint32_t v = edge - h_edges;
-  return {v / (side - 1), v % (side - 1), 0, 1};
-}
-
 /// Mask of the coarse cells actually crossed by a routed path — far
 /// thinner than the bounding box, so independent nets pack densely.
 BboxMask make_path_mask(const std::vector<std::uint32_t>& edges, int grid) {
   BboxMask mask;
+  const std::uint32_t side = static_cast<std::uint32_t>(grid);
+  const std::uint32_t h_edges = side * (side - 1);
   for (std::uint32_t e : edges) {
-    const EdgeEnds ends = edge_ends(e, grid);
-    mask.set(coarse_bit(ends.x, ends.y, grid));
-    mask.set(coarse_bit(ends.x + ends.dx, ends.y + ends.dy, grid));
+    if (e < h_edges) {
+      const std::uint32_t y = e / (side - 1);
+      const std::uint32_t x = e % (side - 1);
+      mask.set(coarse_bit(x, y, grid));
+      mask.set(coarse_bit(x + 1, y, grid));
+    } else {
+      const std::uint32_t v = e - h_edges;
+      const std::uint32_t x = v / (side - 1);
+      const std::uint32_t y = v % (side - 1);
+      mask.set(coarse_bit(x, y, grid));
+      mask.set(coarse_bit(x, y + 1, grid));
+    }
   }
   return mask;
 }
@@ -93,13 +90,6 @@ struct SearchWindow {
 
   [[nodiscard]] bool holds(int x, int y) const {
     return x >= lo_x && x <= hi_x && y >= lo_y && y <= hi_y;
-  }
-  /// True when both cells of `edge` lie inside: the search reads its cost.
-  [[nodiscard]] bool reads(const EdgeEnds& edge) const {
-    const int x = static_cast<int>(edge.x);
-    const int y = static_cast<int>(edge.y);
-    return holds(x, y) && holds(x + static_cast<int>(edge.dx),
-                                y + static_cast<int>(edge.dy));
   }
 };
 
@@ -140,18 +130,11 @@ struct GridState {
   [[nodiscard]] float step(int edge, const RouterOptions& options) const {
     return step_cost(usage[edge], capacity[edge], history[edge], options);
   }
-  /// True when one more use of `edge` changes its step cost.
-  [[nodiscard]] bool bump_moves_step(std::uint32_t edge,
-                                     const RouterOptions& options) const {
-    const auto bumped = static_cast<std::uint16_t>(usage[edge] + 1);
-    return step_cost(bumped, capacity[edge], history[edge], options) !=
-           step(static_cast<int>(edge), options);
-  }
 };
 
 /// Congestion-aware A* over the grid. Read-only against the grid state
-/// (commit bumps usage), with per-instance scratch arrays — each worker
-/// slot owns one Maze, so searches run concurrently without sharing.
+/// (commit bumps usage), with grid-sized scratch arrays reused across
+/// searches.
 class Maze {
  public:
   Maze(const GridState& state, const RouterOptions& options)
@@ -164,14 +147,10 @@ class Maze {
   }
 
   /// Route one connection within its search window. Appends the used
-  /// edges to `edges_out` and, when `expanded` is non-null, every cell whose
-  /// neighbours it relaxed; returns expansions. A pure function of the
-  /// connection, its stream id and the step costs it read: those of the
-  /// in-window edges at the expanded cells.
+  /// edges to `edges_out`; returns expansions.
   std::uint64_t route(const Connection& connection,
                       std::vector<std::uint32_t>& edges_out,
-                      std::uint32_t stream, perf::Sink sink,
-                      std::vector<std::uint32_t>* expanded = nullptr) {
+                      std::uint32_t stream, perf::Sink sink) {
     ++epoch_;
     stream_ = stream;
     const int grid = state_.grid;
@@ -219,7 +198,6 @@ class Maze {
       const bool stale = f - heuristic(x, y) > here + 1e-4f;
       sink.branch(kGridBase ^ 0x2, stale);
       if (stale) continue;
-      if (expanded != nullptr) expanded->push_back(cell);
 
       constexpr int kDx[4] = {1, -1, 0, 0};
       constexpr int kDy[4] = {0, 0, 1, -1};
@@ -370,140 +348,24 @@ RoutingResult GridRouter::route(const Netlist& netlist,
 
   const int threads =
       options_.threads > 0 ? options_.threads : util::global_thread_count();
-  // Instrumented searches report straight into `sink` in commit order, so
-  // only uninstrumented runs speculate.
-  const bool speculate = !sink && threads > 1 && grid >= kSpeculateMinGrid;
-  const int slot_count = util::parallel_slot_count(speculate ? threads : 1);
-  // One maze per worker slot, built lazily (the scratch arrays are
-  // grid-sized). A slot is only ever driven by one thread at a time.
-  std::vector<std::unique_ptr<Maze>> mazes(
-      static_cast<std::size_t>(slot_count));
-  auto maze_for = [&](unsigned slot) -> Maze& {
-    auto& maze = mazes[slot];
-    if (!maze) maze = std::make_unique<Maze>(state, options_);
-    return *maze;
-  };
-  Maze& home = maze_for(static_cast<unsigned>(util::this_thread_pool_slot()));
-
+  Maze maze(state, options_);
   std::vector<std::vector<std::uint32_t>> routed_edges(connections.size());
   std::vector<RouteOp> ops;
   ops.reserve(connections.size());
 
-  auto commit = [&](std::uint32_t idx, std::vector<std::uint32_t>&& edges,
-                    std::uint64_t expansions, int op_iteration) {
-    result.total_expansions += expansions;
-    ops.push_back({idx, static_cast<double>(expansions), op_iteration});
-    for (std::uint32_t edge : edges) ++state.usage[edge];
-    routed_edges[idx] = std::move(edges);
-  };
-
-  // Speculation: each window of kWindow pending connections is searched in
-  // parallel against the grid at window start, then committed in pending
-  // order. A commit whose usage bump changes an edge's step cost marks the
-  // edge dirty. A later search of the window that read a dirty edge (one
-  // inside its search window, at a cell it expanded) read a stale cost and
-  // is searched again against live state. Every other search is the one
-  // the serial loop would run, because history and capacity are fixed
-  // within a batch.
-  constexpr std::size_t kWindow = 32;  // fixed; outputs do not depend on it
-  struct alignas(64) Attempt {  // own cache line: workers push_back in it
-    std::vector<std::uint32_t> edges;
-    std::vector<std::uint32_t> expanded;
-    std::uint64_t expansions = 0;
-  };
-  struct SearchStats {
-    std::uint64_t windows = 0;     // speculative windows
-    std::uint64_t speculated = 0;  // searches run in them
-    std::uint64_t researched = 0;  // rejected and searched again serially
-  };
-  std::vector<Attempt> attempts(speculate ? kWindow : 0);
-  std::vector<EdgeEnds> dirty;
-  // seen[cell] == seen_mark: the attempt under test expanded the cell.
-  std::vector<std::uint32_t> seen(
-      speculate ? static_cast<std::size_t>(grid) * grid : 0, 0);
-  std::uint32_t seen_mark = 0;
-  auto read_dirty = [&](const Attempt& attempt, const SearchWindow& window) {
-    if (std::none_of(dirty.begin(), dirty.end(), [&](const EdgeEnds& e) {
-          return window.reads(e);
-        })) {
-      return false;
-    }
-    ++seen_mark;
-    for (std::uint32_t cell : attempt.expanded) seen[cell] = seen_mark;
-    auto expanded = [&](std::uint32_t x, std::uint32_t y) {
-      return seen[static_cast<std::size_t>(y) * grid + x] == seen_mark;
-    };
-    return std::any_of(dirty.begin(), dirty.end(), [&](const EdgeEnds& e) {
-      return window.reads(e) &&
-             (expanded(e.x, e.y) || expanded(e.x + e.dx, e.y + e.dy));
-    });
-  };
-
-  // Routes `pending` in order, each connection searched against the grid
-  // its predecessors left. Speculation stops for the rest of the batch
-  // after a window whose re-searches expanded more than half its nodes:
-  // later connections are longer, so they would fare no better.
+  // Routes `pending` in order, each connection searched once against the
+  // grid its predecessors left and committed at once.
   auto route_batch = [&](const std::vector<std::uint32_t>& pending,
                          int op_iteration) {
-    SearchStats stats;
-    std::size_t next = 0;  // first connection not yet committed
-    for (bool speculating = speculate;
-         speculating && next < pending.size();) {
-      const std::size_t begin = next;
-      const std::size_t end = std::min(pending.size(), begin + kWindow);
-      ++stats.windows;
-      stats.speculated += end - begin;
-      util::parallel_for(
-          threads, begin, end, 1,
-          [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t,
-              unsigned slot) {
-            Maze& maze = maze_for(slot);
-            for (std::size_t k = chunk_begin; k < chunk_end; ++k) {
-              Attempt& attempt = attempts[k - begin];
-              attempt.edges.clear();
-              attempt.expanded.clear();
-              attempt.expansions =
-                  maze.route(connections[pending[k]], attempt.edges,
-                             pending[k], {}, &attempt.expanded);
-            }
-          });
-      dirty.clear();
-      std::uint64_t window_expansions = 0;
-      std::uint64_t researched_expansions = 0;
-      for (; next < end; ++next) {
-        const std::uint32_t idx = pending[next];
-        Attempt& attempt = attempts[next - begin];
-        if (read_dirty(attempt, search_window(connections[idx], grid))) {
-          ++stats.researched;
-          attempt.edges.clear();
-          attempt.expansions =
-              home.route(connections[idx], attempt.edges, idx, {});
-          researched_expansions += attempt.expansions;
-        }
-        window_expansions += attempt.expansions;
-        for (std::uint32_t edge : attempt.edges) {
-          if (state.bump_moves_step(edge, options_)) {
-            dirty.push_back(edge_ends(edge, grid));
-          }
-        }
-        commit(idx, std::move(attempt.edges), attempt.expansions,
-               op_iteration);
-      }
-      speculating = 2 * researched_expansions <= window_expansions;
-    }
-    for (; next < pending.size(); ++next) {
-      const std::uint32_t idx = pending[next];
+    for (std::uint32_t idx : pending) {
       std::vector<std::uint32_t> edges;
       const std::uint64_t expansions =
-          home.route(connections[idx], edges, idx, sink);
-      commit(idx, std::move(edges), expansions, op_iteration);
+          maze.route(connections[idx], edges, idx, sink);
+      result.total_expansions += expansions;
+      ops.push_back({idx, static_cast<double>(expansions), op_iteration});
+      for (std::uint32_t edge : edges) ++state.usage[edge];
+      routed_edges[idx] = std::move(edges);
     }
-    return stats;
-  };
-  auto count_searches = [](obs::ScopedSpan& span, const SearchStats& stats) {
-    span.counter("windows", static_cast<double>(stats.windows));
-    span.counter("speculated", static_cast<double>(stats.speculated));
-    span.counter("researched", static_cast<double>(stats.researched));
   };
 
   // ---- initial routing ----------------------------------------------------------
@@ -512,7 +374,8 @@ RoutingResult GridRouter::route(const Netlist& netlist,
     initial_span.counter("connections",
                          static_cast<double>(connections.size()));
     initial_span.counter("threads", static_cast<double>(threads));
-    count_searches(initial_span, route_batch(order, /*op_iteration=*/0));
+    route_batch(order, /*op_iteration=*/0);
+    initial_span.counter("searched", static_cast<double>(order.size()));
     result.routed_count = connections.size();
     initial_span.counter("routed", static_cast<double>(result.routed_count));
   }
@@ -560,7 +423,8 @@ RoutingResult GridRouter::route(const Netlist& netlist,
       edges.clear();
       ripped.push_back(idx);
     }
-    count_searches(ripup_span, route_batch(ripped, iteration + 1));
+    route_batch(ripped, iteration + 1);
+    ripup_span.counter("searched", static_cast<double>(ripped.size()));
   }
   result.rrr_iterations = iteration;
 

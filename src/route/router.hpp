@@ -15,21 +15,11 @@
 // Routing order: each batch — the initial connection order, then each
 // rip-up set — is routed in pending order against live grid state, every
 // connection searched once and committed at once. Instrumented searches
-// report straight into the run's perf::Sink, so the event stream is the
-// serial one at any thread count.
-//
-// Parallelism model (measured): uninstrumented runs with
-// RouterOptions::threads > 1 on grids of at least kSpeculateMinGrid cells a
-// side speculate exactly. Each fixed window of pending connections is
-// searched in parallel on the shared util::ThreadPool against the grid as
-// it stood at window start, then committed in pending order. A search is
-// accepted unless an earlier commit of the same window changed the step
-// cost (step_cost below) of an edge inside its search window; a rejected
-// one is searched again serially against live state. Within a batch,
-// history and capacity are fixed and the step cost moves with usage only
-// past the 0.8 knee, so an accepted search is the one the serial loop
-// would have run: paths, expansions and QoR equal the serial loop at any
-// width.
+// report straight into the run's perf::Sink, so the event stream, the
+// paths and the QoR are the same at any thread count. The search itself
+// is serial: exact speculation over windows of pending connections was
+// measured on a 4-vCPU host and was faster on no design (EXPERIMENTS.md
+// "Routing in pending order").
 
 #include <algorithm>
 #include <cstdint>
@@ -50,17 +40,11 @@ struct RouterOptions {
   int max_rrr_iterations = 3;  // rip-up-and-reroute rounds
   double congestion_weight = 2.0;
   double history_weight = 1.5;
-  /// Worker threads for speculative maze search (0 = the global default
-  /// from util::global_thread_count(); 1 = serial). Any value produces
-  /// bit-identical results — see the header comment.
+  /// Flow thread width (0 = the global default from
+  /// util::global_thread_count()). Recorded on the route/initial span; the
+  /// search itself is serial, so any value gives bit-identical results.
   int threads = 0;
 };
-
-/// Smallest grid side on which uninstrumented multi-threaded runs
-/// speculate; smaller grids route serially, where a window's searches are
-/// too short to pay for a pool hand-off (EXPERIMENTS.md "Routing in
-/// pending order").
-inline constexpr int kSpeculateMinGrid = 32;
 
 /// A* step cost of one grid edge: 1, plus congestion past 80% of capacity,
 /// plus history. Below the knee a usage change leaves it bit-identical.
@@ -101,8 +85,7 @@ class GridRouter {
       const std::vector<perf::VmConfig>& configs) const;
 
   /// The same routing, reporting every instrumentation event into `sink`
-  /// (the profile's configs and counts stay empty). A non-null sink
-  /// disables speculation, as an Instrument does.
+  /// (the profile's configs and counts stay empty).
   [[nodiscard]] RoutingResult route(const nl::Netlist& netlist,
                                     const place::Placement& placement,
                                     perf::Sink sink) const;

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
-
 #include "obs/trace.hpp"
 #include "perf/instrument.hpp"
 #include "place/placer.hpp"
@@ -294,9 +291,9 @@ std::uint64_t hash_paths(
 }
 
 TEST(RouterTest, RoutedPathsPinned) {
-  // The routed paths themselves, pinned at every thread count: search
-  // scheduling work must not move a single edge. The congested case runs
-  // rip-up rounds and, above one thread, speculative windows.
+  // The routed paths themselves, pinned at every thread count, with
+  // expansions and waves equal to the serial run's: search scheduling work
+  // must not move a single edge. The congested case runs rip-up rounds.
   struct Case {
     const char* name;
     nl::Aig aig;
@@ -317,6 +314,7 @@ TEST(RouterTest, RoutedPathsPinned) {
     const PlacedDesign design = prepare(pin.aig);
     RouterOptions options;
     options.edge_capacity = pin.edge_capacity;
+    RoutingResult serial;
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE(threads);
       options.threads = threads;
@@ -326,88 +324,67 @@ TEST(RouterTest, RoutedPathsPinned) {
       EXPECT_EQ(result.wirelength_gedges, pin.wirelength);
       EXPECT_EQ(result.overflowed_edges, pin.overflowed);
       EXPECT_EQ(result.rrr_iterations, pin.rrr_iterations);
+      if (threads == 1) {
+        serial = result;
+      } else {
+        EXPECT_EQ(result.total_expansions, serial.total_expansions);
+        EXPECT_EQ(result.wave_count, serial.wave_count);
+      }
     }
   }
 }
 
-/// Sum of each search counter over the route/initial and route/ripup spans
-/// of one routing run: {windows, speculated, researched}.
-std::array<double, 3> search_counters(const GridRouter& router,
+/// The `searched` counter of every route/initial and route/ripup span of
+/// one routing run, in span order (-1 for a span without one: the rip-up
+/// round that found no overflow).
+std::vector<double> searched_per_span(const GridRouter& router,
                                       const PlacedDesign& design) {
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   tracer.enable(obs::ClockMode::kVirtual);
   (void)router.run(design.netlist, design.placement, {});
   tracer.disable();
-  std::array<double, 3> sums = {-1.0, -1.0, -1.0};
-  const char* keys[3] = {"windows", "speculated", "researched"};
+  std::vector<double> searched;
   for (const obs::TraceEvent& event : tracer.snapshot()) {
     if (event.name != "route/initial" && event.name != "route/ripup") {
       continue;
     }
+    double count = -1.0;
     for (const obs::TraceArg& arg : event.args) {
-      for (std::size_t k = 0; k < 3; ++k) {
-        if (arg.key == keys[k]) sums[k] = std::max(sums[k], 0.0) + arg.value;
-      }
+      if (arg.key == "searched") count = arg.value;
     }
+    searched.push_back(count);
   }
   tracer.clear();
-  return sums;
+  return searched;
 }
 
 TEST(RouterTest, SearchCountersOnSpansAreExact) {
-  // `windows`, `speculated` and `researched` are exact counts: zero on a
-  // serial run, equal at every width above one, and never more searches
-  // redone than speculated.
-  const PlacedDesign design = prepare(workloads::gen_multiplier(12));
+  // `searched` on the route spans is an exact count, equal at every thread
+  // count: the initial batch searches every connection once, and each
+  // rip-up batch searches every connection it ripped up once.
+  const PlacedDesign design = prepare(workloads::gen_alu(16));
   RouterOptions options;
   options.threads = 1;
-  GridRouter serial(options);
-  ASSERT_GE(serial.run(design.netlist, design.placement, {}).grid_size,
-            kSpeculateMinGrid);
-  EXPECT_EQ(search_counters(serial, design),
-            (std::array<double, 3>{0.0, 0.0, 0.0}));
-  options.threads = 2;
-  const auto two = search_counters(GridRouter(options), design);
-  options.threads = 4;
-  const auto four = search_counters(GridRouter(options), design);
-  EXPECT_EQ(two, four);
-  EXPECT_GT(two[0], 0.0);
-  EXPECT_GE(two[1], two[0]);
-  EXPECT_LE(two[2], two[1]);
-}
-
-TEST(RouterTest, SpeculationEqualsSerial) {
-  // Speculative windows on a congested uninstrumented design route
-  // exactly as the serial loop: same paths, expansions and QoR at every
-  // width, with searches actually redone so validation is exercised.
-  const PlacedDesign design = prepare(workloads::gen_multiplier(12));
-  RouterOptions options;
-  options.edge_capacity = 6;
-  options.threads = 1;
-  const auto serial =
+  const auto result =
       GridRouter(options).run(design.netlist, design.placement, {});
-  ASSERT_GE(serial.grid_size, kSpeculateMinGrid);
-  ASSERT_GT(serial.rrr_iterations, 0);
+  ASSERT_GT(result.rrr_iterations, 0);
+  const std::vector<double> serial =
+      searched_per_span(GridRouter(options), design);
+  ASSERT_GE(serial.size(), 2u);
+  EXPECT_EQ(serial[0], static_cast<double>(result.connection_count));
+  EXPECT_GT(serial[1], 0.0);
   for (const int threads : {2, 4}) {
     SCOPED_TRACE(threads);
     options.threads = threads;
-    const GridRouter router(options);
-    const auto parallel = router.run(design.netlist, design.placement, {});
-    EXPECT_EQ(parallel.connection_edges, serial.connection_edges);
-    EXPECT_EQ(parallel.total_expansions, serial.total_expansions);
-    EXPECT_EQ(parallel.wirelength_gedges, serial.wirelength_gedges);
-    EXPECT_EQ(parallel.overflowed_edges, serial.overflowed_edges);
-    EXPECT_EQ(parallel.rrr_iterations, serial.rrr_iterations);
-    EXPECT_EQ(parallel.wave_count, serial.wave_count);
-    EXPECT_GT(search_counters(router, design)[2], 0.0);
+    EXPECT_EQ(searched_per_span(GridRouter(options), design), serial);
   }
 }
 
 TEST(RouterTest, StepCostMovesWithUsageOnlyPastTheKnee) {
-  // Speculation's exactness rests on this: below 80% of capacity a usage
-  // bump leaves the step cost bit-identical; the bump that crosses the
-  // knee, and every one after it, changes it.
+  // Congestion is priced only past the 0.8 knee: below 80% of capacity a
+  // usage bump leaves the step cost bit-identical; the bump that crosses
+  // the knee, and every one after it, changes it.
   const RouterOptions options;
   const std::uint16_t capacity = 10;
   for (const float history : {0.0f, 1.0f, 2.5f}) {
