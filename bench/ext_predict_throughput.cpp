@@ -6,7 +6,7 @@
 //   * serial        — one forward pass per query (the pre-batching path)
 //   * batched cold  — merged-batch execution (ml::BatchedGcn): in-batch
 //                     content dedup + one block-diagonal forward pass per
-//                     size group; ladder over batch size 1..128
+//                     budgeted group; ladder over batch size 1..128
 //   * warm cache    — content-addressed PredictionCache fronting the
 //                     batch; repeated designs skip the forward pass (and,
 //                     with memoized keys, the hash too)

@@ -2,12 +2,13 @@
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
 // sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
-// GCN forward pass and training step, the fleet's per-job admission plan,
-// the fleet engine's market-tick decisions and the thread-pool round trip
-// of a 2-chunk parallel_for. These quantify the substrate itself rather
-// than a paper figure. Cut mapping, CG placement and the STA sweeps run
-// twice: with a null perf::Sink (second arg 0) and instrumented on the
-// characterize workload's 8-config ladder (1).
+// GCN forward pass, the tuner's batched GCN inference and the training
+// step, the fleet's per-job admission plan, the fleet engine's market-tick
+// decisions and the thread-pool round trip of a 2-chunk parallel_for.
+// These quantify the substrate itself rather than a paper figure. Cut
+// mapping, CG placement and the STA sweeps run twice: with a null
+// perf::Sink (second arg 0) and instrumented on the characterize
+// workload's 8-config ladder (1).
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 
 #include "cloud/mckp.hpp"
 #include "market/market.hpp"
+#include "ml/batch.hpp"
 #include "ml/gcn.hpp"
 #include "nl/star_graph.hpp"
 #include "perf/branch_sim.hpp"
@@ -321,6 +323,39 @@ void BM_GcnForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcnForward)->Arg(8)->Arg(16);
+
+// One tuner-shaped predict_batch: a plan design's 28 recipes (24 grid
+// points + 4 seeded draws), each querying its recipe-lattice leaf's
+// netlist graph, so the batch carries the tuner's duplicates. Items are
+// distinct graph rows; `groups` counts the merged forward passes.
+void BM_BatchedGcnForward(benchmark::State& state) {
+  tune::RecipeSpace space;
+  space.random_samples = 4;
+  const auto recipes = tune::enumerate_recipes(space);
+  const auto lattice = synth::SynthesisEngine(library()).synthesize_all(
+      workloads::gen_cavlc(8, 3), recipes, 1);
+  std::vector<ml::GraphSample> leaves;
+  for (const auto& leaf : lattice.leaves) {
+    leaves.push_back(
+        ml::sample_from_graph(nl::graph_from_netlist(leaf.netlist)));
+  }
+  std::vector<const ml::GraphSample*> batch;
+  for (const std::size_t leaf : lattice.leaf_of) batch.push_back(&leaves[leaf]);
+  const ml::GcnModel model(ml::GcnConfig::fast());
+  const ml::BatchedGcn batched(model);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(batched.predict(batch).data());
+  }
+  const ml::BatchStats& stats = batched.last_stats();
+  state.counters["queries"] = static_cast<double>(stats.queries);
+  state.counters["distinct"] = static_cast<double>(stats.distinct);
+  state.counters["groups"] = static_cast<double>(stats.groups);
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(stats.real_rows) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BatchedGcnForward)->Unit(benchmark::kMillisecond);
 
 // One forward + backward + Adam step: the unit of startup training.
 void BM_GcnTrainStep(benchmark::State& state) {

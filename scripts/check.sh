@@ -260,6 +260,10 @@ batch_smoke() {
   echo "=== batched inference smoke: serial-vs-batched bit-identity ==="
   "${cli}" predict adder 48 --batch 8 --verify --cache 64 --threads 2 \
     --train-designs 2 --train-epochs 2 > /dev/null
+  # The tuner's path: mapped-netlist graphs, as the placement, routing and
+  # STA models see them.
+  "${cli}" predict adder 48 --job placement --batch 8 --verify --cache 64 \
+    --threads 2 --train-designs 2 --train-epochs 2 > /dev/null
 
   echo "=== batched inference smoke: predict flag validation ==="
   "${cli}" predict adder 48 --no-such-flag 1 > /dev/null 2>&1 && {

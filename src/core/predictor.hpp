@@ -42,9 +42,9 @@ class RuntimePredictor {
   [[nodiscard]] std::array<double, 4> predict(
       JobKind job, const ml::GraphSample& sample) const;
 
-  /// Batched variant: one merged forward pass per size group with in-batch
-  /// content dedup (ml::BatchedGcn), then the same inverse-scale + exp
-  /// post-processing per entry. out[i] is bit-identical to
+  /// Batched variant: one merged forward pass per budgeted group with
+  /// in-batch content dedup (ml::BatchedGcn), then the same inverse-scale
+  /// + exp post-processing per entry. out[i] is bit-identical to
   /// predict(job, *samples[i]) at any thread count. `keys` (optional,
   /// size-matched) supplies memoized content keys so dedup skips hashing.
   [[nodiscard]] std::vector<std::array<double, 4>> predict_batch(

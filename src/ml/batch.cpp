@@ -1,7 +1,6 @@
 #include "ml/batch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -87,10 +86,16 @@ GraphSample sample_from_graph(const nl::DesignGraph& graph) {
   return sample;
 }
 
-BatchedGcn::BatchedGcn(const GcnModel& model, BatchOptions options)
-    : model_(model), options_(options) {
-  if (options_.max_group_rows == 0) options_.max_group_rows = 1;
+std::size_t group_row_budget(const GcnConfig& config) {
+  const int widest =
+      std::max({config.input_dim, config.hidden1, config.hidden2});
+  return std::max<std::size_t>(
+      1, kGroupBudgetBytes /
+             (static_cast<std::size_t>(widest) * sizeof(double)));
 }
+
+BatchedGcn::BatchedGcn(const GcnModel& model, BatchOptions options)
+    : model_(model), options_(options) {}
 
 std::vector<std::array<double, kRuntimeOutputs>> BatchedGcn::predict(
     const std::vector<const GraphSample*>& samples) const {
@@ -137,33 +142,29 @@ std::vector<std::array<double, kRuntimeOutputs>> BatchedGcn::run(
   stats_.distinct = reps.size();
   stats_.duplicates = samples.size() - reps.size();
 
-  // Bucket by power-of-two stride: every group member packs at the same
-  // row stride, so padding never exceeds half the tensor and a full-stride
-  // graph pads nothing. std::map keeps group order deterministic.
-  std::map<std::size_t, std::vector<std::size_t>> buckets;
-  for (std::size_t r = 0; r < reps.size(); ++r) {
-    const std::size_t rows = reps[r]->features.rows();
-    buckets[std::bit_ceil(std::max<std::size_t>(1, rows))].push_back(r);
-  }
-
+  // Distinct samples keep their first-occurrence order; a group is the
+  // longest run of them that fits the row budget (a sample larger than
+  // the budget runs alone). Group membership never changes a row's bits,
+  // only which rows share a kernel call.
+  const std::size_t budget = group_row_budget(model_.config());
   std::vector<std::array<double, kRuntimeOutputs>> rep_results(reps.size());
-  for (const auto& [stride, members] : buckets) {
-    const std::size_t per_group = std::max<std::size_t>(
-        1, options_.max_group_rows / stride);
-    for (std::size_t begin = 0; begin < members.size(); begin += per_group) {
-      const std::size_t end =
-          std::min(members.size(), begin + per_group);
-      std::vector<const GraphSample*> group;
-      std::vector<std::size_t> out_index;
-      group.reserve(end - begin);
-      for (std::size_t m = begin; m < end; ++m) {
-        group.push_back(reps[members[m]]);
-        out_index.push_back(members[m]);
-      }
-      forward_group(group, stride, out_index, rep_results);
-      ++stats_.groups;
-    }
+  const std::span<const GraphSample* const> all(reps);
+  const std::span<std::array<double, kRuntimeOutputs>> all_out(rep_results);
+  std::size_t begin = 0;
+  std::size_t rows = 0;
+  const auto flush = [&](std::size_t end) {
+    forward_group(all.subspan(begin, end - begin),
+                  all_out.subspan(begin, end - begin));
+    ++stats_.groups;
+    begin = end;
+    rows = 0;
+  };
+  for (std::size_t r = 0; r < reps.size(); ++r) {
+    const std::size_t n = reps[r]->features.rows();
+    if (r > begin && rows + n > budget) flush(r);
+    rows += n;
   }
+  flush(reps.size());
 
   for (std::size_t q = 0; q < samples.size(); ++q) {
     results[q] = rep_results[rep_of[q]];
@@ -172,92 +173,83 @@ std::vector<std::array<double, kRuntimeOutputs>> BatchedGcn::run(
 }
 
 void BatchedGcn::forward_group(
-    const std::vector<const GraphSample*>& members, std::size_t stride,
-    const std::vector<std::size_t>& out_index,
-    std::vector<std::array<double, kRuntimeOutputs>>& out) const {
+    std::span<const GraphSample* const> members,
+    std::span<std::array<double, kRuntimeOutputs>> out) const {
   const std::size_t count = members.size();
-  const std::size_t total_rows = count * stride;
-
-  // Merged block-diagonal CSR: member m's vertex v becomes row
-  // m*stride + v; padding rows keep empty in-edge ranges, so
-  // aggregate_mean leaves them exactly zero.
-  nl::Csr csr;
-  csr.offsets.resize(total_rows + 1);
-  csr.offsets[0] = 0;
+  std::vector<std::size_t> offset(count + 1, 0);
   std::size_t edges = 0;
-  for (const GraphSample* s : members) edges += s->in_neighbors.edge_count();
-  csr.targets.reserve(edges);
-  const std::size_t feature_dim =
-      static_cast<std::size_t>(model_.config_.input_dim);
-  Matrix x(total_rows, feature_dim);
   for (std::size_t m = 0; m < count; ++m) {
-    const GraphSample& s = *members[m];
-    const std::size_t base = m * stride;
-    const std::size_t rows = s.features.rows();
-    for (std::size_t v = 0; v < stride; ++v) {
-      if (v < rows) {
-        const auto [e_begin, e_end] =
-            s.in_neighbors.range(static_cast<nl::VertexId>(v));
-        for (std::uint32_t e = e_begin; e < e_end; ++e) {
-          csr.targets.push_back(
-              static_cast<nl::VertexId>(base + s.in_neighbors.targets[e]));
-        }
+    offset[m + 1] = offset[m] + members[m]->features.rows();
+    edges += members[m]->in_neighbors.edge_count();
+  }
+  const std::size_t total_rows = offset[count];
+  stats_.real_rows += total_rows;
+
+  // One member runs on its own CSR and features. More are stacked into a
+  // block-diagonal CSR: member m's vertex v becomes row offset[m] + v, and
+  // its in-edges shift by the same offset.
+  const nl::Csr* csr = &members[0]->in_neighbors;
+  const Matrix* x = &members[0]->features;
+  nl::Csr merged;
+  Matrix stacked;
+  if (count > 1) {
+    merged.offsets.assign(total_rows + 1, 0);
+    merged.targets.reserve(edges);
+    stacked = Matrix(total_rows,
+                     static_cast<std::size_t>(model_.config_.input_dim));
+    for (std::size_t m = 0; m < count; ++m) {
+      const GraphSample& s = *members[m];
+      const std::uint32_t edge_base =
+          static_cast<std::uint32_t>(merged.targets.size());
+      const nl::VertexId shift = static_cast<nl::VertexId>(offset[m]);
+      for (std::size_t v = 0; v < s.features.rows(); ++v) {
+        merged.offsets[offset[m] + v + 1] =
+            edge_base + s.in_neighbors.offsets[v + 1];
       }
-      csr.offsets[base + v + 1] =
-          static_cast<std::uint32_t>(csr.targets.size());
+      for (const nl::VertexId t : s.in_neighbors.targets) {
+        merged.targets.push_back(shift + t);
+      }
+      std::copy(s.features.data().begin(), s.features.data().end(),
+                stacked.row(offset[m]));
     }
-    std::copy(s.features.data().begin(), s.features.data().end(),
-              x.row(base));
-    stats_.real_rows += rows;
-    stats_.padded_rows += stride - rows;
+    csr = &merged;
+    x = &stacked;
   }
 
-  // Fused (z + self) + bias then ReLU over real rows only — the exact
-  // per-element sequence of the serial forward (elementwise add, then
-  // add_bias_rows, then relu_inplace). Padding rows are skipped so they
-  // stay 0.0 and the matmul zero-skip keeps them free in the next layer.
-  const auto add_self_bias_relu = [&](Matrix& z, const Matrix& self,
-                                      const std::vector<double>& bias) {
-    for (std::size_t m = 0; m < count; ++m) {
-      const std::size_t base = m * stride;
-      const std::size_t rows = members[m]->features.rows();
-      for (std::size_t i = base; i < base + rows; ++i) {
-        double* zrow = z.row(i);
-        const double* srow = self.row(i);
-        for (std::size_t j = 0; j < z.cols(); ++j) {
-          zrow[j] = std::max(0.0, (zrow[j] + srow[j]) + bias[j]);
-        }
+  // Fused (z + self) + bias then ReLU — the exact per-element sequence of
+  // the serial forward (elementwise add, then add_bias_rows, then
+  // relu_inplace).
+  const auto add_self_bias_relu = [](Matrix& z, const Matrix& self,
+                                     const std::vector<double>& bias) {
+    for (std::size_t i = 0; i < z.rows(); ++i) {
+      double* zrow = z.row(i);
+      const double* srow = self.row(i);
+      for (std::size_t j = 0; j < z.cols(); ++j) {
+        zrow[j] = std::max(0.0, (zrow[j] + srow[j]) + bias[j]);
       }
     }
   };
 
   // Layer 1: H1 = relu(agg(X) W1 + X S1 + b1), stacked.
-  Matrix h1 = matmul(aggregate_mean(csr, x), model_.w1_.value);
-  {
-    const Matrix self = matmul(x, model_.s1_.value);
-    add_self_bias_relu(h1, self, model_.b1_.value);
-  }
+  Matrix h1 = matmul(aggregate_mean(*csr, *x), model_.w1_.value);
+  add_self_bias_relu(h1, matmul(*x, model_.s1_.value), model_.b1_.value);
 
   // Layer 2.
-  Matrix h2 = matmul(aggregate_mean(csr, h1), model_.w2_.value);
-  {
-    const Matrix self = matmul(h1, model_.s2_.value);
-    add_self_bias_relu(h2, self, model_.b2_.value);
-  }
+  Matrix h2 = matmul(aggregate_mean(*csr, h1), model_.w2_.value);
+  add_self_bias_relu(h2, matmul(h1, model_.s2_.value), model_.b2_.value);
 
   // Per-graph mean pooling + log-size channel: rows ascending within each
   // member, one divide of the summed value — identical to the serial
   // sum_pool-then-divide sequence.
   Matrix pooled(count, h2.cols() + 1);
   for (std::size_t m = 0; m < count; ++m) {
-    const std::size_t base = m * stride;
-    const std::size_t rows = members[m]->features.rows();
     double* prow = pooled.row(m);
-    for (std::size_t i = base; i < base + rows; ++i) {
+    for (std::size_t i = offset[m]; i < offset[m + 1]; ++i) {
       const double* row = h2.row(i);
       for (std::size_t j = 0; j < h2.cols(); ++j) prow[j] += row[j];
     }
-    const double n = static_cast<double>(std::max<std::size_t>(1, rows));
+    const double n = static_cast<double>(
+        std::max<std::size_t>(1, offset[m + 1] - offset[m]));
     for (std::size_t j = 0; j < h2.cols(); ++j) prow[j] /= n;
     prow[h2.cols()] = std::log1p(n);
   }
@@ -272,7 +264,7 @@ void BatchedGcn::forward_group(
 
   for (std::size_t m = 0; m < count; ++m) {
     for (int j = 0; j < kRuntimeOutputs; ++j) {
-      out[out_index[m]][j] = logits.at(m, static_cast<std::size_t>(j));
+      out[m][j] = logits.at(m, static_cast<std::size_t>(j));
     }
   }
 }

@@ -5,15 +5,18 @@
 //     structure and feature bits. Two samples with identical graph content
 //     always hash equal; the key is what makes the cache and the in-batch
 //     deduplication *content*-addressed rather than pointer-addressed.
-//   * BatchedGcn — groups a batch of samples by size bucket, packs each
-//     group into one padded block-diagonal tensor (rows = graphs stacked at
-//     a uniform power-of-two stride) and runs ONE merged forward pass per
-//     group through the PR-3 row-blocked kernels. Duplicate content inside
-//     a batch is computed once. The hard contract: every output is
-//     bit-identical to GcnModel::predict on the same sample, at any thread
-//     count — padding rows stay exactly zero through every layer (they
-//     have no in-edges and bias/ReLU touch only real rows), so each real
-//     row sees the exact serial per-element accumulation order.
+//   * BatchedGcn — stacks the distinct samples of a batch, in their
+//     first-occurrence order, at prefix-sum row offsets into block-diagonal
+//     groups (no padding rows) and runs ONE merged forward pass per group
+//     through the row-blocked kernels. A group closes when its next member
+//     would take it past kGroupBudgetBytes of widest-layer activations, so
+//     each group's matrices are small enough to stay in a core's L2; a
+//     one-sample group runs on the sample's own CSR and features.
+//     Duplicate content inside a batch is computed once. The hard
+//     contract: every output is bit-identical to GcnModel::predict on the
+//     same sample, at any thread count — every row's aggregate, matmul
+//     terms, bias and ReLU run in the serial per-element order, and no row
+//     reads another member's rows.
 //   * PredictionCache — bounded LRU keyed by ContentKey, internally locked
 //     (server workers hit it concurrently), with hit/miss/eviction
 //     counters exportable to the obs registry.
@@ -28,6 +31,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,22 +71,29 @@ struct ContentKey {
 /// CLI predict subcommand and the throughput bench).
 [[nodiscard]] GraphSample sample_from_graph(const nl::DesignGraph& graph);
 
+/// Activation budget of one merged group: rows x the widest layer row
+/// (max of input_dim, hidden1, hidden2 doubles). 64 KiB is 256 rows at
+/// GcnConfig::fast() widths, the best plan throughput in a sweep of
+/// 64..16,384 rows (DESIGN.md §12); the paper widths get 32 rows. A
+/// sample larger than the budget runs as a group of its own.
+inline constexpr std::size_t kGroupBudgetBytes = 64 * 1024;
+
+/// Rows one merged group may hold under kGroupBudgetBytes (at least 1).
+[[nodiscard]] std::size_t group_row_budget(const GcnConfig& config);
+
 struct BatchOptions {
   /// Deduplicate identical-content samples inside a batch (compute once,
   /// fan the result out). Costs one content_key per sample.
   bool dedup = true;
-  /// Upper bound on padded rows per merged group; larger groups split.
-  std::size_t max_group_rows = 1 << 14;
 };
 
 /// Per-predict() accounting, for tests and bench reporting.
 struct BatchStats {
-  std::size_t queries = 0;        // samples passed in
-  std::size_t distinct = 0;       // forward passes actually computed
-  std::size_t duplicates = 0;     // queries - distinct (dedup wins)
-  std::size_t groups = 0;         // merged forward passes
-  std::size_t real_rows = 0;      // graph vertices across distinct samples
-  std::size_t padded_rows = 0;    // zero rows added for uniform strides
+  std::size_t queries = 0;     // samples passed in
+  std::size_t distinct = 0;    // forward passes actually computed
+  std::size_t duplicates = 0;  // queries - distinct (dedup wins)
+  std::size_t groups = 0;      // merged forward passes
+  std::size_t real_rows = 0;   // graph vertices across distinct samples
 };
 
 class BatchedGcn {
@@ -108,12 +119,11 @@ class BatchedGcn {
   std::vector<std::array<double, kRuntimeOutputs>> run(
       const std::vector<const GraphSample*>& samples,
       const std::vector<ContentKey>* keys) const;
-  /// One merged forward pass over `members` packed at `stride` rows each;
-  /// writes members.size() results into out[out_index[k]].
+  /// One merged forward pass over `members` stacked at prefix-sum row
+  /// offsets; writes members[k]'s result into out[k].
   void forward_group(
-      const std::vector<const GraphSample*>& members, std::size_t stride,
-      const std::vector<std::size_t>& out_index,
-      std::vector<std::array<double, kRuntimeOutputs>>& out) const;
+      std::span<const GraphSample* const> members,
+      std::span<std::array<double, kRuntimeOutputs>> out) const;
 
   const GcnModel& model_;
   BatchOptions options_;

@@ -1,7 +1,8 @@
 // Batched GCN inference: the bit-identity contract (batched == serial at
-// any thread count), in-batch content dedup, padded-tensor edge cases and
-// PredictionCache LRU/eviction/thread-safety semantics. These suites run
-// under TSan in scripts/check.sh (MlBatchTest in the tier-2 regex).
+// any thread count), in-batch content dedup, group packing under the row
+// budget and PredictionCache LRU/eviction/thread-safety semantics. These
+// suites run under TSan in scripts/check.sh (MlBatchTest in the tier-2
+// regex).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,23 +108,63 @@ TEST(MlBatchTest, SingletonGroupMatchesSerial) {
   ASSERT_EQ(out.size(), 1u);
   for (int j = 0; j < kRuntimeOutputs; ++j) EXPECT_EQ(out[0][j], serial[j]);
   EXPECT_EQ(batched.last_stats().groups, 1u);
-  EXPECT_EQ(batched.last_stats().padded_rows, 1u);  // 7 -> stride 8
+  EXPECT_EQ(batched.last_stats().real_rows, 7u);
 }
 
-TEST(MlBatchTest, PowerOfTwoSizeGraphNeedsNoPadding) {
+TEST(MlBatchTest, SmallSamplesShareOneGroupAtRealOffsets) {
   const GcnModel model(tiny_config());
   const GraphSample a = make_sample(16, 1);
-  const GraphSample b = make_sample(16, 2);
+  const GraphSample b = make_sample(9, 2);
   const BatchedGcn batched(model);
   const auto out = batched.predict({&a, &b});
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(batched.last_stats().padded_rows, 0u);
-  EXPECT_EQ(batched.last_stats().real_rows, 32u);
+  EXPECT_EQ(batched.last_stats().groups, 1u);
+  EXPECT_EQ(batched.last_stats().real_rows, 25u);
   const auto sa = model.predict(a);
   const auto sb = model.predict(b);
   for (int j = 0; j < kRuntimeOutputs; ++j) {
     EXPECT_EQ(out[0][j], sa[j]);
     EXPECT_EQ(out[1][j], sb[j]);
+  }
+}
+
+TEST(MlBatchTest, MixedSizesPackUnderTheGroupBudget) {
+  const GcnConfig config = tiny_config();
+  const GcnModel model(config);
+  const std::size_t budget = group_row_budget(config);
+  // The first four distinct samples (7 + 16 + 33 + 300 = 356 rows) fit one
+  // group; the oversized one must run alone; the 9-row tail starts a third.
+  ASSERT_GE(budget, 356u);
+  const std::size_t sizes[] = {7, 16, 33, 300, budget + 20, 9};
+  std::vector<GraphSample> storage;
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    storage.push_back(make_sample(sizes[i], 200 + i));
+  }
+  const std::vector<const GraphSample*> batch = {
+      &storage[0], &storage[1], &storage[2], &storage[1], &storage[3],
+      &storage[0], &storage[4], &storage[2], &storage[5], &storage[4]};
+  std::size_t distinct_rows = 0;
+  for (const std::size_t n : sizes) distinct_rows += n;
+
+  std::vector<std::array<double, kRuntimeOutputs>> serial;
+  for (const auto* sample : batch) serial.push_back(model.predict(*sample));
+
+  for (const int threads : {1, 2, 4}) {
+    ThreadWidthGuard guard(threads);
+    const BatchedGcn batched(model);
+    const auto out = batched.predict(batch);
+    ASSERT_EQ(out.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      for (int j = 0; j < kRuntimeOutputs; ++j) {
+        EXPECT_EQ(out[i][j], serial[i][j])
+            << "threads=" << threads << " query=" << i << " lane=" << j;
+      }
+    }
+    const BatchStats& stats = batched.last_stats();
+    EXPECT_EQ(stats.distinct, std::size(sizes));
+    EXPECT_EQ(stats.duplicates, batch.size() - std::size(sizes));
+    EXPECT_EQ(stats.groups, 3u) << "threads=" << threads;
+    EXPECT_EQ(stats.real_rows, distinct_rows) << "threads=" << threads;
   }
 }
 

@@ -197,8 +197,8 @@ TEST(MatrixTest, KernelsBitIdenticalAcrossThreadCounts) {
 }
 
 /// A matrix with the shapes the GCN feeds the kernels: about half the
-/// entries zero, some of them -0.0, and every fifth row all zero (the
-/// BatchedGcn padding rows and dead ReLU rows).
+/// entries zero, some of them -0.0, and every fifth row all zero (dead
+/// ReLU rows and vertices without in-edges).
 Matrix sparse_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   util::Rng rng(seed);
   Matrix m(rows, cols);
