@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+
 #include "counter_pins.hpp"
 #include "place/placer.hpp"
 #include "sta/sta.hpp"
@@ -171,6 +175,75 @@ TEST(StaTest, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.l1_misses, b.l1_misses);
     EXPECT_EQ(a.llc_accesses, b.llc_accesses);
     EXPECT_EQ(a.llc_misses, b.llc_misses);
+  }
+}
+
+/// FNV-1a over every element's bits (a double by its IEEE-754 pattern).
+template <typename T>
+std::uint64_t hash_values(const std::vector<T>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const T& value : values) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_same_v<T, double>) {
+      bits = std::bit_cast<std::uint64_t>(value);
+    } else {
+      bits = value;
+    }
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(StaTest, TimingReportPinned) {
+  // Every scalar of a placement-aware timing report as an exact double and
+  // every per-node array as a hash. The power sums fold 256-node block
+  // partials in block order; a single running sum would move their bits.
+  struct Case {
+    const char* name;
+    nl::Aig aig;
+    double critical_path_ps;
+    double clock_period_ps;
+    double worst_slack_ps;
+    std::size_t violating_endpoints;
+    double leakage_power_nw;
+    double dynamic_power_uw;
+    std::uint64_t arrival_hash;
+    std::uint64_t slack_hash;
+    std::uint64_t slew_hash;
+    std::uint64_t worst_parent_hash;
+    std::uint64_t critical_path_hash;
+  };
+  const Case cases[] = {
+      {"alu16", workloads::gen_alu(16), 0x1.1ee98f08c338p+11,
+       0x1.2d420962ccfadp+11, 0x1.cb0f4b41385ap+6, 0, 0x1.da4ccccccccd6p+8,
+       0x1.f4b48f52877c8p-6, 9871761754733966832ULL, 9166079996431096450ULL,
+       164987021353442025ULL, 8012762717317768556ULL,
+       4542462333357124393ULL},
+      {"mul12", workloads::gen_multiplier(12), 0x1.c7ffd1db91ca7p+11,
+       0x1.decc9c59bf7bp+11, 0x1.6ccca7e2db09p+7, 0, 0x1.1e1333333333cp+10,
+       0x1.fd27f5e17abacp-5, 792028506441723914ULL, 1257946088734987801ULL,
+       6214728539288807528ULL, 15943059201324948974ULL,
+       6435590141341946917ULL},
+  };
+  for (const Case& pin : cases) {
+    SCOPED_TRACE(pin.name);
+    const nl::Netlist netlist = synthesize(pin.aig);
+    const place::Placement placement = place::QuadraticPlacer().place(netlist);
+    const TimingReport report = StaEngine().run(netlist, &placement, {});
+    EXPECT_EQ(report.critical_path_ps, pin.critical_path_ps);
+    EXPECT_EQ(report.clock_period_ps, pin.clock_period_ps);
+    EXPECT_EQ(report.worst_slack_ps, pin.worst_slack_ps);
+    EXPECT_EQ(report.violating_endpoints, pin.violating_endpoints);
+    EXPECT_EQ(report.leakage_power_nw, pin.leakage_power_nw);
+    EXPECT_EQ(report.dynamic_power_uw, pin.dynamic_power_uw);
+    EXPECT_EQ(hash_values(report.arrival_ps), pin.arrival_hash);
+    EXPECT_EQ(hash_values(report.slack_ps), pin.slack_hash);
+    EXPECT_EQ(hash_values(report.slew_ps), pin.slew_hash);
+    EXPECT_EQ(hash_values(report.worst_parent), pin.worst_parent_hash);
+    EXPECT_EQ(hash_values(report.critical_path), pin.critical_path_hash);
   }
 }
 
