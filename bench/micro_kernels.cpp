@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // AIG construction + rewriting, cut enumeration + mapping, the tuner's
 // recipe-lattice synthesis, CG placement solve, A* maze routing, STA
-// sweeps, cache/branch simulators, counter-simulation replay, MCKP DP, the
+// sweeps, cache/branch simulators, instrumented routing, MCKP DP, the
 // GCN forward pass, the tuner's batched GCN inference and the training
 // step, the fleet's per-job admission plan, the fleet engine's market-tick
 // decisions and the thread-pool round trip of a 2-chunk parallel_for.
@@ -227,30 +227,35 @@ void BM_CacheSimLlc(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimLlc);
 
-// Counter simulation alone: the event log of one instrumented gen_alu(16)
-// route, replayed into a fresh Instrument over the 8-config benchmark
-// ladder (general-purpose and memory-optimized, 1-8 vCPUs). Building the
+// Counter simulation inside a route: gen_alu(16) routed into a null sink
+// (arg 0) and into a fresh Instrument over the 8-config benchmark ladder
+// (general-purpose and memory-optimized, 1-8 vCPUs; arg 1). The gap
+// between the two is what the counter simulation costs. Building the
 // Instrument is timed too: every instrumented stage run pays it.
-void BM_InstrumentReplay(benchmark::State& state) {
+void BM_InstrumentedRoute(benchmark::State& state) {
+  const bool instrumented = state.range(0) != 0;
   const std::vector<perf::VmConfig> configs = bench_ladder();
   synth::SynthesisEngine engine(library());
   const auto mapped =
       engine.synthesize(workloads::gen_alu(16), synth::default_recipe());
   place::QuadraticPlacer placer;
   const auto placement = placer.place(mapped.netlist);
-  perf::EventLog log;
-  (void)route::GridRouter().route(mapped.netlist, placement, perf::Sink(log));
-  const std::size_t events = log.size();
+  const route::GridRouter router;
+  std::uint64_t memory_events = 0;
   for (auto _ : state) {
-    perf::Instrument instrument(configs);
-    instrument.replay(log);
-    benchmark::DoNotOptimize(instrument.counts(configs.size() - 1));
+    perf::Instrument instrument =
+        instrumented ? perf::Instrument(configs) : perf::Instrument();
+    const auto result =
+        router.route(mapped.netlist, placement, perf::Sink(instrument));
+    benchmark::DoNotOptimize(result.total_expansions);
+    if (instrumented) {
+      const perf::OpCounts counts = instrument.counts(configs.size() - 1);
+      memory_events = counts.loads + counts.stores;
+    }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events));
-  state.counters["events"] = static_cast<double>(events);
+  state.counters["memory_events"] = static_cast<double>(memory_events);
 }
-BENCHMARK(BM_InstrumentReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InstrumentedRoute)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_BranchSim(benchmark::State& state) {
   perf::BranchPredictor predictor;

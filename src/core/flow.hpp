@@ -47,10 +47,11 @@ struct FlowOptions {
   sta::StaOptions sta;
   perf::RuntimeModelParams runtime_model;
   FlowCalibration calibration;
-  /// Worker threads for the parallel stage engines (routing, STA). 0 keeps
-  /// each stage's own option (which defaults to the global pool width);
-  /// any other value overrides stage options that are still 0. Results are
-  /// bit-identical at every thread count — see DESIGN.md.
+  /// The flow's thread width. No stage engine takes one: the flow's four
+  /// stages run serially, so every value gives the same bytes. It stays as
+  /// the one cross-width check: edabench's characterize workload sets it
+  /// to 2 and gates on its 1-vs-2 digest, FlowDeterminismTest compares 1
+  /// with 8, and Characterizer::measured_scaling sweeps it.
   int threads = 0;
 };
 

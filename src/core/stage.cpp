@@ -130,20 +130,11 @@ class StaStage final : public StageEngine {
 
 std::vector<std::unique_ptr<StageEngine>> make_flow_engines(
     const FlowOptions& options) {
-  // A flow-level thread count overrides stage options still at their
-  // 0 ("inherit") default; explicit per-stage settings win.
-  route::RouterOptions router_options = options.router;
-  sta::StaOptions sta_options = options.sta;
-  if (options.threads != 0) {
-    if (router_options.threads == 0) router_options.threads = options.threads;
-    if (sta_options.threads == 0) sta_options.threads = options.threads;
-  }
-
   std::vector<std::unique_ptr<StageEngine>> engines;
   engines.push_back(std::make_unique<SynthesisStage>(options.recipe));
   engines.push_back(std::make_unique<PlacementStage>(options.placer));
-  engines.push_back(std::make_unique<RoutingStage>(router_options));
-  engines.push_back(std::make_unique<StaStage>(sta_options));
+  engines.push_back(std::make_unique<RoutingStage>(options.router));
+  engines.push_back(std::make_unique<StaStage>(options.sta));
   return engines;
 }
 

@@ -70,10 +70,8 @@ class StageEngine {
                                         StageContext& ctx) = 0;
 };
 
-/// The four flow stages in flow order, configured from `options` (with the
-/// flow-level thread count already resolved into the routing/STA options:
-/// a nonzero FlowOptions::threads overrides stage options still at their
-/// 0 = "inherit" default; explicit per-stage settings win).
+/// The four flow stages in flow order, configured from `options`. No stage
+/// engine takes a thread width.
 [[nodiscard]] std::vector<std::unique_ptr<StageEngine>> make_flow_engines(
     const FlowOptions& options);
 

@@ -91,35 +91,6 @@ void Instrument::on_memory_private(std::uint64_t address,
   }
 }
 
-void Instrument::replay(const EventLog& log) {
-  if (!enabled()) return;
-  for (const PerfEvent& event : log.events()) {
-    switch (event.kind) {
-      case PerfEvent::Kind::kLoad:
-        load(event.a);
-        break;
-      case PerfEvent::Kind::kStore:
-        store(event.a);
-        break;
-      case PerfEvent::Kind::kLoadPrivate:
-        load_private(event.a, event.b);
-        break;
-      case PerfEvent::Kind::kBranch:
-        branch(event.a, event.b != 0);
-        break;
-      case PerfEvent::Kind::kIntOps:
-        int_ops(event.a);
-        break;
-      case PerfEvent::Kind::kFpOps:
-        fp_ops(event.a);
-        break;
-      case PerfEvent::Kind::kAvxOps:
-        avx_ops(event.a);
-        break;
-    }
-  }
-}
-
 OpCounts Instrument::counts(std::size_t index) const {
   if (index >= configs_.size()) {
     throw std::out_of_range("config index out of range");

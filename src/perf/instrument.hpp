@@ -12,6 +12,11 @@
 // Memory simulation is sampled (1-in-N events drive the cache models) to
 // bound host cost; reported access/miss counts are scaled back up, and the
 // miss *rates* the paper plots are sampling-invariant.
+//
+// Engines report through a perf::Sink (sink.hpp), one pointer to this
+// object. The simulators are stateful, so the counters are a function of
+// the event order; every reporting engine section is serial, so that order
+// is fixed by the algorithm alone.
 
 #include <cstdint>
 #include <memory>
@@ -20,7 +25,6 @@
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
 #include "perf/counters.hpp"
-#include "perf/event_log.hpp"
 #include "perf/vm.hpp"
 
 namespace edacloud::perf {
@@ -65,12 +69,6 @@ class Instrument {
     ++loads_;
     if (sampled()) on_memory_private(address, stream);
   }
-
-  /// Feed a recorded event stream back in, in its recorded order. Parallel
-  /// engine sections log into per-task perf::EventLogs and replay them here
-  /// serially in a thread-count-independent order (see event_log.hpp), so
-  /// the stateful simulators produce identical totals at any thread count.
-  void replay(const EventLog& log);
 
   void int_ops(std::uint64_t n) { int_ops_ += enabled() ? n : 0; }
   void fp_ops(std::uint64_t n) { fp_ops_ += enabled() ? n : 0; }

@@ -7,7 +7,6 @@
 
 #include "obs/trace.hpp"
 #include "perf/sink.hpp"
-#include "util/thread_pool.hpp"
 
 namespace edacloud::route {
 
@@ -346,8 +345,6 @@ RoutingResult GridRouter::route(const Netlist& netlist,
                         static_cast<std::uint16_t>(options_.edge_capacity));
   state.history.assign(edge_count, 0.0f);
 
-  const int threads =
-      options_.threads > 0 ? options_.threads : util::global_thread_count();
   Maze maze(state, options_);
   std::vector<std::vector<std::uint32_t>> routed_edges(connections.size());
   std::vector<RouteOp> ops;
@@ -373,7 +370,6 @@ RoutingResult GridRouter::route(const Netlist& netlist,
     TRACE_SPAN_VAR(initial_span, "route/initial", "route");
     initial_span.counter("connections",
                          static_cast<double>(connections.size()));
-    initial_span.counter("threads", static_cast<double>(threads));
     route_batch(order, /*op_iteration=*/0);
     initial_span.counter("searched", static_cast<double>(order.size()));
     result.routed_count = connections.size();

@@ -15,9 +15,8 @@
 // Routing order: each batch — the initial connection order, then each
 // rip-up set — is routed in pending order against live grid state, every
 // connection searched once and committed at once. Instrumented searches
-// report straight into the run's perf::Sink, so the event stream, the
-// paths and the QoR are the same at any thread count. The search itself
-// is serial: exact speculation over windows of pending connections was
+// report straight into the run's perf::Sink. The router takes no thread
+// width: exact speculation over windows of pending connections was
 // measured on a 4-vCPU host and was faster on no design (EXPERIMENTS.md
 // "Routing in pending order").
 
@@ -40,10 +39,6 @@ struct RouterOptions {
   int max_rrr_iterations = 3;  // rip-up-and-reroute rounds
   double congestion_weight = 2.0;
   double history_weight = 1.5;
-  /// Flow thread width (0 = the global default from
-  /// util::global_thread_count()). Recorded on the route/initial span; the
-  /// search itself is serial, so any value gives bit-identical results.
-  int threads = 0;
 };
 
 /// A* step cost of one grid edge: 1, plus congestion past 80% of capacity,

@@ -6,7 +6,6 @@
 
 #include "obs/trace.hpp"
 #include "perf/sink.hpp"
-#include "util/thread_pool.hpp"
 
 namespace edacloud::sta {
 
@@ -40,141 +39,116 @@ TimingReport StaEngine::run(const Netlist& netlist,
   run_span.counter("nodes", static_cast<double>(n));
   const auto fanout = netlist.build_fanout_csr();
 
-  // Levelization drives both the parallel sweeps and the task graph: all of
-  // a node's fanins sit on strictly lower levels (and all fanouts strictly
-  // higher), so one level is a safe parallel front.
+  // Levelization drives both sweeps and the task graph: all of a node's
+  // fanins sit on strictly lower levels (and all fanouts strictly higher).
   const auto levels = netlist.levels();
   std::uint32_t depth = 0;
   for (std::uint32_t level : levels) depth = std::max(depth, level);
   std::vector<std::vector<NodeId>> level_nodes(depth + 1);
   for (NodeId id = 0; id < n; ++id) level_nodes[levels[id]].push_back(id);
 
-  const int threads =
-      options_.threads > 0 ? options_.threads : util::global_thread_count();
-  run_span.counter("threads", static_cast<double>(threads));
-  // Fixed grain: chunk boundaries (and so event replay order) must be a
-  // function of the level population only, never the thread count.
-  constexpr std::size_t kLevelGrain = 64;
-
   TimingReport report;
   report.arrival_ps.assign(n, 0.0);
   report.slack_ps.assign(n, 0.0);
   report.slew_ps.assign(n, 0.0);
 
-  // Wire length estimate driver->sink.
-  auto wire_um = [&](NodeId driver, NodeId sink) {
+  // Wire length estimate driver->consumer.
+  auto wire_um = [&](NodeId driver, NodeId consumer) {
     if (placement != nullptr && placement->valid_for(netlist)) {
-      return manhattan(*placement, driver, sink);
+      return manhattan(*placement, driver, consumer);
     }
     return options_.default_wire_um_per_fanout *
            static_cast<double>(fanout.degree(driver));
   };
 
-  // Output load of a driver: sink pin caps + wire capacitance.
-  auto load_ff = [&](NodeId driver, perf::Sink log) {
+  // Output load of a driver: consumer pin caps + wire capacitance.
+  auto load_ff = [&](NodeId driver) {
     double load = 0.0;
     const auto [begin, end] = fanout.range(driver);
     for (std::uint32_t e = begin; e < end; ++e) {
-      const NodeId sink = fanout.targets[e];
-      const auto& node = netlist.node(sink);
+      const NodeId consumer = fanout.targets[e];
+      const auto& node = netlist.node(consumer);
       if (node.kind == nl::NodeKind::kCell) {
         load += library.cell(node.cell).input_cap_ff;
       }
-      load += wire_um(driver, sink) * library.wire_cap_per_um();
-      log.load(kArrivalBase + static_cast<std::uint64_t>(sink) * 8);
-      log.fp_ops(3);
+      load += wire_um(driver, consumer) * library.wire_cap_per_um();
+      sink.load(kArrivalBase + static_cast<std::uint64_t>(consumer) * 8);
+      sink.fp_ops(3);
     }
     return load;
   };
 
-  // Elmore-lite wire delay along one driver->sink connection.
-  auto wire_delay_ps = [&](NodeId driver, NodeId sink, perf::Sink log) {
-    const double length = wire_um(driver, sink);
+  // Elmore-lite wire delay along one driver->consumer connection.
+  auto wire_delay_ps = [&](NodeId driver, NodeId consumer) {
+    const double length = wire_um(driver, consumer);
     const double r = library.wire_res_per_um() * length;
     const double c = library.wire_cap_per_um() * length;
-    double sink_cap = 0.0;
-    const auto& node = netlist.node(sink);
+    double consumer_cap = 0.0;
+    const auto& node = netlist.node(consumer);
     if (node.kind == nl::NodeKind::kCell) {
-      sink_cap = library.cell(node.cell).input_cap_ff;
+      consumer_cap = library.cell(node.cell).input_cap_ff;
     }
-    log.avx_ops(4);
-    return r * (c * 0.5 + sink_cap);
+    sink.avx_ops(4);
+    return r * (c * 0.5 + consumer_cap);
   };
 
   // ---- forward sweep: arrival times -----------------------------------------
-  // Levels ascend; within a level every node writes only its own arrival /
-  // slew / worst-parent / gate-delay entries and reads only lower levels,
-  // so the level fans out across the pool race-free. Chunk event logs are
-  // replayed in chunk order after each level.
+  // Levels ascend, node ids ascend inside a level; every node reads only
+  // lower levels.
   report.worst_parent.assign(n, nl::kInvalidNode);
   std::vector<nl::NodeId>& critical_parent = report.worst_parent;
   std::vector<double> gate_delay(n, 0.0);
   {
   TRACE_SPAN("sta/arrival", "sta");
   for (const auto& bucket : level_nodes) {
-    if (bucket.empty()) continue;
-    perf::ChunkLogs logs(
-        sink, util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain));
-    util::parallel_for(
-        threads, 0, bucket.size(), kLevelGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-            unsigned) {
-          const perf::Sink log = logs[chunk];
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            const NodeId id = bucket[i];
-            const auto& node = netlist.node(id);
-            log.load(kTopoBase + static_cast<std::uint64_t>(id) * 4);
-            if (node.kind == nl::NodeKind::kPrimaryInput) continue;
-            double worst_input = 0.0;
-            for (NodeId fanin : node.fanins) {
-              const double at =
-                  report.arrival_ps[fanin] + wire_delay_ps(fanin, id, log);
-              const bool is_worst = at > worst_input;
-              // Fanin arrivals were produced a few levels earlier: mostly
-              // hot.
-              const std::uint64_t addr =
-                  ((id ^ fanin) & 7) != 0
-                      ? kArrivalBase + (fanin % 2048) * 8ULL
-                      : kArrivalBase + static_cast<std::uint64_t>(fanin) * 8;
-              log.load(addr);
-              // The max() compare compiles branchless (maxsd); only the
-              // fanin loop contributes (well-predicted) control flow.
-              log.branch(kArrivalBase ^ 0x1, true);
-              log.fp_ops(2);
-              if (is_worst) {
-                worst_input = at;
-                critical_parent[id] = fanin;
-              }
-            }
-            double own_delay = 0.0;
-            if (node.kind == nl::NodeKind::kCell) {
-              const auto& cell = library.cell(node.cell);
-              const double load = load_ff(id, log);
-              // Two-parameter NLDM-lite: base delay degraded by the worst
-              // input transition, output slew proportional to drive
-              // strength x load.
-              double worst_slew = 0.0;
-              for (nl::NodeId fanin : node.fanins) {
-                worst_slew = std::max(worst_slew, report.slew_ps[fanin]);
-              }
-              own_delay =
-                  cell.delay_ps(load) + options_.slew_delay_factor * worst_slew;
-              report.slew_ps[id] =
-                  options_.slew_gain * cell.drive_res_kohm * load + 2.0;
-              // Library row fetch + interpolation (vectorized table math).
-              log.load(kLibraryBase +
-                       static_cast<std::uint64_t>(node.cell) * 64);
-              log.avx_ops(6);
-              log.fp_ops(2);
-            } else if (node.kind == nl::NodeKind::kPrimaryOutput) {
-              report.slew_ps[id] = report.slew_ps[node.fanins[0]];
-            }
-            gate_delay[id] = own_delay;
-            report.arrival_ps[id] = worst_input + own_delay;
-            log.store(kArrivalBase + static_cast<std::uint64_t>(id) * 8);
-          }
-        });
-    logs.replay();
+    for (const NodeId id : bucket) {
+      const auto& node = netlist.node(id);
+      sink.load(kTopoBase + static_cast<std::uint64_t>(id) * 4);
+      if (node.kind == nl::NodeKind::kPrimaryInput) continue;
+      double worst_input = 0.0;
+      for (NodeId fanin : node.fanins) {
+        const double at = report.arrival_ps[fanin] + wire_delay_ps(fanin, id);
+        const bool is_worst = at > worst_input;
+        // Fanin arrivals were produced a few levels earlier: mostly hot.
+        const std::uint64_t addr =
+            ((id ^ fanin) & 7) != 0
+                ? kArrivalBase + (fanin % 2048) * 8ULL
+                : kArrivalBase + static_cast<std::uint64_t>(fanin) * 8;
+        sink.load(addr);
+        // The max() compare compiles branchless (maxsd); only the fanin
+        // loop contributes (well-predicted) control flow.
+        sink.branch(kArrivalBase ^ 0x1, true);
+        sink.fp_ops(2);
+        if (is_worst) {
+          worst_input = at;
+          critical_parent[id] = fanin;
+        }
+      }
+      double own_delay = 0.0;
+      if (node.kind == nl::NodeKind::kCell) {
+        const auto& cell = library.cell(node.cell);
+        const double load = load_ff(id);
+        // Two-parameter NLDM-lite: base delay degraded by the worst input
+        // transition, output slew proportional to drive strength x load.
+        double worst_slew = 0.0;
+        for (nl::NodeId fanin : node.fanins) {
+          worst_slew = std::max(worst_slew, report.slew_ps[fanin]);
+        }
+        own_delay =
+            cell.delay_ps(load) + options_.slew_delay_factor * worst_slew;
+        report.slew_ps[id] =
+            options_.slew_gain * cell.drive_res_kohm * load + 2.0;
+        // Library row fetch + interpolation (vectorized table math).
+        sink.load(kLibraryBase + static_cast<std::uint64_t>(node.cell) * 64);
+        sink.avx_ops(6);
+        sink.fp_ops(2);
+      } else if (node.kind == nl::NodeKind::kPrimaryOutput) {
+        report.slew_ps[id] = report.slew_ps[node.fanins[0]];
+      }
+      gate_delay[id] = own_delay;
+      report.arrival_ps[id] = worst_input + own_delay;
+      sink.store(kArrivalBase + static_cast<std::uint64_t>(id) * 8);
+    }
   }
   }  // sta/arrival
 
@@ -189,49 +163,35 @@ TimingReport StaEngine::run(const Netlist& netlist,
           : report.critical_path_ps * options_.slack_margin;
 
   // ---- backward sweep: required times / slacks --------------------------------
-  // Phrased as a gather so it parallelizes: every fanout of `id` sits on a
-  // strictly higher level, finalized by an earlier (descending) pass, so
-  // required[id] = min over fanouts is exact and order-independent — the
-  // parallel sweep matches the classic reverse-topological scatter.
+  // Levels descend, node ids ascend inside a level. Phrased as a gather:
+  // every fanout of `id` sits on a strictly higher level, finalized
+  // earlier, so required[id] = min over fanouts.
   std::vector<double> required(n, std::numeric_limits<double>::infinity());
   {
   TRACE_SPAN("sta/required", "sta");
   for (NodeId id : netlist.outputs()) required[id] = report.clock_period_ps;
   for (std::size_t l = level_nodes.size(); l-- > 0;) {
-    const auto& bucket = level_nodes[l];
-    if (bucket.empty()) continue;
-    perf::ChunkLogs logs(
-        sink, util::ThreadPool::chunk_count(0, bucket.size(), kLevelGrain));
-    util::parallel_for(
-        threads, 0, bucket.size(), kLevelGrain,
-        [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-            unsigned) {
-          const perf::Sink log = logs[chunk];
-          for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-            const NodeId id = bucket[i];
-            const auto [fo_begin, fo_end] = fanout.range(id);
-            double req = required[id];  // clock at POs, +inf elsewhere
-            for (std::uint32_t e = fo_begin; e < fo_end; ++e) {
-              const NodeId consumer = fanout.targets[e];
-              // Propagate the consumer's required time back through its
-              // gate delay and the connecting wire.
-              const double candidate = required[consumer] -
-                                       gate_delay[consumer] -
-                                       wire_delay_ps(id, consumer, log);
-              const std::uint64_t addr =
-                  ((consumer ^ id) & 7) != 0
-                      ? kArrivalBase + (id % 2048) * 8ULL
-                      : kArrivalBase + static_cast<std::uint64_t>(id) * 8;
-              log.load(addr);
-              // Loop control only: the min compiles to a cmov.
-              log.branch(kArrivalBase ^ 0x2, true);
-              log.avx_ops(3);
-              req = std::min(req, candidate);
-            }
-            required[id] = req;
-          }
-        });
-    logs.replay();
+    for (const NodeId id : level_nodes[l]) {
+      const auto [fo_begin, fo_end] = fanout.range(id);
+      double req = required[id];  // clock at POs, +inf elsewhere
+      for (std::uint32_t e = fo_begin; e < fo_end; ++e) {
+        const NodeId consumer = fanout.targets[e];
+        // Propagate the consumer's required time back through its gate
+        // delay and the connecting wire.
+        const double candidate = required[consumer] - gate_delay[consumer] -
+                                 wire_delay_ps(id, consumer);
+        const std::uint64_t addr =
+            ((consumer ^ id) & 7) != 0
+                ? kArrivalBase + (id % 2048) * 8ULL
+                : kArrivalBase + static_cast<std::uint64_t>(id) * 8;
+        sink.load(addr);
+        // Loop control only: the min compiles to a cmov.
+        sink.branch(kArrivalBase ^ 0x2, true);
+        sink.avx_ops(3);
+        req = std::min(req, candidate);
+      }
+      required[id] = req;
+    }
   }
   for (NodeId id = 0; id < n; ++id) {
     report.slack_ps[id] =
@@ -242,42 +202,28 @@ TimingReport StaEngine::run(const Netlist& netlist,
 
   // ---- power report ------------------------------------------------------
   // Leakage: straight library sum. Dynamic: alpha * C * V^2 * f with the
-  // clock derived above (fF * V^2 * GHz = uW).
+  // clock derived above (fF * V^2 * GHz = uW). Each sum is taken over
+  // 256-node blocks and the block partials are folded in block order, the
+  // summation order the reported bits are pinned to.
   {
   TRACE_SPAN("sta/power", "sta");
   const double frequency_ghz =
       report.clock_period_ps > 0.0 ? 1000.0 / report.clock_period_ps : 0.0;
-  // Chunk partials folded in chunk order: the power sums are bit-identical
-  // at any thread count (for the fixed grain).
-  constexpr std::size_t kPowerGrain = 256;
-  const std::size_t power_chunks =
-      util::ThreadPool::chunk_count(0, n, kPowerGrain);
-  perf::ChunkLogs logs(sink, power_chunks);
-  std::vector<double> leakage_partial(power_chunks, 0.0);
-  std::vector<double> dynamic_partial(power_chunks, 0.0);
-  util::parallel_for(
-      threads, 0, n, kPowerGrain,
-      [&](std::size_t chunk_begin, std::size_t chunk_end, std::size_t chunk,
-          unsigned) {
-        const perf::Sink log = logs[chunk];
-        double leakage = 0.0;
-        double dynamic = 0.0;
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const NodeId id = static_cast<NodeId>(i);
-          const auto& node = netlist.node(id);
-          if (node.kind != nl::NodeKind::kCell) continue;
-          leakage += library.cell(node.cell).leakage_nw;
-          dynamic += options_.activity_factor * load_ff(id, log) *
-                     options_.supply_voltage * options_.supply_voltage *
-                     frequency_ghz * 1e-3;
-        }
-        leakage_partial[chunk] = leakage;
-        dynamic_partial[chunk] = dynamic;
-      });
-  logs.replay();
-  for (std::size_t c = 0; c < power_chunks; ++c) {
-    report.leakage_power_nw += leakage_partial[c];
-    report.dynamic_power_uw += dynamic_partial[c];
+  constexpr std::size_t kPowerBlock = 256;
+  for (std::size_t block = 0; block < n; block += kPowerBlock) {
+    double leakage = 0.0;
+    double dynamic = 0.0;
+    for (std::size_t i = block; i < std::min(n, block + kPowerBlock); ++i) {
+      const NodeId id = static_cast<NodeId>(i);
+      const auto& node = netlist.node(id);
+      if (node.kind != nl::NodeKind::kCell) continue;
+      leakage += library.cell(node.cell).leakage_nw;
+      dynamic += options_.activity_factor * load_ff(id) *
+                 options_.supply_voltage * options_.supply_voltage *
+                 frequency_ghz * 1e-3;
+    }
+    report.leakage_power_nw += leakage;
+    report.dynamic_power_uw += dynamic;
   }
   }  // sta/power
 

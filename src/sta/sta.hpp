@@ -7,13 +7,10 @@
 // the technology library — the FP/AVX signature the paper attributes to
 // STA — while parallelism is bounded by the level structure (Fig. 2d).
 //
-// With StaOptions::threads > 1 both sweeps actually run in parallel on the
-// shared util::ThreadPool, one level fanned out at a time: the forward
-// sweep writes only arrival/slew/worst-parent of the level's own nodes, and
-// the backward sweep is phrased as a gather (required[u] = min over fanouts,
-// all of strictly higher level) so no two nodes race. Per-chunk event logs
-// (perf::ChunkLogs) replayed in chunk order keep instrumentation totals —
-// and all timing numbers — bit-identical at any thread count.
+// Both sweeps and the power sum run serially and report straight into the
+// run's perf::Sink: levels ascend (descend for required times) and node
+// ids ascend inside a level. Fig. 2 (d)'s thread scaling comes from the
+// modeled task graph of per-level chunks, not from host threads.
 
 #include <cstdint>
 #include <vector>
@@ -37,9 +34,6 @@ struct StaOptions {
   /// Toggle probability per node per cycle, for the dynamic-power report.
   double activity_factor = 0.1;
   double supply_voltage = 0.8;  // volts
-  /// Worker threads for the levelized sweeps (0 = the global default from
-  /// util::global_thread_count(); 1 = serial). Bit-identical at any value.
-  int threads = 0;
 };
 
 struct TimingReport {

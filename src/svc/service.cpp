@@ -154,8 +154,11 @@ std::array<double, 4> Service::predict_runtimes(core::JobKind job,
   if (predict_cache_ != nullptr) {
     if (const auto hit = predict_cache_->lookup(key)) return *hit;
   }
+  // A one-sample batch: bit-equal to RuntimePredictor::predict, without
+  // the training forward pass's kept intermediates.
+  const std::vector<ml::ContentKey> keys = {cached.key};
   const std::array<double, 4> runtimes =
-      predictor_.predict(job, *cached.sample);
+      predictor_.predict_batch(job, {cached.sample.get()}, &keys).front();
   if (predict_cache_ != nullptr) predict_cache_->insert(key, runtimes);
   return runtimes;
 }

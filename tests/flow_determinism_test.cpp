@@ -1,8 +1,9 @@
-// The acceptance gate of the multi-threaded stage engines: an instrumented
-// end-to-end flow must produce bit-identical output — every QoR number and
-// every perf-counter total — at threads=1 and threads=8, on every design in
-// the characterization set. If a stage's parallelization leaks scheduling
-// order into its results, this is the test that catches it.
+// The flow's cross-width gate: an instrumented end-to-end flow must produce
+// bit-identical output — every QoR number and every perf-counter total — at
+// a flow and global pool width of 1 and of 8, on every design in the
+// characterization set. No stage engine takes a width today; if a parallel
+// section comes back and leaks scheduling order into its results, this is
+// the test that catches it.
 
 #include <gtest/gtest.h>
 
@@ -40,8 +41,10 @@ TEST(FlowDeterminismTest, EveryDesignBitIdenticalAtOneAndEightThreads) {
 
     FlowOptions options;
     options.threads = 1;
+    util::set_global_thread_count(1);
     const FlowResult serial = EdaFlow(library, options).run(design, configs);
     options.threads = 8;
+    util::set_global_thread_count(8);
     const FlowResult wide = EdaFlow(library, options).run(design, configs);
 
     // QoR, stage by stage.
@@ -59,8 +62,7 @@ TEST(FlowDeterminismTest, EveryDesignBitIdenticalAtOneAndEightThreads) {
     EXPECT_EQ(serial.timing.leakage_power_nw, wide.timing.leakage_power_nw);
     EXPECT_EQ(serial.timing.dynamic_power_uw, wide.timing.dynamic_power_uw);
 
-    // Perf-counter totals for every stage, not just the parallel ones —
-    // the serial stages assert the instrumentation path itself is stable.
+    // Perf-counter totals for every stage.
     for (int j = 0; j < kJobCount; ++j) {
       const auto job = static_cast<JobKind>(j);
       const std::array<const perf::JobProfile*, kJobCount> serial_profiles = {

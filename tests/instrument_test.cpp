@@ -251,38 +251,40 @@ std::vector<StreamEvent> random_stream(std::size_t n) {
   return events;
 }
 
-void emit(Sink sink, const StreamEvent& event) {
+/// Reports `event` through `target`: a Sink or an Instrument.
+template <typename Target>
+void emit(Target& target, const StreamEvent& event) {
   switch (event.kind) {
     case 0:
-      sink.load(event.a);
+      target.load(event.a);
       break;
     case 1:
-      sink.store(event.a);
+      target.store(event.a);
       break;
     case 2:
-      sink.load_private(event.a, event.b);
+      target.load_private(event.a, event.b);
       break;
     case 3:
-      sink.branch(event.a & 7, ((event.a >> 6) & 1) != 0);
+      target.branch(event.a & 7, ((event.a >> 6) & 1) != 0);
       break;
     case 4:
-      sink.int_ops(event.a);
+      target.int_ops(event.a);
       break;
     case 5:
-      sink.fp_ops(event.a);
+      target.fp_ops(event.a);
       break;
     default:
-      sink.avx_ops(event.a);
+      target.avx_ops(event.a);
       break;
   }
 }
 
-void emit(Sink sink, const std::vector<StreamEvent>& events,
-          std::size_t begin, std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) emit(sink, events[i]);
+template <typename Target>
+void emit(Target& target, const std::vector<StreamEvent>& events) {
+  for (const StreamEvent& event : events) emit(target, event);
 }
 
-TEST(SinkTest, LogsNestedLogsAndChunkLogsReplayToIdenticalCounts) {
+TEST(SinkTest, ForwardsEveryEventToItsInstrument) {
   std::vector<VmConfig> configs;
   for (const auto family :
        {InstanceFamily::kGeneralPurpose, InstanceFamily::kMemoryOptimized}) {
@@ -290,80 +292,40 @@ TEST(SinkTest, LogsNestedLogsAndChunkLogsReplayToIdenticalCounts) {
     configs.insert(configs.end(), ladder.begin(), ladder.end());
   }
   const std::vector<StreamEvent> events = random_stream(40000);
-  const std::size_t n = events.size();
 
-  // 1. Straight into the Instrument.
   Instrument direct(configs);
-  emit(Sink(direct), events, 0, n);
-
-  // 2. Into a log, replayed.
-  Instrument logged(configs);
-  EventLog log;
-  emit(Sink(log), events, 0, n);
-  Sink(logged).replay(log);
-
-  // 3. The middle third through a log nested in the outer log.
-  Instrument nested(configs);
-  EventLog outer;
-  EventLog inner;
-  emit(Sink(outer), events, 0, n / 3);
-  emit(Sink(outer).child(inner), events, n / 3, 2 * n / 3);
-  Sink(outer).replay(inner);
-  emit(Sink(outer), events, 2 * n / 3, n);
-  Sink(nested).replay(outer);
-
-  // 4. Split across chunk logs, recorded last chunk first: replay is in
-  // chunk order, whatever order the chunks recorded in.
-  Instrument chunked(configs);
-  constexpr std::size_t kChunks = 7;
-  ChunkLogs chunks(Sink(chunked), kChunks);
-  ASSERT_EQ(chunks.size(), kChunks);
-  for (std::size_t c = kChunks; c-- > 0;) {
-    emit(chunks[c], events, c * n / kChunks, (c + 1) * n / kChunks);
-  }
-  chunks.replay();
+  emit(direct, events);
+  Instrument through_sink(configs);
+  Sink sink(through_sink);
+  emit(sink, events);
 
   const std::vector<OpCounts> expected = direct.counts();
   ASSERT_EQ(expected.size(), configs.size());
   EXPECT_GT(expected[0].llc_misses, 0u);
   EXPECT_GT(expected[0].branch_misses, 0u);
-  for (const Instrument* other : {&logged, &nested, &chunked}) {
-    const std::vector<OpCounts> got = other->counts();
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      SCOPED_TRACE(configs[i].name());
-      expect_counts_equal(got[i], expected[i]);
-    }
+  const std::vector<OpCounts> got = through_sink.counts();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(configs[i].name());
+    expect_counts_equal(got[i], expected[i]);
   }
 }
 
 TEST(SinkTest, NullSinksRecordNothing) {
   const std::vector<StreamEvent> events = random_stream(1000);
 
-  const Sink null;
+  Sink null;
   EXPECT_FALSE(null);
-  EventLog child_log;
-  const Sink child = null.child(child_log);
-  EXPECT_FALSE(child);
-  emit(null, events, 0, events.size());
-  emit(child, events, 0, events.size());
-  null.replay(child_log);
-  EXPECT_TRUE(child_log.empty());
+  emit(null, events);
 
   Instrument disabled;
-  const Sink from_disabled(disabled);
+  Sink from_disabled(disabled);
   EXPECT_FALSE(from_disabled);
-  emit(from_disabled, events, 0, events.size());
+  emit(from_disabled, events);
   EXPECT_TRUE(disabled.counts().empty());
-
-  ChunkLogs chunks(from_disabled, 4);
-  EXPECT_EQ(chunks.size(), 0u);
-  EXPECT_FALSE(chunks[2]);
-  chunks.replay();
 
   Instrument enabled = Instrument::for_configs(gp_ladder());
   EXPECT_TRUE(Sink(enabled));
-  EXPECT_TRUE(Sink(enabled).child(child_log));
   EXPECT_FALSE(Instrument::for_configs({}).enabled());
 }
 

@@ -127,57 +127,6 @@ TEST(StaTest, InstrumentedRunHasFpSignature) {
   EXPECT_GT(report.profile.tasks.task_count(), 0u);
 }
 
-TEST(StaTest, BitIdenticalAcrossThreadCounts) {
-  // Levelized parallel sweeps must reproduce the serial engine exactly —
-  // every timing number and every perf-counter total — at any thread count
-  // (two registry-style designs, threads=1 vs threads=4).
-  const std::vector<perf::VmConfig> configs = {
-      perf::make_vm(perf::InstanceFamily::kGeneralPurpose, 4)};
-  for (const nl::Aig& aig :
-       {workloads::gen_alu(16), workloads::gen_multiplier(12)}) {
-    const nl::Netlist netlist = synthesize(aig);
-    place::QuadraticPlacer placer;
-    const place::Placement placement = placer.place(netlist);
-
-    StaOptions options;
-    options.threads = 1;
-    const TimingReport serial =
-        StaEngine(options).run(netlist, &placement, configs);
-    options.threads = 4;
-    const TimingReport parallel =
-        StaEngine(options).run(netlist, &placement, configs);
-
-    // Exact equality, not tolerances: determinism means bit-identical.
-    EXPECT_EQ(serial.critical_path_ps, parallel.critical_path_ps);
-    EXPECT_EQ(serial.clock_period_ps, parallel.clock_period_ps);
-    EXPECT_EQ(serial.worst_slack_ps, parallel.worst_slack_ps);
-    EXPECT_EQ(serial.violating_endpoints, parallel.violating_endpoints);
-    EXPECT_EQ(serial.arrival_ps, parallel.arrival_ps);
-    EXPECT_EQ(serial.slack_ps, parallel.slack_ps);
-    EXPECT_EQ(serial.slew_ps, parallel.slew_ps);
-    EXPECT_EQ(serial.worst_parent, parallel.worst_parent);
-    EXPECT_EQ(serial.critical_path, parallel.critical_path);
-    EXPECT_EQ(serial.leakage_power_nw, parallel.leakage_power_nw);
-    EXPECT_EQ(serial.dynamic_power_uw, parallel.dynamic_power_uw);
-
-    ASSERT_EQ(serial.profile.counts.size(), 1u);
-    ASSERT_EQ(parallel.profile.counts.size(), 1u);
-    const auto& a = serial.profile.counts[0];
-    const auto& b = parallel.profile.counts[0];
-    EXPECT_EQ(a.int_ops, b.int_ops);
-    EXPECT_EQ(a.fp_ops, b.fp_ops);
-    EXPECT_EQ(a.avx_ops, b.avx_ops);
-    EXPECT_EQ(a.loads, b.loads);
-    EXPECT_EQ(a.stores, b.stores);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.branch_misses, b.branch_misses);
-    EXPECT_EQ(a.l1_accesses, b.l1_accesses);
-    EXPECT_EQ(a.l1_misses, b.l1_misses);
-    EXPECT_EQ(a.llc_accesses, b.llc_accesses);
-    EXPECT_EQ(a.llc_misses, b.llc_misses);
-  }
-}
-
 /// FNV-1a over every element's bits (a double by its IEEE-754 pattern).
 template <typename T>
 std::uint64_t hash_values(const std::vector<T>& values) {
@@ -257,13 +206,11 @@ TEST(StaTest, EndpointCountMatchesOutputs) {
 TEST(StaTest, InstrumentedCountersPinnedOnBenchLadder) {
   // Every counter of an instrumented, placement-aware STA on the
   // benchmark's ladder, pinned: instrumentation refactors must leave the
-  // chunk-ordered event stream byte-identical.
+  // serial event stream byte-identical.
   const nl::Netlist netlist = synthesize(workloads::gen_alu(16));
   const place::Placement placement = place::QuadraticPlacer().place(netlist);
-  StaOptions options;
-  options.threads = 2;
   const TimingReport report =
-      StaEngine(options).run(netlist, &placement, pins::bench_ladder());
+      StaEngine().run(netlist, &placement, pins::bench_ladder());
   pins::expect_ladder_counts(
       report.profile, {{0, 6344, 13371, 4069, 481, 1926, 14, 4552, 424, 424},
                        {424, 424, 424, 424, 424, 424, 424, 424}});
