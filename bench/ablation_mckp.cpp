@@ -47,7 +47,6 @@ std::vector<cloud::MckpStage> random_instance(util::Rng& rng, int stages,
 
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
-  bench::apply_threads(argc, argv);
   const int trials = fast ? 20 : 100;
 
   std::printf("=== Ablation: MCKP objective functions (%d instances) ===\n",

@@ -34,10 +34,11 @@ inline std::string flag_value(int argc, char** argv,
   return "";
 }
 
-/// --threads N on any bench driver: widen the global pool so the parallel
-/// stage engines (routing, STA, GCN kernels) use N workers. Every result is
-/// bit-identical at any value; only host wall time changes. Returns the
-/// effective count (1 when the flag is absent or invalid).
+/// --threads N on a bench driver that runs parallel code (GCN training in
+/// fig5_prediction, the fleet engine in ext_fleet_scale): widen the global
+/// pool to N workers. Every result is bit-identical at any value; only host
+/// wall time changes. Returns the effective count (the pool's current width
+/// when the flag is absent or invalid).
 inline int apply_threads(int argc, char** argv) {
   const std::string value = flag_value(argc, argv, "--threads");
   if (value.empty()) return util::global_thread_count();

@@ -25,7 +25,6 @@ using namespace edacloud;
 
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
-  bench::apply_threads(argc, argv);
   const auto library = nl::make_generic_14nm_library();
 
   workloads::NamedDesign flagship = workloads::flagship_design();

@@ -19,7 +19,6 @@ using namespace edacloud;
 
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
-  bench::apply_threads(argc, argv);
   bench::observability_setup(argc, argv, obs::ClockMode::kWall);
   const auto library = nl::make_generic_14nm_library();
 
@@ -91,29 +90,6 @@ int main(int argc, char** argv) {
     mo_table.add_row(std::move(cells));
   }
   std::printf("%s\n", mo_table.render().c_str());
-
-  // Measured counterpart of panel (d): real host wall-clock per stage at
-  // 1/2/4/8 worker threads, alongside the modeled vCPU ladder above. On a
-  // single-core host these stay near 1.0x — that is the honest number.
-  std::printf("(d') Measured speedup vs 1 thread (host wall-clock)\n");
-  const auto measured =
-      characterizer.measured_scaling(design, fast ? 1 : 2);
-  util::Table measured_table(
-      {"Job", "1 thr", "2 thr", "4 thr", "8 thr", "1-thr wall (s)"});
-  for (const auto& row : measured.rows) {
-    measured_table.add_row({core::job_name(row.job),
-                            util::format_fixed(row.speedup[0], 2),
-                            util::format_fixed(row.speedup[1], 2),
-                            util::format_fixed(row.speedup[2], 2),
-                            util::format_fixed(row.speedup[3], 2),
-                            util::format_fixed(row.wall_seconds[0], 3)});
-    for (std::size_t i = 0; i < row.speedup.size(); ++i) {
-      csv.add_row({"(d') measured speedup", core::job_name(row.job), "host",
-                   std::to_string(measured.thread_counts[i]),
-                   util::format_fixed(row.speedup[i], 6)});
-    }
-  }
-  std::printf("%s\n", measured_table.render().c_str());
 
   std::printf("Main takeaways (paper Sec. III-A):\n");
   for (core::JobKind job : core::kAllJobs) {

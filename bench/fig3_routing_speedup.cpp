@@ -5,9 +5,7 @@
 // between 4 and 8 vCPUs ("speedup is capped at a certain point").
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "core/characterize.hpp"
@@ -19,7 +17,6 @@ using namespace edacloud;
 
 int main(int argc, char** argv) {
   const bool fast = bench::fast_mode(argc, argv);
-  bench::apply_threads(argc, argv);
   const auto library = nl::make_generic_14nm_library();
 
   auto designs = workloads::characterization_designs();
@@ -33,48 +30,21 @@ int main(int argc, char** argv) {
   core::Characterizer characterizer(library);
   const auto points = characterizer.routing_scaling(designs);
 
-  // Measured columns: real host wall-clock routing speedup at 2/4/8 worker
-  // threads, run per design alongside the modeled ladder. Near 1.0x on a
-  // single-core host; see EXPERIMENTS.md.
-  std::vector<std::array<double, 4>> measured_speedup;
-  for (const auto& point : points) {
-    const auto it = std::find_if(
-        designs.begin(), designs.end(),
-        [&](const workloads::NamedDesign& d) {
-          return d.name == point.design_name;
-        });
-    std::array<double, 4> speedup = {1.0, 1.0, 1.0, 1.0};
-    if (it != designs.end()) {
-      const auto measured = characterizer.measured_scaling(
-          workloads::generate(it->spec), fast ? 1 : 2);
-      if (const auto* row = measured.find(core::JobKind::kRouting)) {
-        speedup = row->speedup;
-      }
-    }
-    measured_speedup.push_back(speedup);
-  }
-
   util::Table table({"Design", "#Instances", "1 vCPU", "2 vCPUs", "4 vCPUs",
-                     "8 vCPUs", "meas 2T", "meas 4T", "meas 8T"});
-  util::CsvWriter csv({"design", "instances", "vcpus", "speedup",
-                       "measured_speedup"});
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const auto& point = points[p];
+                     "8 vCPUs"});
+  util::CsvWriter csv({"design", "instances", "vcpus", "speedup"});
+  for (const auto& point : points) {
     table.add_row({point.design_name,
                    util::format_count(
                        static_cast<long long>(point.instance_count)),
                    util::format_fixed(point.speedup[0], 2),
                    util::format_fixed(point.speedup[1], 2),
                    util::format_fixed(point.speedup[2], 2),
-                   util::format_fixed(point.speedup[3], 2),
-                   util::format_fixed(measured_speedup[p][1], 2),
-                   util::format_fixed(measured_speedup[p][2], 2),
-                   util::format_fixed(measured_speedup[p][3], 2)});
+                   util::format_fixed(point.speedup[3], 2)});
     for (int i = 0; i < 4; ++i) {
       csv.add_row({point.design_name, std::to_string(point.instance_count),
                    std::to_string(perf::kVcpuOptions[i]),
-                   util::format_fixed(point.speedup[i], 4),
-                   util::format_fixed(measured_speedup[p][i], 4)});
+                   util::format_fixed(point.speedup[i], 4)});
     }
   }
   std::printf("%s\n", table.render().c_str());

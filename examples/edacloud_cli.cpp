@@ -173,13 +173,7 @@ int cmd_flow(const Args& args) {
   const nl::Aig aig =
       generate_or_die(args.positionals[0], args.number<int>(1));
   const nl::CellLibrary library = nl::make_generic_14nm_library();
-  core::FlowOptions flow_options;
-  // Results are bit-identical at any thread count; this only changes how
-  // fast the parallel stages (routing, STA) run on this host.
-  if (args.read("--threads", flow_options.threads)) {
-    util::set_global_thread_count(flow_options.threads);
-  }
-  core::EdaFlow flow(library, flow_options);
+  core::EdaFlow flow(library);
   const auto result = flow.run(aig, configs);
   const auto stats = result.synthesis.mapped.netlist.stats();
 
@@ -742,7 +736,6 @@ int cmd_serve(const Args& args) {
   args.read("--train-designs", service_config.train_designs);
   args.read("--train-epochs", service_config.train_epochs);
   args.read("--batch-max", server_config.batch_max);
-  args.read("--batch-linger-ms", server_config.batch_linger_ms);
   args.read("--predict-cache", service_config.predict_cache_capacity);
   start_trace(args, obs::ClockMode::kWall);
 
@@ -867,7 +860,7 @@ const std::vector<util::Command> kCommands = {
      {{"--recipe", "NAME", "synthesis recipe"},
       {"--verilog", "F", "write the mapped netlist as Verilog"}}},
     {"flow", "Run synthesis, placement, routing and STA; print the QoR.",
-     cmd_flow, {kFamily, kSize}, {kTrace, kMetrics, kThreads}},
+     cmd_flow, {kFamily, kSize}, {kTrace, kMetrics}},
     {"plan", "Characterize a design and plan its cheapest deployment.",
      cmd_plan,
      {kFamily, kSize,
@@ -960,8 +953,6 @@ const std::vector<util::Command> kCommands = {
       kTrainEpochs,
       {"--batch-max", "N", "predict requests merged per batch", Kind::kInt,
        at_least(1)},
-      {"--batch-linger-ms", "MS", "how long a partial batch waits",
-       Kind::kReal, at_least(0)},
       {"--predict-cache", "N", "prediction-cache entries (0 = off)",
        Kind::kInt, kWide},
       kTrace, kMetrics}},

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, three times: a plain Release build (warnings are
 # errors), an ASan+UBSan build, and a TSan build running the
-# concurrency-heavy suites (the thread pool and the parallel stage engines
-# behind it).
+# concurrency-heavy suites (the thread pool and its users: the ML kernels,
+# the tuner, the fleet engine and the job server).
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitized passes (plain build + tests only)
 set -euo pipefail
@@ -112,22 +112,49 @@ trace_smoke() {
 trace_smoke
 
 # Flow smoke-run: a mid-sized design (grid 48, three rip-up rounds)
-# flowed at one and at four threads; the QoR tables, STA's slack and
-# power lines included, must be byte-identical (DESIGN.md "How each
-# engine stays bit-identical").
+# flowed twice; the QoR tables, STA's slack and power lines included, must
+# be byte-identical. No flow stage takes a width, so the in-process 1-vs-8
+# check is FlowDeterminismTest's (DESIGN.md "How each engine stays
+# bit-identical").
 flow_smoke() {
   local cli="build/examples/edacloud_cli"
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
 
-  echo "=== flow smoke: flow QoR equal at 1 and 4 threads ==="
-  "${cli}" flow multiplier 16 --threads 1 > "${tmp}/flow_t1.txt"
-  "${cli}" flow multiplier 16 --threads 4 > "${tmp}/flow_t4.txt"
-  cmp "${tmp}/flow_t1.txt" "${tmp}/flow_t4.txt"
+  echo "=== flow smoke: two flow runs print the same QoR ==="
+  "${cli}" flow multiplier 16 > "${tmp}/flow_1.txt"
+  "${cli}" flow multiplier 16 > "${tmp}/flow_2.txt"
+  cmp "${tmp}/flow_1.txt" "${tmp}/flow_2.txt"
 }
 
 flow_smoke
+
+# Figures smoke-run: the paper-figure drivers most readers run first, in
+# --fast mode in a scratch directory; each must exit 0 and write its CSV.
+# Their printed values are not checked here.
+figures_smoke() {
+  local bench_dir tmp
+  bench_dir="$(pwd)/build/bench"
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' RETURN
+
+  echo "=== figures smoke: fig2, fig3 and table1 in --fast mode ==="
+  local name
+  for name in fig2_characterization fig3_routing_speedup table1_deployment; do
+    (cd "${tmp}" && "${bench_dir}/${name}" --fast > "${name}.out" 2>&1) || {
+      echo "figures smoke: ${name} --fast exited nonzero" >&2
+      cat "${tmp}/${name}.out" >&2
+      return 1
+    }
+    [[ -s "${tmp}/experiment_results/${name}.csv" ]] || {
+      echo "figures smoke: ${name} wrote no ${name}.csv" >&2
+      return 1
+    }
+  done
+}
+
+figures_smoke
 
 # Serving smoke-run: bring up the real job server on an ephemeral port,
 # drive it with the seeded loadgen, and fail tier-1 if same-seed exports
@@ -222,15 +249,15 @@ serving_smoke() {
 
   echo "=== serving smoke: micro-batching byte-identity ==="
   # Micro-batching is pure scheduling: the same predict-heavy stream must
-  # export identical bytes from an unbatched server, a batched one, and a
-  # batched one that lingers for stragglers (docs/SERVING.md).
+  # export identical bytes from an unbatched server and a batched one
+  # (docs/SERVING.md).
   start_server "${tmp}/serve_nb.log" 2 --batch-max 1 || return 1
   "${cli}" loadgen --port "${server_port}" --mode closed --conns 4 \
     --requests 32 --seed 9 --mix predict-heavy \
     --export "${tmp}/load_nb.json" > /dev/null
   stop_server "${server_pid}" "${tmp}/serve_nb.log" || return 1
-  start_server "${tmp}/serve_mb.log" 2 --batch-max 8 --batch-linger-ms 2 \
-    --predict-cache 512 || return 1
+  start_server "${tmp}/serve_mb.log" 2 --batch-max 8 --predict-cache 512 \
+    || return 1
   for run in 1 2; do
     "${cli}" loadgen --port "${server_port}" --mode closed --conns 4 \
       --requests 32 --seed 9 --mix predict-heavy \

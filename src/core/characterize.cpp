@@ -19,13 +19,6 @@ std::vector<perf::VmConfig> both_family_ladder() {
 
 }  // namespace
 
-const MeasuredScalingRow* MeasuredScalingReport::find(JobKind job) const {
-  for (const MeasuredScalingRow& row : rows) {
-    if (row.job == job) return &row;
-  }
-  return nullptr;
-}
-
 const CharacterizationRow* CharacterizationReport::find(
     JobKind job, perf::InstanceFamily family) const {
   for (const CharacterizationRow& row : rows) {
@@ -120,51 +113,6 @@ std::vector<RoutingScalingPoint> Characterizer::routing_scaling(
               return a.instance_count < b.instance_count;
             });
   return points;
-}
-
-MeasuredScalingReport Characterizer::measured_scaling(const nl::Aig& design,
-                                                      int repeats) const {
-  TRACE_SPAN_VAR(span, "characterize/measured_scaling", "characterize");
-  MeasuredScalingReport report;
-  report.design_name = design.name();
-  if (repeats < 1) repeats = 1;
-
-  for (JobKind job : kAllJobs) {
-    MeasuredScalingRow row;
-    row.job = job;
-    report.rows.push_back(row);
-  }
-
-  for (std::size_t t = 0; t < report.thread_counts.size(); ++t) {
-    FlowOptions options = options_;
-    options.threads = report.thread_counts[t];
-    EdaFlow flow(*library_, options);
-    for (int r = 0; r < repeats; ++r) {
-      // Uninstrumented run: no perf counters, so the wall time is the real
-      // engines and nothing else.
-      const FlowResult result = flow.run(design, {});
-      if (report.instance_count == 0) {
-        report.instance_count =
-            result.synthesis.mapped.netlist.stats().instance_count;
-      }
-      for (int j = 0; j < kJobCount; ++j) {
-        const double wall = result.stage_wall_seconds[j];
-        if (r == 0 || wall < report.rows[j].wall_seconds[t]) {
-          report.rows[j].wall_seconds[t] = wall;
-        }
-      }
-    }
-  }
-  for (MeasuredScalingRow& row : report.rows) {
-    for (std::size_t t = 0; t < row.speedup.size(); ++t) {
-      row.speedup[t] = row.wall_seconds[t] > 0.0
-                           ? row.wall_seconds[0] / row.wall_seconds[t]
-                           : 1.0;
-    }
-  }
-  span.counter("instances", static_cast<double>(report.instance_count));
-  span.counter("repeats", static_cast<double>(repeats));
-  return report;
 }
 
 }  // namespace edacloud::core

@@ -41,24 +41,6 @@ struct RoutingScalingPoint {
   std::array<double, 4> speedup{};  // 1/2/4/8 vCPUs
 };
 
-/// Measured (host wall-clock) strong-scaling of the real stage engines at
-/// 1/2/4/8 worker threads — the empirical counterpart to the modeled
-/// speedup ladders above. Uninstrumented flows, min-of-repeats per point.
-struct MeasuredScalingRow {
-  JobKind job = JobKind::kSynthesis;
-  std::array<double, 4> wall_seconds{};  // at 1/2/4/8 threads
-  std::array<double, 4> speedup{};       // wall[0] / wall[i]
-};
-
-struct MeasuredScalingReport {
-  std::string design_name;
-  std::size_t instance_count = 0;
-  std::array<int, 4> thread_counts = {1, 2, 4, 8};
-  std::vector<MeasuredScalingRow> rows;  // one per job, flow order
-
-  [[nodiscard]] const MeasuredScalingRow* find(JobKind job) const;
-};
-
 /// The instance family the characterization recommends per job
 /// (paper: synthesis & STA -> general purpose; placement & routing ->
 /// memory optimized, routing demanding the most cache).
@@ -78,13 +60,6 @@ class Characterizer {
   /// Fig. 3: routing speedup across the registry's characterization set.
   [[nodiscard]] std::vector<RoutingScalingPoint> routing_scaling(
       const std::vector<workloads::NamedDesign>& designs) const;
-
-  /// Measured strong-scaling: run `design` through uninstrumented flows at
-  /// 1/2/4/8 worker threads, `repeats` times each, keeping the fastest wall
-  /// time per stage. Real host time — noisy on loaded or single-core
-  /// machines; see EXPERIMENTS.md for the caveats.
-  [[nodiscard]] MeasuredScalingReport measured_scaling(const nl::Aig& design,
-                                                       int repeats = 3) const;
 
  private:
   const nl::CellLibrary* library_;

@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "perf/obs_export.hpp"
-#include "util/timer.hpp"
 
 namespace edacloud::core {
 
@@ -37,16 +36,12 @@ FlowResult EdaFlow::run(const nl::Aig& design,
   ctx.tracer = &obs::Tracer::global();
   ctx.metrics = &obs::Registry::global();
 
-  util::Timer stage_timer;
   for (const auto& engine : make_flow_engines(options_)) {
     TRACE_SPAN_VAR(span, "flow/" + engine->name(), "flow");
     const StageResult stage = engine->run(design, ctx);
     for (const StageQor& qor : stage.qor) {
       span.counter(qor.name, qor.value);
     }
-    result.stage_wall_seconds[static_cast<int>(stage.kind)] =
-        stage_timer.seconds();
-    stage_timer.reset();
   }
 
   if (!configs.empty()) {

@@ -47,11 +47,10 @@ struct FlowOptions {
   sta::StaOptions sta;
   perf::RuntimeModelParams runtime_model;
   FlowCalibration calibration;
-  /// The flow's thread width. No stage engine takes one: the flow's four
-  /// stages run serially, so every value gives the same bytes. It stays as
-  /// the one cross-width check: edabench's characterize workload sets it
-  /// to 2 and gates on its 1-vs-2 digest, FlowDeterminismTest compares 1
-  /// with 8, and Characterizer::measured_scaling sweeps it.
+  /// A thread width that nothing in src/ reads: the flow's four stages run
+  /// serially, so every value gives the same bytes. It stays because
+  /// edabench's characterize workload sets it (and gates on its 1-vs-2
+  /// digest) and FlowDeterminismTest compares 1 with 8.
   int threads = 0;
 };
 
@@ -65,10 +64,6 @@ struct FlowResult {
   // Derived measurements (counter rates, runtimes, speedups) per job,
   // evaluated against the configs the flow was run with.
   std::array<perf::JobMeasurement, kJobCount> measurements;
-  // Host wall-clock per stage (seconds). Unlike the modeled runtimes above,
-  // these are real measurements on this machine — the basis of the
-  // measured-vs-modeled scaling comparison (Characterizer::measured_scaling).
-  std::array<double, kJobCount> stage_wall_seconds = {};
 
   [[nodiscard]] const perf::JobMeasurement& measurement(JobKind job) const {
     return measurements[static_cast<int>(job)];

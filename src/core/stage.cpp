@@ -42,8 +42,7 @@ class SynthesisStage final : public StageEngine {
     FlowResult& flow = flow_of(ctx);
     synth::SynthesisEngine engine(*ctx.library);
     flow.synthesis = engine.run(design, recipe_, configs_of(ctx));
-    return {kind(),
-            &flow.synthesis.profile,
+    return {&flow.synthesis.profile,
             {{"cells",
               static_cast<double>(flow.synthesis.mapped.cell_count)}}};
   }
@@ -63,9 +62,7 @@ class PlacementStage final : public StageEngine {
     FlowResult& flow = flow_of(ctx);
     place::QuadraticPlacer placer(options_);
     flow.placement = placer.run(netlist_of(ctx, "placement"), configs_of(ctx));
-    return {kind(),
-            &flow.placement.profile,
-            {{"hpwl_um", flow.placement.hpwl_um}}};
+    return {&flow.placement.profile, {{"hpwl_um", flow.placement.hpwl_um}}};
   }
 
  private:
@@ -88,8 +85,7 @@ class RoutingStage final : public StageEngine {
     route::GridRouter router(options_);
     flow.routing = router.run(flow.synthesis.mapped.netlist,
                               flow.placement.placement, configs_of(ctx));
-    return {kind(),
-            &flow.routing.profile,
+    return {&flow.routing.profile,
             {{"wirelength_gedges",
               static_cast<double>(flow.routing.wirelength_gedges)},
              {"overflowed_edges",
@@ -116,8 +112,7 @@ class StaStage final : public StageEngine {
             : nullptr;
     sta::StaEngine engine(options_);
     flow.timing = engine.run(netlist, placement, configs_of(ctx));
-    return {kind(),
-            &flow.timing.profile,
+    return {&flow.timing.profile,
             {{"critical_path_ps", flow.timing.critical_path_ps},
              {"worst_slack_ps", flow.timing.worst_slack_ps}}};
   }

@@ -48,10 +48,9 @@ struct StageQor {
   double value = 0.0;
 };
 
-/// What run() hands back: which stage ran, its perf profile (pointing into
-/// ctx.flow, valid as long as the FlowResult lives) and the QoR counters.
+/// What run() hands back: the stage's perf profile (pointing into ctx.flow,
+/// valid as long as the FlowResult lives) and its QoR counters.
 struct StageResult {
-  JobKind kind = JobKind::kSynthesis;
   const perf::JobProfile* profile = nullptr;
   std::vector<StageQor> qor;
 };

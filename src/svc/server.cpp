@@ -365,43 +365,22 @@ void JobServer::worker_loop() {
       queue_.pop_front();
       if (config_.batch_max > 1 &&
           batch.front().request.type == RequestType::kPredict) {
-        collect_predict_batch(lock, batch);
+        collect_predict_batch(batch);
       }
     }
     execute_batch(batch);
   }
 }
 
-void JobServer::collect_predict_batch(std::unique_lock<std::mutex>& lock,
-                                      std::vector<WorkItem>& batch) {
+void JobServer::collect_predict_batch(std::vector<WorkItem>& batch) {
   const std::size_t max = static_cast<std::size_t>(config_.batch_max);
-  const auto take_queued_predicts = [&] {
-    for (auto it = queue_.begin();
-         it != queue_.end() && batch.size() < max;) {
-      if (it->request.type == RequestType::kPredict) {
-        batch.push_back(std::move(*it));
-        it = queue_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = queue_.begin(); it != queue_.end() && batch.size() < max;) {
+    if (it->request.type == RequestType::kPredict) {
+      batch.push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
     }
-  };
-  take_queued_predicts();
-  if (config_.batch_linger_ms <= 0.0 || batch.size() >= max) return;
-
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::microseconds(
-          static_cast<std::int64_t>(config_.batch_linger_ms * 1000.0));
-  while (batch.size() < max && !workers_stop_) {
-    const std::cv_status status = queue_cv_.wait_until(lock, deadline);
-    take_queued_predicts();
-    // Notifies consumed while lingering may belong to items this batch
-    // cannot take (non-predict types, or overflow past batch_max): pass
-    // the baton so an idle worker picks them up instead of them waiting
-    // out the linger window.
-    if (!queue_.empty()) queue_cv_.notify_one();
-    if (status == std::cv_status::timeout) break;
   }
 }
 

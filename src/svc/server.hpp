@@ -52,12 +52,9 @@ struct ServerConfig {
   /// Service::handle_predict_batch. <= 1 disables. Responses are
   /// byte-identical to unbatched execution — batching trades nothing but
   /// scheduling.
+  /// A worker never waits for stragglers: batching only amortizes queues
+  /// that are already deep, adding zero latency.
   int batch_max = 8;
-  /// With batch_max > 1: how long a worker holding a partial predict batch
-  /// waits for stragglers before executing. 0 (default) never waits —
-  /// batching then only amortizes queues that are already deep, adding
-  /// zero latency. Raising it trades p50 latency for throughput.
-  double batch_linger_ms = 0.0;
 };
 
 struct ServerStats {
@@ -121,11 +118,8 @@ class JobServer {
 
   void worker_loop();
   /// Grow `batch` (holding one predict item) from queued predict items, up
-  /// to batch_max, lingering up to batch_linger_ms. Called with
-  /// queue_mutex_ held via `lock`; re-notifies when it observes work it
-  /// cannot take so lingering never starves other workers.
-  void collect_predict_batch(std::unique_lock<std::mutex>& lock,
-                             std::vector<WorkItem>& batch);
+  /// to batch_max, without waiting. Called with queue_mutex_ held.
+  void collect_predict_batch(std::vector<WorkItem>& batch);
   /// Deadline-check, execute (merged when >= 2 live predicts) and answer
   /// every item; per-item accounting matches the single-item path.
   void execute_batch(std::vector<WorkItem>& batch);

@@ -1,13 +1,13 @@
 #pragma once
-// Deterministic work-sharing thread pool backing the parallel stage engines
-// (route, sta, ml). The front end is a chunked `parallel_for` /
-// `parallel_reduce` pair with *static chunking*: chunk boundaries are a pure
-// function of (begin, end, grain) and never of the thread count, so any
-// computation whose chunks write disjoint outputs — and any reduction, since
-// partials are combined in ascending chunk order — produces bit-identical
-// results at 1, 2, 4 or 8 threads. Load balancing is dynamic (idle threads
-// steal the next unclaimed chunk off a shared counter), which only changes
-// *who* runs a chunk, never *what* the chunk computes.
+// Deterministic work-sharing thread pool behind the ML kernels, the tuner's
+// lattice and leaf fan-outs, and the fleet engine. The front end is a chunked
+// `parallel_for` / `parallel_reduce` pair with *static chunking*: chunk
+// boundaries are a pure function of (begin, end, grain) and never of the
+// thread count, so any computation whose chunks write disjoint outputs — and
+// any reduction, since partials are combined in ascending chunk order —
+// produces bit-identical results at 1, 2, 4 or 8 threads. Load balancing is
+// dynamic (idle threads steal the next unclaimed chunk off a shared counter),
+// which only changes *who* runs a chunk, never *what* the chunk computes.
 //
 // The submitting thread always participates: it drains chunks of its own job
 // before blocking on completion, so a worker that submits a nested
@@ -147,14 +147,14 @@ class ThreadPool {
 };
 
 // ---- process-global pool ----------------------------------------------------
-// The stage engines and the ml kernels share one process-global pool so that
-// worker threads (and their trace lanes) are reused across stages. Resizing
-// is only safe between parallel regions (CLI startup, bench harnesses, the
-// characterizer's measured-speedup ladder) — never from inside a chunk body.
+// The ML kernels, the tuner and the fleet engine share one process-global
+// pool so that worker threads (and their trace lanes) are reused across
+// calls. Resizing is only safe between parallel regions (CLI startup, bench
+// harnesses) — never from inside a chunk body.
 
 /// Default width used when a call site passes threads <= 0. Starts at 1, so
-/// everything is serial until someone opts in (FlowOptions::threads,
-/// --threads, set_global_thread_count).
+/// everything is serial until someone opts in (--threads,
+/// set_global_thread_count).
 [[nodiscard]] int global_thread_count();
 void set_global_thread_count(int threads);
 

@@ -1,6 +1,7 @@
-// util::ThreadPool — the determinism contract the parallel stage engines
-// build on: static chunking, ordered reduction, caller participation (nested
-// submits can't deadlock), and per-chunk exception propagation.
+// util::ThreadPool — the determinism contract the ML kernels, the tuner and
+// the fleet engine build on: static chunking, ordered reduction, caller
+// participation (nested submits can't deadlock), and per-chunk exception
+// propagation.
 
 #include "util/thread_pool.hpp"
 
