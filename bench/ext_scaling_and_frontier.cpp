@@ -6,7 +6,7 @@
 //    it: the simulation job's speedup curve next to the four flow jobs.
 //
 // 2. The cost-vs-deadline Pareto frontier for the flagship deployment:
-//    every (deadline, minimum-cost) breakpoint from one exact DP sweep —
+//    every (deadline, minimum-cost) breakpoint from one exact frontier —
 //    the complete menu Table I samples four rows from.
 
 #include <array>
@@ -104,9 +104,9 @@ int main(int argc, char** argv) {
   util::Table frontier_table({"Deadline (s)", "Min cost ($)"});
   util::CsvWriter frontier_csv({"deadline_s", "cost_usd"});
   for (const auto& point : frontier) {
-    frontier_table.add_row({util::format_fixed(point.deadline_seconds, 0),
+    frontier_table.add_row({util::format_fixed(point.deadline_seconds, 2),
                             util::format_fixed(point.cost_usd, 4)});
-    frontier_csv.add_row({util::format_fixed(point.deadline_seconds, 1),
+    frontier_csv.add_row({util::format_fixed(point.deadline_seconds, 4),
                           util::format_fixed(point.cost_usd, 6)});
   }
   std::printf("cost-deadline frontier (%zu breakpoints):\n%s",

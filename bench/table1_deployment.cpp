@@ -1,7 +1,7 @@
 // Table I — "Minimizing total cloud deployment cost subject to a time
 // constraint". Characterizes the flagship design (sparc_core analog),
 // prices each (job, vCPU) option on the job's recommended instance family
-// with AWS-like per-second billing, and runs the MCKP DP under a sweep of
+// with AWS-like per-second billing, and solves the MCKP under a sweep of
 // deadlines. Shape targets: looser deadline -> cheaper/smaller machines;
 // tightening promotes *some* stages to more vCPUs; a deadline below the
 // all-fastest makespan is Not Achievable (NA).

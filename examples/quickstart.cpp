@@ -2,7 +2,7 @@
 //   1. take a design (here: a generated ALU),
 //   2. run the instrumented EDA flow to characterize its four jobs,
 //   3. price every (job, vCPU) option on the recommended instance family,
-//   4. pick the cheapest deployment meeting a deadline with the MCKP DP.
+//   4. pick the cheapest deployment meeting a deadline with the exact MCKP.
 //
 // Build: cmake --build build --target quickstart
 // Run:   ./build/examples/quickstart

@@ -132,16 +132,20 @@ flow_smoke
 
 # Figures smoke-run: the paper-figure drivers most readers run first, in
 # --fast mode in a scratch directory; each must exit 0 and write its CSV.
-# Their printed values are not checked here.
+# fig6 exits nonzero when an optimized plan costs more than a baseline that
+# meets its deadline, and ablation_mckp when the paper's integer-second DP
+# and the exact frontier disagree; the other drivers' values are not
+# checked here.
 figures_smoke() {
   local bench_dir tmp
   bench_dir="$(pwd)/build/bench"
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
 
-  echo "=== figures smoke: fig2, fig3 and table1 in --fast mode ==="
+  echo "=== figures smoke: fig2, fig3, table1, fig6 and ablation_mckp in --fast mode ==="
   local name
-  for name in fig2_characterization fig3_routing_speedup table1_deployment; do
+  for name in fig2_characterization fig3_routing_speedup table1_deployment \
+      fig6_cost_savings ablation_mckp; do
     (cd "${tmp}" && "${bench_dir}/${name}" --fast > "${name}.out" 2>&1) || {
       echo "figures smoke: ${name} --fast exited nonzero" >&2
       cat "${tmp}/${name}.out" >&2

@@ -6,41 +6,6 @@
 
 namespace edacloud::cloud {
 
-std::vector<MckpStage> dominance_filter(
-    const std::vector<MckpStage>& stages) {
-  std::vector<MckpStage> filtered;
-  filtered.reserve(stages.size());
-  for (const MckpStage& stage : stages) {
-    MckpStage out;
-    out.name = stage.name;
-    // Sort by time ascending, cost as tie-break.
-    std::vector<MckpItem> items = stage.items;
-    std::sort(items.begin(), items.end(),
-              [](const MckpItem& a, const MckpItem& b) {
-                if (a.time_seconds != b.time_seconds) {
-                  return a.time_seconds < b.time_seconds;
-                }
-                return a.cost_usd < b.cost_usd;
-              });
-    // Walking from fastest to slowest, keep an item only if it is cheaper
-    // than everything faster than it (efficient frontier).
-    double cheapest_so_far = std::numeric_limits<double>::infinity();
-    std::vector<MckpItem> frontier;
-    for (const MckpItem& item : items) {
-      if (item.cost_usd < cheapest_so_far - 1e-15) {
-        frontier.push_back(item);
-        cheapest_so_far = item.cost_usd;
-      }
-    }
-    // frontier is time-ascending with strictly decreasing cost; restore
-    // slow-to-fast (cheap-to-pricey) order to mirror solver conventions.
-    std::reverse(frontier.begin(), frontier.end());
-    out.items = std::move(frontier);
-    filtered.push_back(std::move(out));
-  }
-  return filtered;
-}
-
 MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
                                 double deadline_seconds) {
   MckpGreedyScratch scratch;
@@ -56,7 +21,6 @@ void solve_mckp_greedy(const std::vector<MckpStage>& stages,
   selection.choice.clear();
   selection.total_time_seconds = 0.0;
   selection.total_cost_usd = 0.0;
-  selection.objective_value = 0.0;
   if (stages.empty()) {
     selection.feasible = true;
     return;
@@ -159,7 +123,6 @@ void solve_mckp_greedy(const std::vector<MckpStage>& stages,
         stages[l].items[static_cast<std::size_t>(item_index)];
     selection.total_time_seconds += item.time_seconds;
     selection.total_cost_usd += item.cost_usd;
-    selection.objective_value -= item.cost_usd;
   }
 }
 

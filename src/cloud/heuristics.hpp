@@ -1,27 +1,19 @@
 #pragma once
-// Fast MCKP heuristics, complementing the exact DP:
-//  - dominance_filter: classical MCKP preprocessing — drop items that are
-//    slower AND costlier than another item of the same stage (they can
-//    never appear in an optimal min-cost selection).
-//  - solve_mckp_greedy: start from the cheapest item per stage and buy the
-//    cheapest seconds (best delta-cost / delta-time upgrade) until the
-//    deadline is met. O(n log n), no pseudo-polynomial time budget; the
-//    exact DP becomes expensive when deadlines stretch into weeks, which is
-//    exactly when teams want an instant answer.
-// The ablation bench quantifies the heuristic's optimality gap.
+// A fast MCKP heuristic beside the exact frontier (cloud/mckp.hpp):
+// solve_mckp_greedy starts from the cheapest item per stage and buys the
+// cheapest seconds (best delta-cost / delta-time upgrade) until the
+// deadline is met. O(n log n); it plans every admitted fleet job. Like the
+// paper's DP it budgets whole seconds (rounded runtimes against the
+// floored deadline), so its plans can run a little late or overpay; the
+// ablation bench quantifies the gap against the exact frontier.
 
 #include "cloud/mckp.hpp"
 
 namespace edacloud::cloud {
 
-/// Remove dominated items (and keep only the efficient (time, cost)
-/// frontier) from every stage. Selection indices returned by solvers on
-/// the filtered instance refer to the filtered item lists.
-std::vector<MckpStage> dominance_filter(const std::vector<MckpStage>& stages);
-
 /// Greedy incremental-efficiency heuristic (min-cost objective).
-/// Feasibility matches the DP exactly (it can always reach the all-fastest
-/// configuration); the cost may exceed the optimum.
+/// Feasibility is judged on the rounded budget, not the real deadline;
+/// the cost may exceed the optimum.
 MckpSelection solve_mckp_greedy(const std::vector<MckpStage>& stages,
                                 double deadline_seconds);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -11,143 +12,180 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-long long rounded_seconds(double seconds) {
-  return std::max<long long>(0, std::llround(seconds));
+/// The merge sorts items and totals, which a NaN would leave unordered.
+void require_items(const std::vector<MckpStage>& stages) {
+  for (const MckpStage& stage : stages) {
+    if (stage.items.empty()) {
+      throw std::invalid_argument("stage without items: " + stage.name);
+    }
+    for (const MckpItem& item : stage.items) {
+      if (std::isnan(item.time_seconds) || std::isnan(item.cost_usd)) {
+        throw std::invalid_argument("NaN time or cost in stage " +
+                                    stage.name);
+      }
+    }
+  }
 }
 
-/// Stage item value under the chosen objective (DP maximizes value with
-/// min-cost mapped to maximizing -cost).
-double item_value(const MckpItem& item, Objective objective) {
-  switch (objective) {
-    case Objective::kMinTotalCost:
-      return -item.cost_usd;
-    case Objective::kMaxInverseCost:
-      // Zero-cost items would be infinitely attractive; clamp to a large
-      // finite value so sums stay well-defined.
-      return item.cost_usd > 0.0 ? 1.0 / item.cost_usd : 1e18;
-  }
-  return 0.0;
-}
+/// A partial plan: a previous frontier point extended by one stage item.
+struct Candidate {
+  double time = 0.0;
+  double cost = 0.0;
+  std::uint64_t lex = 0;  // (parent's lexicographic rank << 32) | item
+  int parent = 0;
+  int item = 0;
+};
 
-MckpSelection finalize(const std::vector<MckpStage>& stages,
-                       std::vector<int> choice, Objective objective) {
-  MckpSelection selection;
-  selection.feasible = true;
-  selection.choice = std::move(choice);
-  for (std::size_t l = 0; l < stages.size(); ++l) {
-    const MckpItem& item =
-        stages[l].items[static_cast<std::size_t>(selection.choice[l])];
-    selection.total_time_seconds += item.time_seconds;
-    selection.total_cost_usd += item.cost_usd;
-    selection.objective_value += item_value(item, objective);
+/// Keeps the non-dominated candidates, time ascending and cost strictly
+/// descending; of equal (time, cost) candidates the lexicographically
+/// smallest choice survives.
+void keep_pareto(std::vector<Candidate>& candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.cost != b.cost) return a.cost < b.cost;
+              return a.lex < b.lex;
+            });
+  double cheapest = kInfinity;
+  std::size_t kept = 0;
+  for (const Candidate& candidate : candidates) {
+    if (candidate.cost < cheapest) {
+      cheapest = candidate.cost;
+      candidates[kept++] = candidate;
+    }
   }
-  return selection;
+  candidates.resize(kept);
 }
 
 }  // namespace
 
-MckpSelection solve_mckp_dp(const std::vector<MckpStage>& stages,
-                            double deadline_seconds, Objective objective) {
-  MckpSelection infeasible;
-  if (stages.empty()) {
-    infeasible.feasible = true;
-    return infeasible;
+MckpFrontier::MckpFrontier(const std::vector<MckpStage>& stages) {
+  require_items(stages);
+  // Zero stages: the empty plan. rank[p] orders the points' choices
+  // lexicographically, so merged candidates compare as (prefix, item).
+  points_.push_back({0.0, 0.0});
+  std::vector<std::uint32_t> rank{0};
+  links_.reserve(stages.size());
+  std::vector<Candidate> items;
+  std::vector<Candidate> merged;
+  std::vector<std::size_t> order;
+  for (const MckpStage& stage : stages) {
+    // Step 1: the stage's own non-dominated items.
+    items.clear();
+    for (std::size_t j = 0; j < stage.items.size(); ++j) {
+      const MckpItem& item = stage.items[j];
+      items.push_back({item.time_seconds, item.cost_usd, j, 0,
+                       static_cast<int>(j)});
+    }
+    keep_pareto(items);
+    // Step 2: every frontier point extended by every surviving item, with
+    // the totals accumulated left to right as fixed_choice does.
+    merged.clear();
+    for (std::size_t p = 0; p < points_.size(); ++p) {
+      for (const Candidate& item : items) {
+        merged.push_back({points_[p].deadline_seconds + item.time,
+                          points_[p].cost_usd + item.cost,
+                          (std::uint64_t{rank[p]} << 32) |
+                              static_cast<std::uint32_t>(item.item),
+                          static_cast<int>(p), item.item});
+      }
+    }
+    keep_pareto(merged);
+
+    points_.resize(merged.size());
+    std::vector<Link>& links = links_.emplace_back(merged.size());
+    for (std::size_t p = 0; p < merged.size(); ++p) {
+      points_[p] = {merged[p].time, merged[p].cost};
+      links[p] = {merged[p].parent, merged[p].item};
+    }
+    order.resize(merged.size());
+    for (std::size_t p = 0; p < order.size(); ++p) order[p] = p;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return merged[a].lex < merged[b].lex;
+    });
+    rank.resize(merged.size());
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      rank[order[r]] = static_cast<std::uint32_t>(r);
+    }
   }
+}
+
+MckpSelection MckpFrontier::selection(std::size_t point) const {
+  MckpSelection selection;
+  selection.feasible = true;
+  selection.choice.resize(links_.size());
+  std::size_t at = point;
+  for (std::size_t l = links_.size(); l-- > 0;) {
+    selection.choice[l] = links_[l][at].item;
+    at = static_cast<std::size_t>(links_[l][at].parent);
+  }
+  selection.total_time_seconds = points_[point].deadline_seconds;
+  selection.total_cost_usd = points_[point].cost_usd;
+  return selection;
+}
+
+MckpSelection MckpFrontier::cheapest_within(double deadline_seconds) const {
+  // Cost falls along the frontier: the cheapest on-time plan is the last
+  // point that meets the deadline.
+  const auto end = std::partition_point(
+      points_.begin(), points_.end(), [&](const ParetoPoint& point) {
+        return point.deadline_seconds <= deadline_seconds;
+      });
+  if (end == points_.begin()) return MckpSelection{};
+  return selection(static_cast<std::size_t>(end - points_.begin()) - 1);
+}
+
+MckpSelection MckpFrontier::fastest_within(double budget_usd) const {
+  // Time rises along the frontier: the fastest plan within budget is the
+  // first point that fits it.
+  const auto first = std::partition_point(
+      points_.begin(), points_.end(), [&](const ParetoPoint& point) {
+        return !(point.cost_usd <= budget_usd);
+      });
+  if (first == points_.end()) return MckpSelection{};
+  return selection(static_cast<std::size_t>(first - points_.begin()));
+}
+
+MckpSelection solve_mckp(const std::vector<MckpStage>& stages,
+                         double deadline_seconds) {
+  return MckpFrontier(stages).cheapest_within(deadline_seconds);
+}
+
+MckpSelection solve_mckp_brute_force(const std::vector<MckpStage>& stages,
+                                     double deadline_seconds) {
   for (const MckpStage& stage : stages) {
     if (stage.items.empty()) {
       throw std::invalid_argument("stage without items: " + stage.name);
     }
   }
-  const long long budget =
-      static_cast<long long>(std::floor(deadline_seconds));
-  if (budget < 0) return infeasible;
-  const std::size_t columns = static_cast<std::size_t>(budget) + 1;
-
-  // dp[c] = best achievable value with total time <= c; -inf (the paper's
-  // z_l(C) := -inf convention) marks "no assignment fits in c". Zero
-  // stages consume zero time, so the base case is 0 everywhere.
-  std::vector<double> dp(columns, 0.0);
-
-  // choice_table[l][c] = item picked for stage l at budget c.
-  std::vector<std::vector<int>> choice_table(
-      stages.size(), std::vector<int>(columns, -1));
-
-  std::vector<double> next(columns);
-  for (std::size_t l = 0; l < stages.size(); ++l) {
-    std::fill(next.begin(), next.end(), -kInfinity);
-    for (std::size_t c = 0; c < columns; ++c) {
-      for (std::size_t j = 0; j < stages[l].items.size(); ++j) {
-        const MckpItem& item = stages[l].items[j];
-        const long long t = rounded_seconds(item.time_seconds);
-        if (static_cast<long long>(c) < t) continue;
-        const double prev = dp[c - static_cast<std::size_t>(t)];
-        if (prev == -kInfinity) continue;
-        const double candidate = prev + item_value(item, objective);
-        if (candidate > next[c]) {
-          next[c] = candidate;
-          choice_table[l][c] = static_cast<int>(j);
-        }
-      }
-    }
-    dp = next;
-  }
-
-  // Find the best terminal budget.
-  std::size_t best_c = 0;
-  double best_value = -kInfinity;
-  for (std::size_t c = 0; c < columns; ++c) {
-    if (dp[c] > best_value) {
-      best_value = dp[c];
-      best_c = c;
-    }
-  }
-  if (best_value == -kInfinity) return infeasible;
-
-  // Reconstruct choices backwards.
-  std::vector<int> choice(stages.size(), -1);
-  std::size_t c = best_c;
-  for (std::size_t l = stages.size(); l-- > 0;) {
-    const int j = choice_table[l][c];
-    if (j < 0) return infeasible;  // defensive; should not happen
-    choice[l] = j;
-    c -= static_cast<std::size_t>(rounded_seconds(
-        stages[l].items[static_cast<std::size_t>(j)].time_seconds));
-  }
-  return finalize(stages, std::move(choice), objective);
-}
-
-MckpSelection solve_mckp_brute_force(const std::vector<MckpStage>& stages,
-                                     double deadline_seconds,
-                                     Objective objective) {
+  // Choices in lexicographic order (the last stage turns fastest), so with
+  // strict comparisons the first of equal plans is the smallest choice.
   MckpSelection best;
-  if (stages.empty()) {
-    best.feasible = true;
-    return best;
-  }
   std::vector<int> choice(stages.size(), 0);
-  double best_value = -kInfinity;
-  const long long budget =
-      static_cast<long long>(std::floor(deadline_seconds));
-
-  auto recurse = [&](auto&& self, std::size_t l, long long used,
-                     double value) -> void {
-    if (l == stages.size()) {
-      if (value > best_value) {
-        best_value = value;
-        best = finalize(stages, choice, objective);
-      }
-      return;
+  for (;;) {
+    double time = 0.0;
+    double cost = 0.0;
+    for (std::size_t l = 0; l < stages.size(); ++l) {
+      const MckpItem& item =
+          stages[l].items[static_cast<std::size_t>(choice[l])];
+      time += item.time_seconds;
+      cost += item.cost_usd;
     }
-    for (std::size_t j = 0; j < stages[l].items.size(); ++j) {
-      const MckpItem& item = stages[l].items[j];
-      const long long t = used + rounded_seconds(item.time_seconds);
-      if (t > budget) continue;
-      choice[l] = static_cast<int>(j);
-      self(self, l + 1, t, value + item_value(item, objective));
+    if (time <= deadline_seconds &&
+        (!best.feasible || cost < best.total_cost_usd ||
+         (cost == best.total_cost_usd && time < best.total_time_seconds))) {
+      best.feasible = true;
+      best.choice = choice;
+      best.total_time_seconds = time;
+      best.total_cost_usd = cost;
     }
-  };
-  recurse(recurse, 0, 0, 0.0);
-  return best;
+    std::size_t l = stages.size();
+    while (l > 0 && ++choice[l - 1] ==
+                        static_cast<int>(stages[l - 1].items.size())) {
+      choice[--l] = 0;
+    }
+    if (l == 0) return best;
+  }
 }
 
 MckpSelection fixed_choice(const std::vector<MckpStage>& stages, int index) {
@@ -179,66 +217,13 @@ double fastest_completion_seconds(const std::vector<MckpStage>& stages) {
 
 std::vector<ParetoPoint> cost_deadline_frontier(
     const std::vector<MckpStage>& stages) {
-  std::vector<ParetoPoint> frontier;
-  if (stages.empty()) return frontier;
-  for (const MckpStage& stage : stages) {
-    if (stage.items.empty()) {
-      throw std::invalid_argument("stage without items: " + stage.name);
-    }
-  }
-  // Budget range: fastest completion .. total time of the globally
-  // cheapest per-stage items (beyond that the cost cannot improve).
-  long long budget_hi = 0;
-  for (const MckpStage& stage : stages) {
-    const MckpItem* cheapest = &stage.items.front();
-    for (const MckpItem& item : stage.items) {
-      if (item.cost_usd < cheapest->cost_usd - 1e-15 ||
-          (std::abs(item.cost_usd - cheapest->cost_usd) <= 1e-15 &&
-           item.time_seconds < cheapest->time_seconds)) {
-        cheapest = &item;
-      }
-    }
-    budget_hi += rounded_seconds(cheapest->time_seconds);
-  }
-  const std::size_t columns = static_cast<std::size_t>(budget_hi) + 1;
-
-  std::vector<double> dp(columns, 0.0);  // max of (-cost); 0 = zero stages
-  std::vector<double> next(columns);
-  for (const MckpStage& stage : stages) {
-    std::fill(next.begin(), next.end(), -kInfinity);
-    for (std::size_t c = 0; c < columns; ++c) {
-      for (const MckpItem& item : stage.items) {
-        const long long t = rounded_seconds(item.time_seconds);
-        if (static_cast<long long>(c) < t) continue;
-        const double prev = dp[c - static_cast<std::size_t>(t)];
-        if (prev == -kInfinity) continue;
-        next[c] = std::max(next[c], prev - item.cost_usd);
-      }
-    }
-    dp = next;
-  }
-
-  double best = -kInfinity;
-  for (std::size_t c = 0; c < columns; ++c) {
-    if (dp[c] > best + 1e-12) {
-      best = dp[c];
-      frontier.push_back(
-          {static_cast<double>(c), -best});
-    }
-  }
-  return frontier;
+  if (stages.empty()) return {};
+  return MckpFrontier(stages).points();
 }
 
 MckpSelection fastest_within_budget(const std::vector<MckpStage>& stages,
                                     double budget_usd) {
-  const auto frontier = cost_deadline_frontier(stages);
-  for (const ParetoPoint& point : frontier) {
-    if (point.cost_usd <= budget_usd + 1e-12) {
-      // The earliest frontier point within budget; rebuild the selection.
-      return solve_mckp_dp(stages, point.deadline_seconds);
-    }
-  }
-  return MckpSelection{};  // infeasible: cheapest plan exceeds the budget
+  return MckpFrontier(stages).fastest_within(budget_usd);
 }
 
 }  // namespace edacloud::cloud

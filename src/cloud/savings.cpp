@@ -5,12 +5,11 @@
 namespace edacloud::cloud {
 
 SavingsReport analyze_savings(const std::vector<MckpStage>& stages,
-                              double deadline_seconds, Objective objective) {
+                              double deadline_seconds) {
   SavingsReport report;
   report.deadline_seconds = deadline_seconds;
 
-  const MckpSelection optimized =
-      solve_mckp_dp(stages, deadline_seconds, objective);
+  const MckpSelection optimized = solve_mckp(stages, deadline_seconds);
   report.feasible = optimized.feasible && !optimized.choice.empty();
 
   int max_items = 0;

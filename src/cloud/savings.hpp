@@ -23,7 +23,6 @@ struct SavingsReport {
 /// Items within each stage must be ordered smallest (1 vCPU) to largest
 /// (8 vCPUs) machine, as DeploymentOptimizer produces them.
 SavingsReport analyze_savings(const std::vector<MckpStage>& stages,
-                              double deadline_seconds,
-                              Objective objective = Objective::kMinTotalCost);
+                              double deadline_seconds);
 
 }  // namespace edacloud::cloud

@@ -20,7 +20,7 @@ BatchPlan BatchPlanner::plan(const std::vector<BatchDesign>& designs,
                              double deadline_seconds) const {
   const auto stages = build_stages(designs);
   const cloud::MckpSelection selection =
-      cloud::solve_mckp_dp(stages, deadline_seconds);
+      cloud::solve_mckp(stages, deadline_seconds);
 
   BatchPlan plan;
   plan.deadline_seconds = deadline_seconds;

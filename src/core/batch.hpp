@@ -3,7 +3,7 @@
 // tapeout: several blocks must each run the full flow, sharing one
 // deadline, and every (block, stage) pair can go on its own VM. The MCKP
 // formulation extends directly (one stage per block-and-job pair), and the
-// same DP stays exact because block flows run back-to-back per plan.
+// same frontier stays exact because block flows run back-to-back per plan.
 
 #include <string>
 #include <vector>

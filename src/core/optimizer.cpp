@@ -44,9 +44,13 @@ void DeploymentOptimizer::build_stages(
 DeploymentPlan DeploymentOptimizer::optimize(const RuntimeLadders& ladders,
                                              double deadline_seconds) const {
   const auto stages = build_stages(ladders);
-  const cloud::MckpSelection selection =
-      cloud::solve_mckp_dp(stages, deadline_seconds, objective_);
+  return to_plan(stages, cloud::solve_mckp(stages, deadline_seconds),
+                 deadline_seconds);
+}
 
+DeploymentPlan DeploymentOptimizer::to_plan(
+    const std::vector<cloud::MckpStage>& stages,
+    const cloud::MckpSelection& selection, double deadline_seconds) {
   DeploymentPlan plan;
   plan.deadline_seconds = deadline_seconds;
   plan.feasible = selection.feasible && !selection.choice.empty();
@@ -73,8 +77,7 @@ DeploymentPlan DeploymentOptimizer::optimize(const RuntimeLadders& ladders,
 
 cloud::SavingsReport DeploymentOptimizer::savings(
     const RuntimeLadders& ladders, double deadline_seconds) const {
-  return cloud::analyze_savings(build_stages(ladders), deadline_seconds,
-                                objective_);
+  return cloud::analyze_savings(build_stages(ladders), deadline_seconds);
 }
 
 }  // namespace edacloud::core

@@ -42,9 +42,8 @@ struct DeploymentPlan {
 class DeploymentOptimizer {
  public:
   explicit DeploymentOptimizer(
-      cloud::PricingCatalog catalog = cloud::PricingCatalog::aws_like(),
-      cloud::Objective objective = cloud::Objective::kMinTotalCost)
-      : catalog_(catalog), objective_(objective) {}
+      cloud::PricingCatalog catalog = cloud::PricingCatalog::aws_like())
+      : catalog_(catalog) {}
 
   /// Offer spot instances alongside on-demand: every stage gets a second
   /// set of items priced at the spot discount with interruption-stretched
@@ -76,6 +75,12 @@ class DeploymentOptimizer {
   [[nodiscard]] DeploymentPlan optimize(const RuntimeLadders& ladders,
                                         double deadline_seconds) const;
 
+  /// The plan `selection` picks from `stages` (as build_stages made them),
+  /// for a caller that queries one cloud::MckpFrontier many times.
+  [[nodiscard]] static DeploymentPlan to_plan(
+      const std::vector<cloud::MckpStage>& stages,
+      const cloud::MckpSelection& selection, double deadline_seconds);
+
   /// Fig. 6 point: optimizer vs over-/under-provisioning at one deadline.
   [[nodiscard]] cloud::SavingsReport savings(const RuntimeLadders& ladders,
                                              double deadline_seconds) const;
@@ -86,7 +91,6 @@ class DeploymentOptimizer {
 
  private:
   cloud::PricingCatalog catalog_;
-  cloud::Objective objective_;
   std::shared_ptr<const cloud::Market> market_;
 };
 

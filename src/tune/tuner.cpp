@@ -272,10 +272,15 @@ TuneResult RecipeTuner::tune(const nl::Aig& design, double deadline_seconds,
     }
     std::vector<ParetoEntry> points;
     for (const auto& eval : result.evaluations) {
+      // One exact frontier per recipe answers all three questions.
+      const auto stages = optimizer.build_stages(eval.ladders);
+      const cloud::MckpFrontier frontier(stages);
       JointPlan candidate;
       candidate.recipe_key = eval.key;
       candidate.area_um2 = eval.area_um2;
-      candidate.plan = optimizer.optimize(eval.ladders, deadline_seconds);
+      candidate.plan = core::DeploymentOptimizer::to_plan(
+          stages, frontier.cheapest_within(deadline_seconds),
+          deadline_seconds);
       if (eval.key == fixed_key) result.fixed = candidate;
       if (result.joint.recipe_key.empty() ||
           better_plan(candidate, result.joint)) {
@@ -287,15 +292,12 @@ TuneResult RecipeTuner::tune(const nl::Aig& design, double deadline_seconds,
         result.joint_at_qor = candidate;
       }
 
-      const auto stages = optimizer.build_stages(eval.ladders);
-      for (const cloud::ParetoPoint& point :
-           cloud::cost_deadline_frontier(stages)) {
+      for (const cloud::ParetoPoint& point : frontier.points()) {
         points.push_back({point.deadline_seconds, point.cost_usd,
                           eval.area_um2, eval.key});
       }
       if (budget_usd > 0.0) {
-        const cloud::MckpSelection within =
-            cloud::fastest_within_budget(stages, budget_usd);
+        const cloud::MckpSelection within = frontier.fastest_within(budget_usd);
         if (within.feasible &&
             (!result.budget_feasible ||
              within.total_time_seconds < result.budget_fastest_seconds ||

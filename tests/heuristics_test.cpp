@@ -21,6 +21,8 @@ std::vector<MckpStage> random_instance(util::Rng& rng, int stage_count,
   return stages;
 }
 
+// The frontier's first step drops the items another item of the same
+// stage dominates; a one-stage frontier is exactly what survives.
 TEST(DominanceFilterTest, DropsDominatedItems) {
   std::vector<MckpStage> stages(1);
   stages[0].items = {
@@ -29,35 +31,44 @@ TEST(DominanceFilterTest, DropsDominatedItems) {
       {50, 3.0, "good-fast"},
       {60, 3.5, "dominated (slower and pricier than 50s/$3)"},
   };
-  const auto filtered = dominance_filter(stages);
-  ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered[0].items.size(), 2u);
+  const MckpFrontier frontier(stages);
+  ASSERT_EQ(frontier.points().size(), 2u);
+  EXPECT_EQ(frontier.cheapest_within(1000.0).choice, std::vector<int>{0});
+  EXPECT_EQ(frontier.cheapest_within(99.0).choice, std::vector<int>{2});
 }
 
 TEST(DominanceFilterTest, KeepsEfficientFrontierOrdered) {
   std::vector<MckpStage> stages(1);
   stages[0].items = {{100, 1.0, ""}, {50, 2.0, ""}, {25, 4.0, ""}};
-  const auto filtered = dominance_filter(stages);
-  ASSERT_EQ(filtered[0].items.size(), 3u);
-  // Slow-to-fast order retained.
-  EXPECT_DOUBLE_EQ(filtered[0].items.front().time_seconds, 100.0);
-  EXPECT_DOUBLE_EQ(filtered[0].items.back().time_seconds, 25.0);
+  const auto points = MckpFrontier(stages).points();
+  ASSERT_EQ(points.size(), 3u);
+  // Fast-to-slow, dear-to-cheap.
+  EXPECT_EQ(points.front().deadline_seconds, 25.0);
+  EXPECT_EQ(points.back().deadline_seconds, 100.0);
+  EXPECT_EQ(points.back().cost_usd, 1.0);
 }
 
 TEST(DominanceFilterTest, FilteredOptimumUnchanged) {
+  // Appending a slower, dearer copy of every item changes no plan.
   util::Rng rng(71);
   for (int trial = 0; trial < 30; ++trial) {
     const auto stages = random_instance(rng, 4, 4);
-    const auto filtered = dominance_filter(stages);
+    auto padded = stages;
+    for (auto& stage : padded) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        const MckpItem item = stage.items[j];
+        stage.items.push_back({item.time_seconds * 1.1, item.cost_usd * 1.1,
+                               "dominated"});
+      }
+    }
     const double deadline =
         rng.next_double(fastest_completion_seconds(stages) * 1.05,
                         fixed_choice(stages, 0).total_time_seconds);
-    const auto full = solve_mckp_dp(stages, deadline);
-    const auto reduced = solve_mckp_dp(filtered, deadline);
+    const auto full = solve_mckp(padded, deadline);
+    const auto reduced = solve_mckp(stages, deadline);
     ASSERT_EQ(full.feasible, reduced.feasible);
-    if (full.feasible) {
-      EXPECT_NEAR(full.total_cost_usd, reduced.total_cost_usd, 1e-9);
-    }
+    EXPECT_EQ(full.choice, reduced.choice);
+    EXPECT_EQ(full.total_cost_usd, reduced.total_cost_usd);
   }
 }
 
@@ -85,7 +96,7 @@ TEST(GreedyTest, MeetsDeadlineWheneverDpDoes) {
     const double fastest = fastest_completion_seconds(stages);
     const double slowest = fixed_choice(stages, 0).total_time_seconds;
     const double deadline = rng.next_double(fastest * 0.9, slowest * 1.1);
-    const auto dp = solve_mckp_dp(stages, deadline);
+    const auto dp = solve_mckp(stages, deadline);
     const auto greedy = solve_mckp_greedy(stages, deadline);
     ASSERT_EQ(dp.feasible, greedy.feasible) << "trial " << trial;
     if (dp.feasible) {
@@ -105,7 +116,7 @@ TEST(GreedyTest, GapIsModestOnTypicalInstances) {
     const double fastest = fastest_completion_seconds(stages);
     const double slowest = fixed_choice(stages, 0).total_time_seconds;
     const double deadline = rng.next_double(fastest * 1.02, slowest);
-    const auto dp = solve_mckp_dp(stages, deadline);
+    const auto dp = solve_mckp(stages, deadline);
     const auto greedy = solve_mckp_greedy(stages, deadline);
     if (!dp.feasible || !greedy.feasible || dp.total_cost_usd <= 0.0) {
       continue;

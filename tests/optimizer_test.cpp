@@ -102,14 +102,6 @@ TEST(OptimizerTest, SavingsAgainstBaselines) {
   EXPECT_GT(report.saving_vs_over, 0.0);
 }
 
-TEST(OptimizerTest, PaperObjectiveVariantRunsToo) {
-  DeploymentOptimizer paper_objective(cloud::PricingCatalog::aws_like(),
-                                      cloud::Objective::kMaxInverseCost);
-  const auto plan = paper_objective.optimize(sample_ladders(), 10000.0);
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_LE(plan.total_runtime_seconds, 10000.0);
-}
-
 RuntimeLadders random_ladders(util::Rng& rng) {
   RuntimeLadders ladders{};
   for (auto& ladder : ladders) {
@@ -129,7 +121,6 @@ void expect_same_selection(const cloud::MckpSelection& a,
   EXPECT_EQ(a.choice, b.choice);
   EXPECT_EQ(a.total_time_seconds, b.total_time_seconds);
   EXPECT_EQ(a.total_cost_usd, b.total_cost_usd);
-  EXPECT_EQ(a.objective_value, b.objective_value);
 }
 
 TEST(OptimizerTest, ReusedStageBufferMatchesValueForm) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cloud/mckp.hpp"
 #include "util/rng.hpp"
 
@@ -36,14 +38,15 @@ TEST(ParetoTest, StrictlyMonotone) {
 TEST(ParetoTest, PointsMatchDpSolutions) {
   const auto stages = simple_instance();
   for (const auto& point : cost_deadline_frontier(stages)) {
-    const auto selection = solve_mckp_dp(stages, point.deadline_seconds);
+    const auto selection = solve_mckp(stages, point.deadline_seconds);
     ASSERT_TRUE(selection.feasible);
-    EXPECT_NEAR(selection.total_cost_usd, point.cost_usd, 1e-9);
-    // One second earlier must be strictly worse (or infeasible).
+    EXPECT_EQ(selection.total_cost_usd, point.cost_usd);
+    EXPECT_EQ(selection.total_time_seconds, point.deadline_seconds);
+    // Any earlier deadline must be strictly dearer (or infeasible).
     const auto earlier =
-        solve_mckp_dp(stages, point.deadline_seconds - 1.0);
+        solve_mckp(stages, std::nextafter(point.deadline_seconds, 0.0));
     if (earlier.feasible) {
-      EXPECT_GT(earlier.total_cost_usd, point.cost_usd - 1e-9);
+      EXPECT_GT(earlier.total_cost_usd, point.cost_usd);
     }
   }
 }
@@ -67,12 +70,12 @@ TEST(ParetoTest, RandomInstancesConsistentWithDp) {
     }
     const auto frontier = cost_deadline_frontier(stages);
     ASSERT_FALSE(frontier.empty());
-    EXPECT_NEAR(frontier.front().deadline_seconds,
-                std::round(fastest_completion_seconds(stages)), 2.0);
+    EXPECT_EQ(frontier.front().deadline_seconds,
+              fastest_completion_seconds(stages));
     for (const auto& point : frontier) {
-      const auto selection = solve_mckp_dp(stages, point.deadline_seconds);
+      const auto selection = solve_mckp(stages, point.deadline_seconds);
       ASSERT_TRUE(selection.feasible);
-      EXPECT_NEAR(selection.total_cost_usd, point.cost_usd, 1e-9);
+      EXPECT_EQ(selection.total_cost_usd, point.cost_usd);
     }
   }
 }

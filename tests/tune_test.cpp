@@ -228,15 +228,17 @@ TEST(TuneTest, ExportTextPinnedAcrossLattice) {
   // The export bytes of the full 28-recipe space on two designs (cavlc's
   // rewrite reaches a fixpoint), pinned to the values the per-recipe
   // synthesis loop produced before the recipe lattice replaced it;
-  // re-pinned when routing moved to pending order.
+  // re-pinned when routing moved to pending order, and when the exact
+  // real-runtime frontier replaced the integer-second MCKP DP (the
+  // frontier lines gained real-valued deadlines and more breakpoints).
   struct Pin {
     nl::Aig design;
     std::size_t size;
     std::uint64_t hash;
   };
   const Pin pins[] = {
-      {workloads::gen_cavlc(16, 3), 13973, 16325065875730693424ULL},
-      {workloads::gen_alu(8), 13396, 2950600776179481536ULL},
+      {workloads::gen_cavlc(16, 3), 32193, 1198204967318201586ULL},
+      {workloads::gen_alu(8), 19681, 18172463895831265255ULL},
   };
   for (const int threads : {1, 4}) {
     TunerOptions options;
