@@ -15,13 +15,10 @@
 //
 // Every batched/cached result is verified bit-identical against serial
 // before timing is reported (exit 1 on mismatch). Writes the paper-style
-// table, a CSV, and experiment_results/BENCH_predict_throughput.json with
-// the headline speedups scripts and docs reference.
+// table and a CSV.
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,7 +27,6 @@
 #include "ml/batch.hpp"
 #include "nl/cell_library.hpp"
 #include "nl/star_graph.hpp"
-#include "svc/json.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -137,29 +133,18 @@ int main(int argc, char** argv) {
                      "vs serial"});
   util::CsvWriter csv({"configuration", "batch", "queries", "ms",
                        "predictions_per_s", "speedup_vs_serial"});
-  auto report = [&](const std::string& name, std::size_t batch, double ms,
-                    svc::JsonValue* ladder) {
+  auto report = [&](const std::string& name, std::size_t batch, double ms) {
     const double pps = 1000.0 * kQueries / ms;
     const double speedup = serial_pps > 0.0 ? pps / serial_pps : 0.0;
     table.add_row({name, std::to_string(batch), std::to_string(kQueries),
                    fmt(ms), fmt(pps, 0), fmt(speedup, 2) + "x"});
     csv.add_row({name, std::to_string(batch), std::to_string(kQueries),
                  fmt(ms), fmt(pps, 0), fmt(speedup, 2)});
-    if (ladder != nullptr) {
-      svc::JsonValue row = svc::JsonValue::object();
-      row.set("configuration", svc::JsonValue::of(name));
-      row.set("batch", svc::JsonValue::of(static_cast<double>(batch)));
-      row.set("ms", svc::JsonValue::of(ms));
-      row.set("predictions_per_s", svc::JsonValue::of(pps));
-      row.set("speedup_vs_serial", svc::JsonValue::of(speedup));
-      ladder->push_back(std::move(row));
-    }
     return speedup;
   };
-  report("serial", 1, serial_ms, nullptr);
+  report("serial", 1, serial_ms);
 
   // Batched cold ladder: no cache — dedup + merged groups only.
-  svc::JsonValue cold_ladder = svc::JsonValue::array();
   double cold_batch64_speedup = 0.0;
   for (const std::size_t batch : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     std::vector<std::array<double, 4>> out(kQueries);
@@ -181,8 +166,7 @@ int main(int argc, char** argv) {
     for (std::size_t q = 0; q < kQueries; ++q) {
       check(out[q], stream[q], "batched-cold");
     }
-    const double speedup =
-        report("batched-cold", batch, ms, &cold_ladder);
+    const double speedup = report("batched-cold", batch, ms);
     if (batch == 64) cold_batch64_speedup = speedup;
   }
 
@@ -220,8 +204,7 @@ int main(int argc, char** argv) {
       check(out[q], stream[q], "warm-cache");
     }
     const double speedup = report(
-        memoized ? "warm-cache-memoized-keys" : "warm-cache-rehash", 64, ms,
-        &cold_ladder);
+        memoized ? "warm-cache-memoized-keys" : "warm-cache-rehash", 64, ms);
     if (memoized) warm_speedup = speedup;
   }
 
@@ -272,7 +255,6 @@ int main(int argc, char** argv) {
 
   // Thread ladder at batch 64 over the sweep stream: same bytes at any
   // width (verified), wall time only.
-  svc::JsonValue thread_ladder = svc::JsonValue::array();
   for (const int threads : {1, 2, 4}) {
     util::set_global_thread_count(threads);
     std::vector<std::array<double, 4>> out(kQueries);
@@ -301,11 +283,6 @@ int main(int argc, char** argv) {
     csv.add_row({"batched-cold-t" + std::to_string(threads), "64",
                  std::to_string(kQueries), fmt(ms), fmt(pps, 0),
                  fmt(pps / serial_pps, 2)});
-    svc::JsonValue row = svc::JsonValue::object();
-    row.set("threads", svc::JsonValue::of(threads));
-    row.set("ms", svc::JsonValue::of(ms));
-    row.set("predictions_per_s", svc::JsonValue::of(pps));
-    thread_ladder.push_back(std::move(row));
   }
   util::set_global_thread_count(1);
 
@@ -317,32 +294,6 @@ int main(int argc, char** argv) {
               cold_batch64_speedup, warm_speedup,
               bit_identical ? "yes" : "NO");
   bench::write_csv(csv, "ext_predict_throughput.csv");
-
-  svc::JsonValue doc = svc::JsonValue::object();
-  doc.set("schema", svc::JsonValue::of("predict_throughput/v1"));
-  svc::JsonValue config = svc::JsonValue::object();
-  config.set("queries", svc::JsonValue::of(static_cast<double>(kQueries)));
-  config.set("pool_designs", svc::JsonValue::of(static_cast<double>(kPool)));
-  config.set("job", svc::JsonValue::of(core::job_name(kJob)));
-  config.set("fast", svc::JsonValue::of(fast));
-  doc.set("config", std::move(config));
-  doc.set("ladder", std::move(cold_ladder));
-  doc.set("thread_ladder", std::move(thread_ladder));
-  svc::JsonValue headline = svc::JsonValue::object();
-  headline.set("serial_predictions_per_s", svc::JsonValue::of(serial_pps));
-  headline.set("cold_batch64_speedup",
-               svc::JsonValue::of(cold_batch64_speedup));
-  headline.set("warm_speedup", svc::JsonValue::of(warm_speedup));
-  headline.set("bit_identical", svc::JsonValue::of(bit_identical));
-  doc.set("headline", std::move(headline));
-  std::filesystem::create_directories("experiment_results");
-  {
-    std::ofstream out("experiment_results/BENCH_predict_throughput.json");
-    out << doc.dump() << "\n";
-    if (out) {
-      std::printf("wrote experiment_results/BENCH_predict_throughput.json\n");
-    }
-  }
 
   bench::observability_flush(argc, argv);
   return bit_identical ? 0 : 1;

@@ -12,19 +12,16 @@
 // and then enforces the determinism contract in-harness: the same seed
 // must produce byte-identical TuneResult exports at threads 1 vs 8 and at
 // predict batch sizes 1 vs 4096 (exit 1 on any divergence). Writes the
-// table, a CSV, and experiment_results/BENCH_recipe_tuning.json.
+// table and a CSV.
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "core/predictor.hpp"
 #include "nl/cell_library.hpp"
-#include "svc/json.hpp"
 #include "tune/tuner.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -91,7 +88,6 @@ int main(int argc, char** argv) {
                        "warm_recipes_per_s", "warm_hit_rate", "fixed_usd",
                        "joint_usd", "joint_at_qor_usd", "savings_usd",
                        "best_recipe"});
-  svc::JsonValue rows = svc::JsonValue::array();
   int positive_savings = 0;
   double total_fixed_usd = 0.0, total_joint_at_qor_usd = 0.0;
 
@@ -134,22 +130,6 @@ int main(int argc, char** argv) {
                  fmt(cold.joint.plan.total_cost_usd, 8),
                  fmt(cold.joint_at_qor.plan.total_cost_usd, 8),
                  fmt(savings, 8), cold.joint_at_qor.recipe_key});
-
-    svc::JsonValue row = svc::JsonValue::object();
-    row.set("design", svc::JsonValue::of(design.name()));
-    row.set("recipes", svc::JsonValue::of(recipes));
-    row.set("cold_recipes_per_s", svc::JsonValue::of(cold_rps));
-    row.set("warm_recipes_per_s", svc::JsonValue::of(warm_rps));
-    row.set("warm_hit_rate", svc::JsonValue::of(warm_hit_rate));
-    row.set("fixed_usd", svc::JsonValue::of(cold.fixed.plan.total_cost_usd));
-    row.set("joint_usd", svc::JsonValue::of(cold.joint.plan.total_cost_usd));
-    row.set("joint_at_qor_usd",
-            svc::JsonValue::of(cold.joint_at_qor.plan.total_cost_usd));
-    row.set("savings_usd", svc::JsonValue::of(savings));
-    row.set("best_recipe", svc::JsonValue::of(cold.joint_at_qor.recipe_key));
-    row.set("frontier_points",
-            svc::JsonValue::of(static_cast<double>(cold.frontier.size())));
-    rows.push_back(std::move(row));
   }
 
   // Determinism contract, enforced in-harness: same seed, byte-identical
@@ -196,34 +176,6 @@ int main(int argc, char** argv) {
               positive_savings, total_fixed_usd, total_joint_at_qor_usd,
               byte_identical ? "yes" : "NO");
   bench::write_csv(csv, "ext_recipe_tuning.csv");
-
-  svc::JsonValue doc = svc::JsonValue::object();
-  doc.set("schema", svc::JsonValue::of("recipe_tuning/v1"));
-  svc::JsonValue config = svc::JsonValue::object();
-  config.set("deadline_s", svc::JsonValue::of(kDeadlineSeconds));
-  config.set("random_samples",
-             svc::JsonValue::of(static_cast<double>(options.space.random_samples)));
-  config.set("seed",
-             svc::JsonValue::of(static_cast<double>(options.space.seed)));
-  config.set("fast", svc::JsonValue::of(fast));
-  doc.set("config", std::move(config));
-  doc.set("designs", std::move(rows));
-  svc::JsonValue headline = svc::JsonValue::object();
-  headline.set("designs_with_positive_savings",
-               svc::JsonValue::of(positive_savings));
-  headline.set("aggregate_fixed_usd", svc::JsonValue::of(total_fixed_usd));
-  headline.set("aggregate_joint_at_qor_usd",
-               svc::JsonValue::of(total_joint_at_qor_usd));
-  headline.set("byte_identical", svc::JsonValue::of(byte_identical));
-  doc.set("headline", std::move(headline));
-  std::filesystem::create_directories("experiment_results");
-  {
-    std::ofstream out("experiment_results/BENCH_recipe_tuning.json");
-    out << doc.dump() << "\n";
-    if (out) {
-      std::printf("wrote experiment_results/BENCH_recipe_tuning.json\n");
-    }
-  }
 
   bench::observability_flush(argc, argv);
   return byte_identical ? 0 : 1;

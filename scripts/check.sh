@@ -236,6 +236,7 @@ serving_smoke() {
       --requests 40 --seed 7 --mix mixed \
       --export "${tmp}/load_${run}.json" > /dev/null
   done
+  python3 -m json.tool "${tmp}/load_1.json" > /dev/null
   cmp "${tmp}/load_1.json" "${tmp}/load_2.json"
   "${cli}" loadgen --port "${server_port}" --mode open --qps 400 --conns 3 \
     --requests 40 --seed 7 --mix mixed \
@@ -268,6 +269,7 @@ serving_smoke() {
       --export "${tmp}/load_mb_${run}.json" > /dev/null
   done
   stop_server "${server_pid}" "${tmp}/serve_mb.log" || return 1
+  python3 -m json.tool "${tmp}/load_mb_1.json" > /dev/null
   cmp "${tmp}/load_nb.json" "${tmp}/load_mb_1.json"
   cmp "${tmp}/load_mb_1.json" "${tmp}/load_mb_2.json"
 

@@ -1,11 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/json.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace edacloud::obs {
@@ -128,43 +129,42 @@ std::string Registry::to_json() const {
   for (const auto& [id, entry] : entries_) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\":\"";
-    append_escaped(out, entry.name);
-    out += "\",\"labels\":{";
+    out += "\n{\"name\":";
+    util::append_json_string(out, entry.name);
+    out += ",\"labels\":{";
     for (std::size_t i = 0; i < entry.labels.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"";
-      append_escaped(out, entry.labels[i].first);
-      out += "\":\"";
-      append_escaped(out, entry.labels[i].second);
-      out += "\"";
+      util::append_json_string(out, entry.labels[i].first);
+      out += ":";
+      util::append_json_string(out, entry.labels[i].second);
     }
     out += "},";
     switch (entry.kind) {
       case Kind::kCounter:
         out += "\"type\":\"counter\",\"value\":";
-        append_number(out, static_cast<double>(entry.counter->value()));
+        util::append_json_number(out,
+                                 static_cast<double>(entry.counter->value()));
         break;
       case Kind::kGauge:
         out += "\"type\":\"gauge\",\"value\":";
-        append_number(out, entry.gauge->value());
+        util::append_json_number(out, entry.gauge->value());
         break;
       case Kind::kHistogram: {
         const HistogramMetric& h = *entry.histogram;
         out += "\"type\":\"histogram\",\"count\":";
-        append_number(out, static_cast<double>(h.count()));
+        util::append_json_number(out, static_cast<double>(h.count()));
         out += ",\"sum\":";
-        append_number(out, h.sum());
+        util::append_json_number(out, h.sum());
         out += ",\"min\":";
-        append_number(out, h.min());
+        util::append_json_number(out, h.min());
         out += ",\"max\":";
-        append_number(out, h.max());
+        util::append_json_number(out, h.max());
         out += ",\"p50\":";
-        append_number(out, h.quantile(0.50));
+        util::append_json_number(out, h.quantile(0.50));
         out += ",\"p95\":";
-        append_number(out, h.quantile(0.95));
+        util::append_json_number(out, h.quantile(0.95));
         out += ",\"p99\":";
-        append_number(out, h.quantile(0.99));
+        util::append_json_number(out, h.quantile(0.99));
         break;
       }
     }
@@ -188,30 +188,31 @@ std::string Registry::to_csv() const {
     switch (entry.kind) {
       case Kind::kCounter:
         row += "counter,";
-        append_number(row, static_cast<double>(entry.counter->value()));
+        util::append_json_number(row,
+                                 static_cast<double>(entry.counter->value()));
         row += ",,,,,,,";
         break;
       case Kind::kGauge:
         row += "gauge,";
-        append_number(row, entry.gauge->value());
+        util::append_json_number(row, entry.gauge->value());
         row += ",,,,,,,";
         break;
       case Kind::kHistogram: {
         const HistogramMetric& h = *entry.histogram;
         row += "histogram,,";
-        append_number(row, static_cast<double>(h.count()));
+        util::append_json_number(row, static_cast<double>(h.count()));
         row += ",";
-        append_number(row, h.sum());
+        util::append_json_number(row, h.sum());
         row += ",";
-        append_number(row, h.min());
+        util::append_json_number(row, h.min());
         row += ",";
-        append_number(row, h.max());
+        util::append_json_number(row, h.max());
         row += ",";
-        append_number(row, h.quantile(0.50));
+        util::append_json_number(row, h.quantile(0.50));
         row += ",";
-        append_number(row, h.quantile(0.95));
+        util::append_json_number(row, h.quantile(0.95));
         row += ",";
-        append_number(row, h.quantile(0.99));
+        util::append_json_number(row, h.quantile(0.99));
         break;
       }
     }

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <fstream>
 
-#include "obs/json.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
@@ -131,28 +131,27 @@ std::string Tracer::to_json() const {
   for (const TraceEvent& event : events) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\":\"";
-    append_escaped(out, event.name);
-    out += "\",\"cat\":\"";
-    append_escaped(out, event.category.empty() ? "edacloud"
-                                               : event.category);
-    out += "\",\"ph\":\"";
+    out += "\n{\"name\":";
+    util::append_json_string(out, event.name);
+    out += ",\"cat\":";
+    util::append_json_string(
+        out, event.category.empty() ? "edacloud" : event.category);
+    out += ",\"ph\":\"";
     out += event.phase;
     out += "\",\"pid\":1,\"tid\":";
-    append_number(out, event.tid);
+    util::append_json_number(out, event.tid);
     out += ",\"ts\":";
-    append_number(out, event.ts_us);
+    util::append_json_number(out, event.ts_us);
     if (event.phase == 'X') {
       out += ",\"dur\":";
-      append_number(out, event.dur_us);
+      util::append_json_number(out, event.dur_us);
     }
     out += ",\"args\":{";
     for (std::size_t i = 0; i < event.args.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"";
-      append_escaped(out, event.args[i].key);
-      out += "\":";
-      append_number(out, event.args[i].value);
+      util::append_json_string(out, event.args[i].key);
+      out += ":";
+      util::append_json_number(out, event.args[i].value);
     }
     out += "}}";
   }

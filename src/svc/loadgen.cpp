@@ -16,13 +16,16 @@
 #include <vector>
 
 #include "svc/client.hpp"
-#include "svc/json.hpp"
 #include "svc/protocol.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
 
 namespace edacloud::svc {
+
+using util::JsonParseResult;
+using util::JsonValue;
+using util::parse_json;
 
 namespace {
 

@@ -8,6 +8,8 @@
 
 namespace edacloud::svc {
 
+using util::JsonValue;
+
 namespace {
 
 bool known_family(const std::string& name) {
@@ -123,9 +125,15 @@ ParsedRequest parse_request(const JsonValue& value) {
     return out;
   }
   // Salvage the id first so even malformed requests get correlated replies.
-  const double id = value.number_or("id", 0.0);
-  if (id >= 0.0 && id == std::floor(id)) {
-    out.request.id = static_cast<std::uint64_t>(id);
+  // An id must be an integer a double holds exactly. 2^53 itself is out:
+  // 2^53 + 1 parses to the same double.
+  if (const JsonValue* id = value.find("id"); id != nullptr) {
+    const double raw = id->as_number(-1.0);
+    if (raw < 0.0 || raw > kMaxRequestId || raw != std::floor(raw)) {
+      out.error = "field 'id' must be an integer in [0, 2^53 - 1]";
+      return out;
+    }
+    out.request.id = static_cast<std::uint64_t>(raw);
   }
   out.request.deadline_ms = value.number_or("deadline_ms", 0.0);
   if (out.request.deadline_ms < 0.0) {

@@ -1,5 +1,5 @@
 #pragma once
-// The svc request/response schema over svc::JsonValue (docs/SERVING.md has
+// The svc request/response schema over util::JsonValue (docs/SERVING.md has
 // the full spec). A request is one JSON object per frame:
 //
 //   {"type":"predict","id":7,"family":"adder","size":64,"job":"routing"}
@@ -17,7 +17,7 @@
 #include <string>
 
 #include "core/flow.hpp"
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
 namespace edacloud::svc {
 
@@ -41,6 +41,10 @@ inline constexpr const char* kErrUnknownType = "unknown_type";
 inline constexpr const char* kErrOverloaded = "overloaded";
 inline constexpr const char* kErrDeadlineExceeded = "deadline_exceeded";
 inline constexpr const char* kErrInternal = "internal";
+
+/// Largest request id: 2^53 - 1, the top of the integers a double (so
+/// every JSON peer) holds exactly.
+inline constexpr double kMaxRequestId = 9007199254740991.0;
 
 struct Request {
   RequestType type = RequestType::kEcho;
@@ -77,17 +81,17 @@ struct ParsedRequest {
   const char* code = kErrBadRequest;    // machine code for the error reply
 };
 
-/// Validate and convert one parsed JSON request object. The id (when
-/// present and numeric) survives even on failure so error replies can
-/// still be correlated.
-[[nodiscard]] ParsedRequest parse_request(const JsonValue& value);
+/// Validate and convert one parsed JSON request object. A valid id
+/// survives even when another field fails, so error replies can still be
+/// correlated; an id outside [0, kMaxRequestId] fails with id 0.
+[[nodiscard]] ParsedRequest parse_request(const util::JsonValue& value);
 
 /// {"id":N,"ok":false,"error":code,"message":message} — already dumped.
 [[nodiscard]] std::string error_response(std::uint64_t id, const char* code,
                                          const std::string& message);
 
 /// Start of a success reply; the caller attaches "payload" and dumps.
-[[nodiscard]] JsonValue response_header(const Request& request);
+[[nodiscard]] util::JsonValue response_header(const Request& request);
 
 /// "synthesis" / "placement" / "routing" / "sta" <-> JobKind (the wire
 /// names; also accepts the short stage aliases synth/place/route).

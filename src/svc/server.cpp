@@ -17,6 +17,9 @@
 
 namespace edacloud::svc {
 
+using util::JsonParseResult;
+using util::parse_json;
+
 namespace {
 
 bool set_nonblocking(int fd) {

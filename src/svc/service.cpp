@@ -15,6 +15,10 @@
 
 namespace edacloud::svc {
 
+using util::JsonParseResult;
+using util::JsonValue;
+using util::parse_json;
+
 namespace {
 
 JsonValue runtime_array(const std::array<double, 4>& runtimes) {

@@ -106,12 +106,12 @@ class Service {
     std::shared_ptr<const ml::GraphSample> sample;
     ml::ContentKey key;  // content_key(*sample), computed once at build
   };
-  JsonValue do_characterize(const Request& request);
-  JsonValue do_predict(const Request& request);
-  JsonValue do_optimize(const Request& request);
-  JsonValue do_run_stage(const Request& request);
-  JsonValue do_echo(const Request& request);
-  JsonValue do_tune(const Request& request);
+  util::JsonValue do_characterize(const Request& request);
+  util::JsonValue do_predict(const Request& request);
+  util::JsonValue do_optimize(const Request& request);
+  util::JsonValue do_run_stage(const Request& request);
+  util::JsonValue do_echo(const Request& request);
+  util::JsonValue do_tune(const Request& request);
 
   [[nodiscard]] nl::Aig make_design(const Request& request) const;
   /// Feature graph for `job` on the request's design, via the per-design
@@ -123,7 +123,7 @@ class Service {
       core::JobKind job, const CachedSample& cached);
   /// The predict response payload — one builder for both the serial and
   /// the batched path, so their bytes cannot diverge.
-  [[nodiscard]] static JsonValue predict_payload(
+  [[nodiscard]] static util::JsonValue predict_payload(
       const Request& request, const std::array<double, 4>& runtimes);
 
   ServiceConfig config_;

@@ -1,31 +1,12 @@
-#include "svc/json.hpp"
+#include "util/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace edacloud::svc {
+namespace edacloud::util {
 
-namespace {
-
-/// Integral values print without a fraction; everything else as %.17g so a
-/// parse -> dump round trip preserves the double exactly.
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "0";  // JSON has no NaN/Inf; serialize as 0 rather than fail
-    return;
-  }
-  char buf[40];
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-  }
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
+void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   for (const char c : text) {
     switch (c) {
@@ -57,6 +38,22 @@ void append_escaped(std::string& out, std::string_view text) {
   }
   out += '"';
 }
+
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "0";  // JSON has no NaN/Inf; serialize as 0 rather than fail
+    return;
+  }
+  char buf[40];
+  if (value == std::floor(value) && std::fabs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  }
+  out += buf;
+}
+
+namespace {
 
 class Parser {
  public:
@@ -135,24 +132,99 @@ class Parser {
     return true;
   }
 
-  bool parse_number(JsonValue& out, std::string* error) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Skip a run of decimal digits; returns how many there were.
+  std::size_t skip_digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) return fail(error, "invalid value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    return pos_ - from;
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  bool parse_number(JsonValue& out, std::string* error) {
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;  // a leading zero stands alone: "01" ends after the "0"
+    } else if (skip_digits() == 0) {
       pos_ = start;
-      return fail(error, "invalid number");
+      return fail(error, "invalid value");
+    }
+    if (at('.')) {
+      ++pos_;
+      if (skip_digits() == 0) return fail(error, "digit expected after '.'");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (skip_digits() == 0) return fail(error, "digit expected in exponent");
+    }
+    const std::string token(text_.substr(start, pos_ - start));
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      return fail(error, "number out of range");
     }
     out = JsonValue::of(value);
+    return true;
+  }
+
+  /// Four hex digits at `from` as a code unit; false when any is missing.
+  bool read_hex4(std::size_t from, unsigned* code) const {
+    if (from + 4 > text_.size()) return false;
+    *code = 0;
+    for (std::size_t i = from; i < from + 4; ++i) {
+      const char h = text_[i];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') {
+        *code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        *code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        *code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Decode the `\uXXXX` escape at pos_ (a surrogate pair takes two) and
+  /// append its code point as UTF-8; pos_ ends past the last hex digit.
+  bool parse_unicode_escape(std::string& out, std::string* error) {
+    unsigned code = 0;
+    if (!read_hex4(pos_ + 2, &code)) return fail(error, "invalid \\u escape");
+    pos_ += 6;
+    if (code >= 0xDC00 && code <= 0xDFFF) {
+      return fail(error, "unpaired low surrogate");
+    }
+    if (code >= 0xD800 && code <= 0xDBFF) {
+      unsigned low = 0;
+      if (text_.substr(pos_, 2) != "\\u" || !read_hex4(pos_ + 2, &low) ||
+          low < 0xDC00 || low > 0xDFFF) {
+        return fail(error, "unpaired high surrogate");
+      }
+      pos_ += 6;
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
     return true;
   }
 
@@ -164,74 +236,47 @@ class Parser {
         ++pos_;
         return true;
       }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) break;
-        const char esc = text_[pos_ + 1];
-        switch (esc) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case '/':
-            out += '/';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 5 >= text_.size()) {
-              return fail(error, "truncated \\u escape");
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_ + 2 + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return fail(error, "invalid \\u escape");
-              }
-            }
-            // Basic-multilingual-plane only; encode as UTF-8.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            pos_ += 4;
-            break;
-          }
-          default:
-            return fail(error, "invalid escape");
-        }
-        pos_ += 2;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return fail(error, "unescaped control character in string");
+      }
+      if (c != '\\') {
+        out += c;
+        ++pos_;
         continue;
       }
-      out += c;
-      ++pos_;
+      if (pos_ + 1 >= text_.size()) break;
+      switch (text_[pos_ + 1]) {
+        case '"':
+          out += '"';
+          break;
+        case '\\':
+          out += '\\';
+          break;
+        case '/':
+          out += '/';
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'b':
+          out += '\b';
+          break;
+        case 'f':
+          out += '\f';
+          break;
+        case 'u':
+          if (!parse_unicode_escape(out, error)) return false;
+          continue;  // pos_ is already past the escape
+        default:
+          return fail(error, "invalid escape");
+      }
+      pos_ += 2;
     }
     return fail(error, "unterminated string");
   }
@@ -359,10 +404,10 @@ void JsonValue::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Type::kNumber:
-      append_number(out, number_);
+      append_json_number(out, number_);
       break;
     case Type::kString:
-      append_escaped(out, string_);
+      append_json_string(out, string_);
       break;
     case Type::kArray:
       out += '[';
@@ -376,7 +421,7 @@ void JsonValue::dump_to(std::string& out) const {
       out += '{';
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out += ',';
-        append_escaped(out, members_[i].first);
+        append_json_string(out, members_[i].first);
         out += ':';
         members_[i].second.dump_to(out);
       }
@@ -389,4 +434,4 @@ JsonParseResult parse_json(std::string_view text) {
   return Parser(text).parse();
 }
 
-}  // namespace edacloud::svc
+}  // namespace edacloud::util

@@ -1,12 +1,21 @@
 #pragma once
-// Minimal JSON value tree for the svc wire protocol: a recursive-descent
-// parser and a deterministic serializer. Objects preserve insertion (and
-// source) order, and numbers serialize through one fixed format, so the
-// same value tree always dumps to the same bytes — the property the
-// serving determinism checks (same-seed loadgen digests, threads 1 vs 8
-// response comparisons) rest on. Not a general-purpose JSON library: no
-// \uXXXX escapes beyond pass-through ASCII, no comments, 1 MiB-scale
-// payloads only (the wire layer caps frames before text reaches here).
+// The repo's one JSON layer: a value tree with a strict recursive-descent
+// parser and a deterministic serializer, plus the two streaming helpers
+// every JSON writer shares (the svc wire protocol, the obs trace and
+// metrics exporters).
+//
+// Objects preserve insertion (and source) order, and numbers serialize
+// through one fixed format that round-trips every finite double exactly,
+// so the same value tree always dumps to the same bytes — the property the
+// same-seed determinism checks (loadgen digests, fleet export digests,
+// cross-shard and cross-thread byte comparisons) rest on.
+//
+// The parser follows RFC 8259: its number grammar (no `+7`, `.5`, `01` or
+// `1.`), no raw control characters inside strings, and `\uXXXX` escapes
+// decoded to UTF-8, surrogate pairs included (a lone surrogate is an
+// error). Numbers that overflow a double are rejected. No comments, and
+// 1 MiB-scale documents only (the svc wire layer caps frames before text
+// reaches here).
 
 #include <cstdint>
 #include <string>
@@ -14,7 +23,18 @@
 #include <utility>
 #include <vector>
 
-namespace edacloud::svc {
+namespace edacloud::util {
+
+/// Append `text` as a JSON string token, quotes included: `"` and `\`
+/// escaped, `\n`, `\r`, `\t` as themselves, other control characters as
+/// `\u00XX`; every other byte is copied as is.
+void append_json_string(std::string& out, std::string_view text);
+
+/// Append `value` as a JSON number: integral values below 1e15 in
+/// magnitude print as integers, everything else as `%.17g` (which parses
+/// back to the same double), and non-finite values as `0`. No locale
+/// dependence.
+void append_json_number(std::string& out, double value);
 
 class JsonValue {
  public:
@@ -101,8 +121,8 @@ class JsonValue {
                                       std::string_view fallback) const;
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
 
-  /// Compact deterministic serialization (no whitespace, fixed number
-  /// format, object members in insertion order).
+  /// Compact deterministic serialization (no whitespace, numbers through
+  /// append_json_number, object members in insertion order).
   [[nodiscard]] std::string dump() const;
 
  private:
@@ -125,4 +145,4 @@ struct JsonParseResult {
 /// Parse one JSON document; trailing non-whitespace is an error.
 [[nodiscard]] JsonParseResult parse_json(std::string_view text);
 
-}  // namespace edacloud::svc
+}  // namespace edacloud::util

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -10,6 +11,7 @@
 #include "obs/trace.hpp"
 #include "sched/metrics.hpp"
 #include "sched/sharded_simulator.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace edacloud::obs {
@@ -315,6 +317,20 @@ TEST(RegistryTest, JsonExportEscapesControlCharactersInLabels) {
   EXPECT_EQ(json.find('\t'), std::string::npos);
   EXPECT_EQ(json.find("line1\n"), std::string::npos);
   expect_balanced_json(json);
+}
+
+TEST(RegistryTest, JsonExportRoundTripsGaugesExactly) {
+  // 1 + 2^-40 differs from 1 in the 13th significant digit, so an export
+  // that keeps fewer digits would hide this drift from every digest.
+  const double value = 1.0 + std::ldexp(1.0, -40);
+  Registry registry;
+  registry.gauge("drift").set(value);
+  const util::JsonParseResult parsed = util::parse_json(registry.to_json());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const util::JsonValue* metrics = parsed.value.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->size(), 1u);
+  EXPECT_EQ(metrics->at(0).number_or("value", 0.0), value);
 }
 
 // RFC 4180 reader: records of fields, quoted fields may hold commas,

@@ -345,7 +345,8 @@ TEST(SchedShardTest, PinnedExportDigests) {
   // The shape-agreement tests above would pass a drift that moved every
   // shape alike; these FNV-1a digests of the FleetMetrics export pin the
   // engine's output itself, as recorded before market ticks certified
-  // keeps and dispatch skipped unusable spot VMs.
+  // keeps and dispatch skipped unusable spot VMs (re-recorded, same
+  // engine output, when the export went to round-trip-exact numbers).
   struct Pin {
     const char* name;
     ShardedSimConfig config;
@@ -353,9 +354,9 @@ TEST(SchedShardTest, PinnedExportDigests) {
     bool new_paths;  // certified keeps and spot-VM skips both occur
   };
   const Pin pins[] = {
-      {"benchmark fleet, 6 h", benchmark_fleet_config(), 4181928780923305124ULL,
-       true},
-      {"fault smoke", fault_smoke_config(), 12902426160149100894ULL, false},
+      {"benchmark fleet, 6 h", benchmark_fleet_config(),
+       10165058062124297831ULL, true},
+      {"fault smoke", fault_smoke_config(), 2397512727966418079ULL, false},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.name);

@@ -14,13 +14,17 @@
 #include <utility>
 #include <vector>
 
-#include "svc/json.hpp"
 #include "svc/protocol.hpp"
 #include "svc/wire.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud::svc {
 namespace {
+
+using util::JsonParseResult;
+using util::JsonValue;
+using util::parse_json;
 
 /// Representative wire-shaped documents used as mutation seeds: every
 /// request type, nesting, escapes, numbers in all the formats the dumper

@@ -1,6 +1,6 @@
-// Tests for the serving subsystem: JSON codec, wire framing, request
-// parsing, Service dispatch, and loopback JobServer integration — including
-// the determinism contract (same-seed responses byte-identical across
+// Tests for the serving subsystem: wire framing, request parsing, Service
+// dispatch, and loopback JobServer integration — including the
+// determinism contract (same-seed responses byte-identical across
 // server thread counts) that scripts/check.sh re-checks end-to-end.
 
 #include <gtest/gtest.h>
@@ -12,70 +12,19 @@
 #include <vector>
 
 #include "svc/client.hpp"
-#include "svc/json.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/service.hpp"
 #include "svc/wire.hpp"
+#include "util/json.hpp"
 
 namespace edacloud::svc {
 namespace {
 
-// ---------------------------------------------------------------- JSON --
-
-TEST(SvcJsonTest, RoundTripPreservesValueAndBytes) {
-  JsonValue request = JsonValue::object();
-  request.set("id", JsonValue::of(std::uint64_t{42}));
-  request.set("type", JsonValue::of("predict"));
-  request.set("spot", JsonValue::of(true));
-  request.set("deadline_s", JsonValue::of(1.5));
-  JsonValue sizes = JsonValue::array();
-  sizes.push_back(JsonValue::of(1));
-  sizes.push_back(JsonValue::of(2));
-  request.set("sizes", std::move(sizes));
-
-  const std::string text = request.dump();
-  const JsonParseResult parsed = parse_json(text);
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.value.number_or("id", 0.0), 42.0);
-  EXPECT_EQ(parsed.value.string_or("type", ""), "predict");
-  EXPECT_TRUE(parsed.value.bool_or("spot", false));
-  ASSERT_NE(parsed.value.find("sizes"), nullptr);
-  EXPECT_EQ(parsed.value.find("sizes")->size(), 2u);
-  // Parse → dump is a fixed point: deterministic serialization.
-  EXPECT_EQ(parsed.value.dump(), text);
-}
-
-TEST(SvcJsonTest, DumpIsInsertionOrdered) {
-  JsonValue a = JsonValue::object();
-  a.set("z", JsonValue::of(1));
-  a.set("a", JsonValue::of(2));
-  EXPECT_EQ(a.dump(), "{\"z\":1,\"a\":2}");
-}
-
-TEST(SvcJsonTest, StringEscapesRoundTrip) {
-  JsonValue v = JsonValue::object();
-  v.set("s", JsonValue::of("line\n\"quote\"\ttab\\slash"));
-  const JsonParseResult parsed = parse_json(v.dump());
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.value.string_or("s", ""), "line\n\"quote\"\ttab\\slash");
-}
-
-TEST(SvcJsonTest, MalformedInputsReportErrors) {
-  for (const char* bad : {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated",
-                          "{\"a\":1} trailing", "{\"a\" 1}"}) {
-    const JsonParseResult parsed = parse_json(bad);
-    EXPECT_FALSE(parsed.ok) << "accepted: " << bad;
-    EXPECT_FALSE(parsed.error.empty());
-  }
-}
-
-TEST(SvcJsonTest, UnicodeEscapeDecodesToUtf8) {
-  const JsonParseResult parsed = parse_json("{\"s\":\"\\u00e9\"}");
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.value.string_or("s", ""), "\xc3\xa9");
-}
+using util::JsonParseResult;
+using util::JsonValue;
+using util::parse_json;
 
 // ---------------------------------------------------------------- wire --
 
@@ -176,6 +125,34 @@ TEST(SvcProtocolTest, RejectsBadRequestsWithSalvagedId) {
     EXPECT_EQ(parsed.request.id, 3u) << c.text;  // id salvaged for the reply
     EXPECT_STREQ(parsed.code, c.code) << c.text;
   }
+}
+
+TEST(SvcProtocolTest, RejectsIdsADoubleCannotHold) {
+  // 2^53 + 1 parses to the double 2^53, and 1e20 overflows uint64_t; both
+  // used to be answered with a different id than the client sent.
+  Service service;
+  for (const char* id : {"9007199254740993", "9007199254740992", "1e20",
+                         "-1", "1.5", "\"7\"", "null"}) {
+    const std::string text =
+        std::string("{\"type\":\"echo\",\"id\":") + id + "}";
+    const JsonParseResult json = parse_json(text);
+    ASSERT_TRUE(json.ok) << text;
+    const ParsedRequest parsed = parse_request(json.value);
+    EXPECT_FALSE(parsed.ok) << text;
+    EXPECT_EQ(parsed.request.id, 0u) << text;
+    EXPECT_STREQ(parsed.code, kErrBadRequest) << text;
+
+    const JsonParseResult reply = parse_json(service.handle_payload(text));
+    ASSERT_TRUE(reply.ok) << text;
+    EXPECT_EQ(reply.value.number_or("id", -1.0), 0.0) << text;
+    EXPECT_EQ(reply.value.string_or("error", ""), "bad_request") << text;
+  }
+  // The largest id a double holds exactly is echoed digit for digit.
+  const std::string top = service.handle_payload(
+      "{\"type\":\"echo\",\"id\":9007199254740991}");
+  EXPECT_NE(top.find("{\"id\":9007199254740991,\"ok\":true"),
+            std::string::npos)
+      << top;
 }
 
 TEST(SvcProtocolTest, RejectsUnknownMemberFields) {
