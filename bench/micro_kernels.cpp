@@ -30,6 +30,7 @@
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
 #include "perf/instrument.hpp"
+#include "perf/llc_nest.hpp"
 #include "perf/sink.hpp"
 #include "perf/task_graph.hpp"
 #include "place/placer.hpp"
@@ -227,6 +228,25 @@ void BM_CacheSimLlc(benchmark::State& state) {
   state.counters["miss_rate"] = cache.stats().miss_rate();
 }
 BENCHMARK(BM_CacheSimLlc);
+
+// The nested stack perf::Instrument runs per LLC input stream: the same
+// stream as BM_CacheSimLlc through one LlcNest that answers both the
+// general-purpose-1vcpu slice (96 KiB, 64 sets) and the memory-optimized
+// one (192 KiB, 128 sets), which would take two BM_CacheSimLlc caches.
+void BM_LlcNest(benchmark::State& state) {
+  perf::LlcNest nest(perf::cache_set_count(96 * 1024, 64, 16), true);
+  util::Rng rng(1);
+  std::vector<std::uint64_t> addresses(4096);
+  for (auto& a : addresses) a = rng.next_below(1 << 22);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const perf::LlcNest::Hit hit = nest.access(addresses[i++ & 4095]);
+    benchmark::DoNotOptimize(hit);
+  }
+  state.counters["miss_rate_small"] = nest.small_stats().miss_rate();
+  state.counters["miss_rate_large"] = nest.large_stats().miss_rate();
+}
+BENCHMARK(BM_LlcNest);
 
 // Counter simulation inside a route: gen_alu(16) routed into a null sink
 // (arg 0) and into a fresh Instrument over the 8-config benchmark ladder

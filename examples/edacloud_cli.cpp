@@ -947,7 +947,7 @@ const std::vector<util::Command> kCommands = {
       {"--max-conns", "N", "connection cap", Kind::kInt, at_least(0)},
       {"--max-queue", "N", "in-flight request cap", Kind::kInt, kWide},
       {"--deadline-ms", "MS", "default request deadline (0 = off)",
-       Kind::kReal, at_least(0)},
+       Kind::kReal, within(0, svc::kMaxDeadlineMs)},
       {"--train-designs", "N", "predictor corpus: the first N families",
        Kind::kInt, at_least(0)},
       kTrainEpochs,
@@ -975,7 +975,7 @@ const std::vector<util::Command> kCommands = {
       {"--seed", "N", "request-stream seed", Kind::kInt, kWide},
       {"--mix", "predict|predict-heavy|echo|mixed", "request mix"},
       {"--deadline-ms", "MS", "deadline on every request (0 = off)",
-       Kind::kReal, at_least(0)},
+       Kind::kReal, within(0, svc::kMaxDeadlineMs)},
       {"--export", "F", "write the deterministic report as JSON"}}},
 };
 

@@ -26,7 +26,19 @@ class BranchPredictor {
 
   /// Predict, compare to the actual outcome, update; returns true if the
   /// prediction was correct.
-  bool observe(std::uint64_t site, bool taken);
+  bool observe(std::uint64_t site, bool taken) {
+    ++stats_.branches;
+    const std::uint32_t index =
+        static_cast<std::uint32_t>(site ^ history_) & mask_;
+    std::uint8_t& counter = table_[index];
+    const bool predicted_taken = counter >= 2;
+    const bool correct = predicted_taken == taken;
+    if (!correct) ++stats_.mispredicts;
+    if (taken && counter < 3) ++counter;
+    if (!taken && counter > 0) --counter;
+    history_ = ((history_ << 1) | static_cast<std::uint64_t>(taken)) & mask_;
+    return correct;
+  }
 
   [[nodiscard]] const BranchStats& stats() const { return stats_; }
   void reset_stats() { stats_ = BranchStats{}; }

@@ -1,9 +1,10 @@
 #pragma once
-// Set-associative LRU cache simulator. perf::Instrument chains them into an
-// L1 -> LLC hierarchy per VM configuration; together they stand in for the
-// hardware performance counters the paper read with `perf`
-// (cache-references / cache-misses). Each set is kept as a most-recently-
-// used-first stack of tags, so replacement needs no per-way timestamps.
+// Set-associative LRU cache simulator. perf::Instrument uses it as the
+// per-vCPU L1 in front of its LLC slices (llc_nest.hpp); together they
+// stand in for the hardware performance counters the paper read with
+// `perf` (cache-references / cache-misses). Each set is kept as a
+// most-recently-used-first stack of tags, so replacement needs no per-way
+// timestamps.
 
 #include <cstdint>
 #include <vector>
@@ -20,13 +21,20 @@ struct CacheStats {
   }
 };
 
+/// Sets of a `size_bytes` cache of `ways`-way sets of `line_bytes` lines,
+/// rounded down to a power of two so indexing is a mask. Throws
+/// std::invalid_argument unless line_bytes is a power of two, ways >= 1
+/// and size_bytes >= line_bytes * ways.
+std::uint32_t cache_set_count(std::uint64_t size_bytes,
+                              std::uint32_t line_bytes, std::uint32_t ways);
+
 /// Set-associative cache with true-LRU replacement. Address space is a
 /// flat 64-bit byte space; tags are derived from line addresses. Each set is
 /// a stack of tags, most recently used first: a hit moves its tag to the
 /// front, a miss pushes the new tag on and drops the bottom (LRU) entry.
 class CacheSim {
  public:
-  /// size/line must be powers of two; ways >= 1. size >= line * ways.
+  /// Geometry as cache_set_count() takes it.
   CacheSim(std::uint64_t size_bytes, std::uint32_t line_bytes,
            std::uint32_t ways);
 
@@ -43,7 +51,24 @@ class CacheSim {
   void reset_stats() { stats_ = CacheStats{}; }
 
  private:
-  bool access_impl(std::uint64_t address, bool count_stats);
+  bool access_impl(std::uint64_t address, bool count_stats) {
+    if (count_stats) ++stats_.accesses;
+    const std::uint64_t line = address >> line_shift_;
+    const std::uint64_t tag = line >> set_shift_;
+    std::uint64_t* stack =
+        &tags_[static_cast<std::size_t>(line & (set_count_ - 1)) * ways_];
+    // Move-to-front in one pass: each slot takes the tag above it until the
+    // accessed tag turns up (hit) or the LRU tag falls off the bottom.
+    std::uint64_t carry = tag;
+    for (std::uint32_t depth = 0; depth < ways_; ++depth) {
+      const std::uint64_t current = stack[depth];
+      stack[depth] = carry;
+      if (current == tag) return true;
+      carry = current;
+    }
+    if (count_stats) ++stats_.misses;
+    return false;
+  }
 
   std::uint64_t size_bytes_;
   std::uint32_t line_bytes_;

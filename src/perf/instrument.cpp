@@ -1,5 +1,6 @@
 #include "perf/instrument.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace edacloud::perf {
@@ -13,11 +14,12 @@ Instrument::Instrument(std::vector<VmConfig> configs,
   if (configs_.empty()) {
     throw std::invalid_argument("Instrument requires at least one config");
   }
-  predictor_ = std::make_unique<BranchPredictor>();
-  // Per-vCPU L1s never see interference or worker offsets, so configs with
-  // the same L1 geometry see the same L1 stream: simulate it once.
+  predictor_.emplace();
+  // Key every config by its LLC input stream (L1 group, vcpus) and its LLC
+  // set count.
+  std::vector<std::size_t> stream_of;
+  std::vector<std::uint32_t> sets_of;
   l1_group_.reserve(configs_.size());
-  llcs_.reserve(configs_.size());
   for (const VmConfig& config : configs_) {
     std::size_t group = 0;
     while (group < l1s_.size() && l1s_[group].size_bytes() != config.l1_bytes) {
@@ -25,11 +27,46 @@ Instrument::Instrument(std::vector<VmConfig> configs,
     }
     if (group == l1s_.size()) l1s_.emplace_back(config.l1_bytes, 64, 8);
     l1_group_.push_back(group);
-    llcs_.emplace_back(config.llc_bytes, 64, 16);
+    std::size_t stream = 0;
+    while (stream < streams_.size() &&
+           (streams_[stream].l1_group != group ||
+            streams_[stream].vcpus != config.vcpus)) {
+      ++stream;
+    }
+    if (stream == streams_.size()) {
+      streams_.push_back({group, config.vcpus, 0, 0});
+    }
+    stream_of.push_back(stream);
+    sets_of.push_back(cache_set_count(config.llc_bytes, LlcNest::kLineBytes,
+                                      LlcNest::kWays));
+  }
+  // One nest per run of a stream's distinct set counts: S alone, or S with
+  // 2S. Equal set counts share one cache.
+  slices_.resize(configs_.size());
+  for (std::size_t s = 0; s < streams_.size(); ++s) {
+    std::vector<std::uint32_t> sets;
+    for (std::size_t c = 0; c < configs_.size(); ++c) {
+      if (stream_of[c] == s) sets.push_back(sets_of[c]);
+    }
+    std::sort(sets.begin(), sets.end());
+    sets.erase(std::unique(sets.begin(), sets.end()), sets.end());
+    streams_[s].first_nest = nests_.size();
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      const bool nested = i + 1 < sets.size() && sets[i + 1] == 2 * sets[i];
+      for (std::size_t c = 0; c < configs_.size(); ++c) {
+        if (stream_of[c] != s) continue;
+        if (sets_of[c] == sets[i]) slices_[c] = {nests_.size(), false};
+        if (nested && sets_of[c] == sets[i + 1]) {
+          slices_[c] = {nests_.size(), true};
+        }
+      }
+      nests_.emplace_back(sets[i], nested);
+      if (nested) ++i;
+    }
+    streams_[s].end_nest = nests_.size();
   }
   l1_hit_.assign(l1s_.size(), 0);
   ring_.assign(kRingSize, 0);
-  interference_credit_.assign(configs_.size(), 0);
 }
 
 Instrument Instrument::for_configs(const std::vector<VmConfig>& configs) {
@@ -46,9 +83,12 @@ void Instrument::on_memory(std::uint64_t address) {
   ring_[ring_head_] = address;
   ring_head_ = (ring_head_ + 1) % kRingSize;
   probe_l1s(address);
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    CacheSim& llc = llcs_[c];
-    if (l1_hit_[l1_group_[c]] == 0) llc.access(address);
+  for (LlcStream& input : streams_) {
+    if (l1_hit_[input.l1_group] == 0) {
+      for (std::size_t n = input.first_nest; n < input.end_nest; ++n) {
+        nests_[n].access(address);
+      }
+    }
     // Gentle cross-thread pollution: with k vCPUs, sibling worker threads
     // keep private state (per-thread search arrays, partial results) that
     // competes for the shared LLC slice. We inject a lagged self-similar
@@ -58,17 +98,19 @@ void Instrument::on_memory(std::uint64_t address) {
     // slice still dominates for capacity-bound jobs (placement). Phantom
     // traffic occupies LLC capacity only (L1s are private per vCPU) and
     // leaves the measured stats untouched.
-    const int extra_threads = configs_[c].vcpus - 1;
+    const int extra_threads = input.vcpus - 1;
     if (extra_threads > 0) {
-      interference_credit_[c] += extra_threads;
-      if (interference_credit_[c] >= kInterferenceInterval) {
-        interference_credit_[c] -= kInterferenceInterval;
+      input.interference_credit += extra_threads;
+      if (input.interference_credit >= kInterferenceInterval) {
+        input.interference_credit -= kInterferenceInterval;
         const std::size_t lag = 31;
         const std::uint64_t thread_base =
             (1ULL + (event_counter_ % extra_threads)) << 26;
         const std::uint64_t lagged =
             ring_[(ring_head_ + kRingSize - lag) % kRingSize];
-        llc.touch(lagged + thread_base);
+        for (std::size_t n = input.first_nest; n < input.end_nest; ++n) {
+          nests_[n].touch(lagged + thread_base);
+        }
       }
     }
   }
@@ -83,11 +125,15 @@ void Instrument::on_memory_private(std::uint64_t address,
   // the worker-offset address (aggregate private footprint grows with the
   // worker count).
   probe_l1s(address);
-  for (std::size_t c = 0; c < configs_.size(); ++c) {
-    if (l1_hit_[l1_group_[c]] != 0) continue;
+  for (const LlcStream& input : streams_) {
+    if (l1_hit_[input.l1_group] != 0) continue;
     const std::uint32_t worker =
-        stream % static_cast<std::uint32_t>(configs_[c].vcpus);
-    llcs_[c].access(address + (static_cast<std::uint64_t>(worker) << 27));
+        stream % static_cast<std::uint32_t>(input.vcpus);
+    const std::uint64_t offset =
+        address + (static_cast<std::uint64_t>(worker) << 27);
+    for (std::size_t n = input.first_nest; n < input.end_nest; ++n) {
+      nests_[n].access(offset);
+    }
   }
 }
 
@@ -106,7 +152,9 @@ OpCounts Instrument::counts(std::size_t index) const {
     out.branch_misses = predictor_->stats().mispredicts;
   }
   const CacheStats& l1 = l1s_[l1_group_[index]].stats();
-  const CacheStats& llc = llcs_[index].stats();
+  const LlcSlice slice = slices_[index];
+  const CacheStats llc = slice.large ? nests_[slice.nest].large_stats()
+                                     : nests_[slice.nest].small_stats();
   const std::uint64_t scale = sample_period_;
   out.l1_accesses = l1.accesses * scale;
   out.l1_misses = l1.misses * scale;

@@ -3,11 +3,20 @@
 // is measured against *all* candidate VM configurations simultaneously:
 // each configuration owns a private simulated LLC slice, and multi-tenancy
 // is emulated by phantom co-runner accesses that contend for that slice
-// (see DESIGN.md). The per-vCPU L1 sees neither interference nor worker
-// offsets, so its stream is the same for every configuration; one L1 is
-// simulated per distinct L1 size and its misses fan out to the LLC slices
-// of the configurations sharing it. Branch and arithmetic-mix counters are
+// (see DESIGN.md). Branch and arithmetic-mix counters are
 // configuration-independent and shared.
+//
+// The simulation runs once per distinct input, not once per configuration.
+// The per-vCPU L1 sees neither interference nor worker offsets, so one L1
+// is simulated per distinct L1 size. An LLC slice's input depends only on
+// its L1's outcome and its vCPU count (interference rate, phantom thread
+// base, worker offset), so slices with the same (L1, vcpus) key read one
+// stream. The slices of one stream are 16-way caches of 64 B lines whose
+// set counts differ, and LRU has the inclusion property: one LlcNest
+// (llc_nest.hpp) simulates every slice of a stream, equal set counts alias
+// one cache, and set counts S and 2S share one nested stack. On the bench
+// ladders general-purpose-k (S sets), memory-optimized-k (2S) and
+// compute-optimized-k (S, after rounding) are one nest per vCPU count.
 //
 // Memory simulation is sampled (1-in-N events drive the cache models) to
 // bound host cost; reported access/miss counts are scaled back up, and the
@@ -19,12 +28,13 @@
 // is fixed by the algorithm alone.
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "perf/branch_sim.hpp"
 #include "perf/cache_sim.hpp"
 #include "perf/counters.hpp"
+#include "perf/llc_nest.hpp"
 #include "perf/vm.hpp"
 
 namespace edacloud::perf {
@@ -35,8 +45,13 @@ class Instrument {
   explicit Instrument(std::vector<VmConfig> configs,
                       std::uint32_t mem_sample_period = 4);
 
-  /// Null-object instrument: counts nothing, near-zero overhead.
+  /// Null-object instrument: counts nothing, allocates nothing.
   Instrument();
+
+  Instrument(const Instrument&) = delete;
+  Instrument& operator=(const Instrument&) = delete;
+  Instrument(Instrument&&) noexcept = default;
+  Instrument& operator=(Instrument&&) noexcept = default;
 
   /// An engine run's instrument: measures against `configs`, or the
   /// null-object instrument when `configs` is empty.
@@ -109,20 +124,35 @@ class Instrument {
   std::uint64_t loads_ = 0;
   std::uint64_t stores_ = 0;
 
-  std::unique_ptr<BranchPredictor> predictor_;
-  // One L1 per distinct l1_bytes (l1_group_ maps config -> L1) and one LLC
-  // slice per config; the LLC sees only accesses that missed its L1.
+  std::optional<BranchPredictor> predictor_;
+  // One L1 per distinct l1_bytes; l1_group_ maps config -> L1.
   std::vector<CacheSim> l1s_;
   std::vector<std::size_t> l1_group_;
   std::vector<std::uint8_t> l1_hit_;
-  std::vector<CacheSim> llcs_;
+
+  // The LLCs see only accesses that missed their L1. One LlcStream per
+  // distinct (L1 group, vcpus) input; its slices are nests_[first_nest,
+  // end_nest), and slices_ maps each config to its cache in that range.
+  struct LlcStream {
+    std::size_t l1_group;
+    int vcpus;
+    std::size_t first_nest;
+    std::size_t end_nest;
+    std::uint64_t interference_credit = 0;
+  };
+  struct LlcSlice {
+    std::size_t nest;
+    bool large;  // the nest's 2S cache, not its S cache
+  };
+  std::vector<LlcStream> streams_;
+  std::vector<LlcNest> nests_;
+  std::vector<LlcSlice> slices_;
 
   // Recent real addresses replayed as phantom co-runner traffic.
   static constexpr std::size_t kRingSize = 1024;
   static constexpr std::uint64_t kInterferenceInterval = 36;
   std::vector<std::uint64_t> ring_;
   std::size_t ring_head_ = 0;
-  std::vector<std::uint64_t> interference_credit_;
 };
 
 }  // namespace edacloud::perf

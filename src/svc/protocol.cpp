@@ -136,8 +136,9 @@ ParsedRequest parse_request(const JsonValue& value) {
     out.request.id = static_cast<std::uint64_t>(raw);
   }
   out.request.deadline_ms = value.number_or("deadline_ms", 0.0);
-  if (out.request.deadline_ms < 0.0) {
-    out.error = "field 'deadline_ms' must be >= 0";
+  if (out.request.deadline_ms < 0.0 ||
+      out.request.deadline_ms > kMaxDeadlineMs) {
+    out.error = "field 'deadline_ms' must be in [0, 86400000]";
     return out;
   }
 

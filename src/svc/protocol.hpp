@@ -46,6 +46,10 @@ inline constexpr const char* kErrInternal = "internal";
 /// every JSON peer) holds exactly.
 inline constexpr double kMaxRequestId = 9007199254740991.0;
 
+/// Largest `deadline_ms` a request (or a server default) may carry: one
+/// day. It keeps the server's conversion to integer microseconds in range.
+inline constexpr double kMaxDeadlineMs = 86400000.0;
+
 struct Request {
   RequestType type = RequestType::kEcho;
   std::uint64_t id = 0;

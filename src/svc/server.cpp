@@ -50,6 +50,8 @@ JobServer::JobServer(Service& service, ServerConfig config)
   if (config_.threads < 1) config_.threads = 1;
   if (config_.max_connections < 1) config_.max_connections = 1;
   if (config_.max_queue < 1) config_.max_queue = 1;
+  config_.default_deadline_ms =
+      std::clamp(config_.default_deadline_ms, 0.0, kMaxDeadlineMs);
 }
 
 JobServer::~JobServer() {

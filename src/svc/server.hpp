@@ -44,7 +44,7 @@ struct ServerConfig {
   int max_connections = 64;
   std::size_t max_queue = 128;
   /// Default per-request deadline applied when a request carries none
-  /// (0 = unlimited).
+  /// (0 = unlimited); clamped to [0, kMaxDeadlineMs].
   double default_deadline_ms = 0.0;
   /// Micro-batching: a worker that pops a predict request greedily takes
   /// up to batch_max-1 more predict items already queued (skipping over

@@ -55,6 +55,37 @@ void append_json_number(std::string& out, double value) {
 
 namespace {
 
+/// Length of the well-formed UTF-8 sequence (RFC 3629 §4) that starts with
+/// the byte >= 0x80 at text[pos], or 0 when none does.
+std::size_t utf8_sequence_length(std::string_view text, std::size_t pos) {
+  const auto byte = [&](std::size_t i) -> unsigned {
+    return pos + i < text.size() ? static_cast<unsigned char>(text[pos + i])
+                                 : 0U;
+  };
+  const unsigned lead = byte(0);
+  std::size_t length = 0;
+  unsigned lo = 0x80;  // range of the second byte
+  unsigned hi = 0xBF;
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    length = 2;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    length = 3;
+    if (lead == 0xE0) lo = 0xA0;  // overlong below U+0800
+    if (lead == 0xED) hi = 0x9F;  // surrogates U+D800..U+DFFF
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    length = 4;
+    if (lead == 0xF0) lo = 0x90;  // overlong below U+10000
+    if (lead == 0xF4) hi = 0x8F;  // above U+10FFFF
+  } else {
+    return 0;  // continuation byte, overlong 0xC0/0xC1 or 0xF5..0xFF
+  }
+  if (byte(1) < lo || byte(1) > hi) return 0;
+  for (std::size_t i = 2; i < length; ++i) {
+    if (byte(i) < 0x80 || byte(i) > 0xBF) return 0;
+  }
+  return length;
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -238,6 +269,13 @@ class Parser {
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return fail(error, "unescaped control character in string");
+      }
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        const std::size_t length = utf8_sequence_length(text_, pos_);
+        if (length == 0) return fail(error, "invalid UTF-8 in string");
+        out.append(text_.substr(pos_, length));
+        pos_ += length;
+        continue;
       }
       if (c != '\\') {
         out += c;

@@ -11,9 +11,12 @@
 // cross-shard and cross-thread byte comparisons) rest on.
 //
 // The parser follows RFC 8259: its number grammar (no `+7`, `.5`, `01` or
-// `1.`), no raw control characters inside strings, and `\uXXXX` escapes
-// decoded to UTF-8, surrogate pairs included (a lone surrogate is an
-// error). Numbers that overflow a double are rejected. No comments, and
+// `1.`), no raw control characters inside strings, raw string bytes that
+// are well-formed UTF-8 only (RFC 3629: no stray continuation bytes,
+// overlong forms, encoded surrogates, code points above U+10FFFF or
+// truncated sequences), and `\uXXXX` escapes decoded to UTF-8, surrogate
+// pairs included (a lone surrogate is an error). Numbers that overflow a
+// double are rejected. No comments, and
 // 1 MiB-scale documents only (the svc wire layer caps frames before text
 // reaches here).
 

@@ -1,6 +1,7 @@
-// Heap allocations of the per-job planning path. This binary replaces the
-// global operator new with a counting wrapper over malloc, which is why it
-// is a test executable of its own: no other test runs under the counter.
+// Heap allocations of the per-job planning path and of the null-object
+// perf::Instrument. This binary replaces the global operator new with a
+// counting wrapper over malloc, which is why it is a test executable of
+// its own: no other test runs under the counter.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "cloud/heuristics.hpp"
 #include "core/optimizer.hpp"
+#include "perf/instrument.hpp"
 #include "sched/job.hpp"
 #include "sched/policy.hpp"
 
@@ -104,6 +106,26 @@ TEST(AllocTest, BuildStagesIntoBufferAllocatesNothingAfterWarmUp) {
     EXPECT_EQ(allocations() - before, 0u)
         << (optimizer->spot_enabled() ? "spot" : "on-demand");
   }
+}
+
+TEST(AllocTest, NullInstrumentAllocatesNothing) {
+  // Every products-only stage run builds one, so it must stay free: no
+  // branch table, no cache models, no phantom ring.
+  const std::uint64_t before = allocations();
+  {
+    perf::Instrument null;
+    perf::Instrument for_none = perf::Instrument::for_configs({});
+    null.load(64);
+    null.branch(1, true);
+    for_none.store(64);
+    EXPECT_FALSE(null.enabled());
+    EXPECT_FALSE(for_none.enabled());
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  // The counter does see an enabled instrument's tables.
+  (void)perf::Instrument::for_configs({perf::make_vm(
+      perf::InstanceFamily::kGeneralPurpose, 1)});
+  EXPECT_GT(allocations() - before, 0u);
 }
 
 }  // namespace

@@ -131,16 +131,22 @@ TEST(InstrumentTest, AvxFractionComputation) {
 }
 
 TEST(InstrumentTest, MultiConfigEqualsSingleConfigInstruments) {
-  // Configs sharing an L1 geometry share one simulated L1; every config
-  // must still read exactly what an Instrument measuring it alone reads.
-  // Both ladders (one 8 KiB L1 group) plus a 16 KiB-L1 config (a second
+  // Configs sharing an L1 geometry share one simulated L1, and configs
+  // sharing an LLC input stream share one LlcNest; every config must still
+  // read exactly what an Instrument measuring it alone reads. All three
+  // ladders (one 8 KiB L1 group; per vCPU count, memory-optimized has twice
+  // general-purpose's LLC sets and compute-optimized the same after
+  // rounding), a 2-vCPU slice of four times general-purpose-2's sets (a
+  // second nest on that stream) and a 16 KiB-L1 config (a second L1
   // group), driven by a seeded mix of every memory event kind.
   std::vector<VmConfig> configs;
   for (const auto family :
-       {InstanceFamily::kGeneralPurpose, InstanceFamily::kMemoryOptimized}) {
+       {InstanceFamily::kGeneralPurpose, InstanceFamily::kMemoryOptimized,
+        InstanceFamily::kComputeOptimized}) {
     const auto ladder = vm_ladder(family);
     configs.insert(configs.end(), ladder.begin(), ladder.end());
   }
+  configs.push_back(custom_vm(2, 8 * 1024, 512 * 1024));
   configs.push_back(custom_vm(4, 16 * 1024, 256 * 1024));
 
   auto drive = [](Instrument& instrument) {
@@ -178,8 +184,10 @@ TEST(InstrumentTest, MultiConfigEqualsSingleConfigInstruments) {
     drive(alone);
     expect_counts_equal(combined.counts(i), alone.counts(0));
   }
-  // The stream actually separates the two L1 geometries.
-  EXPECT_NE(combined.counts(0).l1_misses, combined.counts(8).l1_misses);
+  // The stream actually separates the two L1 geometries and the nested
+  // slices.
+  EXPECT_NE(combined.counts(0).l1_misses, combined.counts(13).l1_misses);
+  EXPECT_NE(combined.counts(1).llc_misses, combined.counts(5).llc_misses);
 }
 
 TEST(InstrumentTest, L1HitsNeverReachLlc) {

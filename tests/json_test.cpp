@@ -1,7 +1,7 @@
 // Tests for util::JsonValue and parse_json, the repo's one JSON layer:
 // deterministic serialization, the exact number format, and the strict
-// RFC 8259 parser (number grammar, control characters, \u escapes with
-// surrogate pairs).
+// RFC 8259 parser (number grammar, control characters, UTF-8 validity,
+// \u escapes with surrogate pairs).
 
 #include <gtest/gtest.h>
 
@@ -123,6 +123,50 @@ TEST(JsonTest, RawControlCharactersInStringsAreRejected) {
   }
   // DEL (0x7f) is not a control character in JSON's sense.
   EXPECT_TRUE(parse_json("\"\x7f\"").ok);
+}
+
+TEST(JsonTest, InvalidUtf8InStringsIsRejected) {
+  // Each body goes between quotes, as a value and as an object key.
+  const std::vector<std::string> bad = {
+      "\xFF\xFE",             // never valid bytes
+      "\x80", "a\xBF",         // lone continuation bytes
+      "\xC0\xAF", "\xC1\xBF",  // overlong 2-byte forms
+      "\xE0\x80\xAF",          // overlong 3-byte form of '/'
+      "\xF0\x8F\xBF\xBF",      // overlong 4-byte form of U+FFFF
+      "\xED\xA0\x80",          // encoded high surrogate U+D800
+      "\xED\xBF\xBF",          // encoded low surrogate U+DFFF
+      "\xF4\x90\x80\x80",      // U+110000, above the last code point
+      "\xF5\x80\x80\x80",      // lead byte past 0xF4
+      "\xC3",                  // truncated 2-byte sequence
+      "\xE2\x82",              // truncated 3-byte sequence
+      "\xF0\x9F\x98",          // truncated 4-byte sequence
+      "\xE2\x28\xA1",          // bad second byte
+  };
+  for (const std::string& body : bad) {
+    for (const std::string& text :
+         {"\"" + body + "\"", "{\"" + body + "\":1}"}) {
+      const JsonParseResult parsed = parse_json(text);
+      EXPECT_FALSE(parsed.ok) << "accepted: " << testing::PrintToString(text);
+      EXPECT_FALSE(parsed.error.empty());
+    }
+  }
+}
+
+TEST(JsonTest, ValidUtf8RoundTrips) {
+  // The boundaries of every sequence length: U+0080, U+07FF (2 bytes),
+  // U+0800, U+D7FF, U+E000, U+FFFF (3 bytes), U+10000, U+10FFFF (4 bytes),
+  // and ordinary text.
+  for (const std::string text :
+       {"\xC2\x80", "\xDF\xBF", "\xE0\xA0\x80", "\xED\x9F\xBF",
+        "\xEE\x80\x80", "\xEF\xBF\xBF", "\xF0\x90\x80\x80",
+        "\xF4\x8F\xBF\xBF", "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80"}) {
+    const std::string dumped = JsonValue::of(text).dump();
+    const JsonParseResult parsed = parse_json(dumped);
+    ASSERT_TRUE(parsed.ok) << testing::PrintToString(text) << ": "
+                           << parsed.error;
+    EXPECT_EQ(parsed.value.as_string(), text);
+    EXPECT_EQ(parsed.value.dump(), dumped);
+  }
 }
 
 void expect_round_trip(double x) {

@@ -155,6 +155,38 @@ TEST(SvcProtocolTest, RejectsIdsADoubleCannotHold) {
       << top;
 }
 
+TEST(SvcProtocolTest, BoundsDeadlineMs) {
+  for (const char* deadline : {"1e300", "86400000.5", "-1"}) {
+    const std::string text =
+        std::string("{\"type\":\"echo\",\"id\":3,\"deadline_ms\":") +
+        deadline + "}";
+    const JsonParseResult json = parse_json(text);
+    ASSERT_TRUE(json.ok) << text;
+    const ParsedRequest parsed = parse_request(json.value);
+    EXPECT_FALSE(parsed.ok) << text;
+    EXPECT_EQ(parsed.request.id, 3u) << text;
+    EXPECT_STREQ(parsed.code, kErrBadRequest) << text;
+  }
+  const JsonParseResult top = parse_json(
+      "{\"type\":\"echo\",\"id\":3,\"deadline_ms\":86400000}");
+  ASSERT_TRUE(top.ok);
+  const ParsedRequest parsed = parse_request(top.value);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.request.deadline_ms, kMaxDeadlineMs);
+}
+
+TEST(SvcProtocolTest, InvalidUtf8PayloadIsABadRequest) {
+  // Raw bytes 0xFF 0xFE once came back verbatim in the echo reply, which
+  // made the reply invalid JSON text.
+  Service service;
+  const std::string reply = service.handle_payload(
+      "{\"type\":\"echo\",\"id\":4,\"payload\":\"\xFF\xFE\"}");
+  EXPECT_EQ(reply.find('\xFF'), std::string::npos) << reply;
+  const JsonParseResult parsed = parse_json(reply);
+  ASSERT_TRUE(parsed.ok) << reply;
+  EXPECT_EQ(parsed.value.string_or("error", ""), "bad_request") << reply;
+}
+
 TEST(SvcProtocolTest, RejectsUnknownMemberFields) {
   // A typo'd field must never be silently ignored (ISSUE 9 satellite):
   // each request type rejects members outside its schema with a stable
@@ -457,6 +489,24 @@ TEST_F(SvcServerTest, QueuedPastDeadlineAnsweredDeadlineExceeded) {
   EXPECT_EQ(deadline_exceeded, 1);
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(server_->stats().deadline_rejections.load(), 1u);
+}
+
+TEST_F(SvcServerTest, OutOfRangeDeadlineIsABadRequest) {
+  // 1e300 ms once reached an unchecked double -> int64 cast at dispatch
+  // (undefined behaviour) and came back `deadline_exceeded`.
+  start(service_, ServerConfig{});
+  std::string response;
+  ASSERT_TRUE(client_.roundtrip(echo_payload(2, 0, /*deadline_ms=*/1e300),
+                                &response));
+  const JsonParseResult reply = parse_json(response);
+  ASSERT_TRUE(reply.ok) << response;
+  EXPECT_EQ(reply.value.number_or("id", -1.0), 2.0) << response;
+  EXPECT_EQ(reply.value.string_or("error", ""), "bad_request") << response;
+  // The largest budget is a deadline that does not expire.
+  ASSERT_TRUE(client_.roundtrip(echo_payload(3, 0, kMaxDeadlineMs),
+                                &response));
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  EXPECT_EQ(server_->stats().deadline_rejections.load(), 0u);
 }
 
 TEST_F(SvcServerTest, ConnectionLimitShedsExcessConnections) {
