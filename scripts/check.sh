@@ -30,6 +30,24 @@ if grep -rnE '\b(perf::)?(Instrument|EventLog)[[:space:]]*\*' \
   exit 1
 fi
 
+# Reachability guard: every header under src/ is included by some file in
+# src/, bench/, examples/ or edabench/ other than its own .cpp, so a module
+# that only its tests reach shows up here instead of lingering.
+echo "=== reachability guard: every src/ header has an includer ==="
+unreached=""
+while IFS= read -r header; do
+  includers="$(grep -rlF --include='*.[ch]pp' "#include \"${header#src/}\"" \
+    src bench examples edabench || true)"
+  if [[ -z "$(grep -vxF "${header%.hpp}.cpp" <<< "${includers}" || true)" ]]; then
+    unreached+="  ${header}"$'\n'
+  fi
+done < <(find src -name '*.hpp' | sort)
+if [[ -n "${unreached}" ]]; then
+  echo "reachability guard: headers only their own .cpp or tests include:" >&2
+  printf '%s' "${unreached}" >&2
+  exit 1
+fi
+
 # The plain leg is the Release tree everyone builds: keep it warning-free.
 run_pass "plain" build -DEDACLOUD_WERROR=ON
 

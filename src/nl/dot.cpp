@@ -4,37 +4,6 @@
 
 namespace edacloud::nl {
 
-std::string write_dot(const Netlist& netlist) {
-  std::ostringstream out;
-  out << "digraph \"" << (netlist.name().empty() ? "netlist" : netlist.name())
-      << "\" {\n  rankdir=LR;\n  node [fontsize=10];\n";
-  for (NodeId id = 0; id < netlist.node_count(); ++id) {
-    const NetlistNode& node = netlist.node(id);
-    switch (node.kind) {
-      case NodeKind::kPrimaryInput:
-        out << "  n" << id << " [shape=triangle, label=\"pi" << id
-            << "\"];\n";
-        break;
-      case NodeKind::kPrimaryOutput:
-        out << "  n" << id << " [shape=invhouse, label=\"po" << id
-            << "\"];\n";
-        break;
-      case NodeKind::kCell:
-        out << "  n" << id << " [shape=box, label=\""
-            << netlist.library().cell(node.cell).name << "\\ng" << id
-            << "\"];\n";
-        break;
-    }
-  }
-  for (NodeId id = 0; id < netlist.node_count(); ++id) {
-    for (NodeId fanin : netlist.node(id).fanins) {
-      out << "  n" << fanin << " -> n" << id << ";\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
-}
-
 std::string write_dot(const Aig& aig) {
   std::ostringstream out;
   out << "digraph \"" << (aig.name().empty() ? "aig" : aig.name())

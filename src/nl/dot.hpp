@@ -1,18 +1,13 @@
 #pragma once
-// Graphviz DOT export for netlists and AIGs — debugging and documentation
-// aid (render with `dot -Tsvg`). Inputs are drawn as triangles, outputs as
-// inverted houses, cells labeled with their library name, and AIG
-// complemented edges dashed.
+// Graphviz DOT export for AIGs — debugging and documentation aid (render
+// with `dot -Tsvg`). Inputs are drawn as triangles, outputs as inverted
+// houses, and complemented edges dashed.
 
 #include <string>
 
 #include "nl/aig.hpp"
-#include "nl/netlist.hpp"
 
 namespace edacloud::nl {
-
-/// DOT digraph of a gate-level netlist (star-model edges).
-std::string write_dot(const Netlist& netlist);
 
 /// DOT digraph of an AIG; complemented fanin edges are dashed.
 std::string write_dot(const Aig& aig);

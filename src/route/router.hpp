@@ -64,8 +64,8 @@ struct RoutingResult {
   /// A* node pops of the committed searches (one per connection per batch).
   std::uint64_t total_expansions = 0;
   std::size_t wave_count = 0;           // parallel wave depth
-  /// Per-connection grid-edge lists (backtrack order); consumed by the
-  /// layer-assignment stage.
+  /// Per-connection grid-edge lists (backtrack order: sink cell to driver
+  /// cell), in connection order; the tests check and pin the paths.
   std::vector<std::vector<std::uint32_t>> connection_edges;
   perf::JobProfile profile;
 };

@@ -291,38 +291,4 @@ TimingReport StaEngine::run(const Netlist& netlist,
   return report;
 }
 
-std::vector<TimingPath> worst_paths(const TimingReport& report,
-                                    const nl::Netlist& netlist, int k) {
-  // Rank endpoints by arrival, trace each back through worst_parent.
-  std::vector<nl::NodeId> endpoints = netlist.outputs();
-  std::sort(endpoints.begin(), endpoints.end(),
-            [&report](nl::NodeId a, nl::NodeId b) {
-              return report.arrival_ps[a] > report.arrival_ps[b];
-            });
-  if (k >= 0 && endpoints.size() > static_cast<std::size_t>(k)) {
-    endpoints.resize(static_cast<std::size_t>(k));
-  }
-  std::vector<TimingPath> paths;
-  for (nl::NodeId endpoint : endpoints) {
-    TimingPath path;
-    path.arrival_ps = report.arrival_ps[endpoint];
-    path.slack_ps = report.slack_ps[endpoint];
-    nl::NodeId cursor = endpoint;
-    while (cursor != nl::kInvalidNode) {
-      path.nodes.push_back(cursor);
-      const auto& node = netlist.node(cursor);
-      if (node.kind == nl::NodeKind::kPrimaryInput) break;
-      nl::NodeId next = report.worst_parent[cursor];
-      if (next == nl::kInvalidNode && !node.fanins.empty()) {
-        next = node.fanins[0];
-      }
-      if (next == cursor) break;  // defensive
-      cursor = next;
-    }
-    std::reverse(path.nodes.begin(), path.nodes.end());
-    paths.push_back(std::move(path));
-  }
-  return paths;
-}
-
 }  // namespace edacloud::sta

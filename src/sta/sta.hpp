@@ -53,17 +53,6 @@ struct TimingReport {
   perf::JobProfile profile;
 };
 
-/// One ranked timing path (endpoint backwards to a primary input).
-struct TimingPath {
-  double arrival_ps = 0.0;
-  double slack_ps = 0.0;
-  std::vector<nl::NodeId> nodes;  // PI ... PO
-};
-
-/// The k worst endpoint paths (one path per endpoint, ranked by arrival).
-std::vector<TimingPath> worst_paths(const TimingReport& report,
-                                    const nl::Netlist& netlist, int k);
-
 class StaEngine {
  public:
   explicit StaEngine(StaOptions options = {}) : options_(options) {}

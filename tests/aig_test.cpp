@@ -3,6 +3,7 @@
 #include <string>
 
 #include "nl/aig.hpp"
+#include "nl/dot.hpp"
 #include "util/rng.hpp"
 
 namespace edacloud::nl {
@@ -194,6 +195,16 @@ TEST(AigTest, EqualitySeesFaninsAndNodeCount) {
   EXPECT_NE(and_gate.content_hash(), nor_gate.content_hash());
   EXPECT_FALSE(and_gate == grown);
   EXPECT_NE(and_gate.content_hash(), grown.content_hash());
+}
+
+TEST(DotTest, AigDotMarksComplementedEdges) {
+  Aig aig;
+  const auto a = aig.add_input();
+  const auto b = aig.add_input();
+  aig.add_output(aig.and_of(a, literal_not(b)));
+  const std::string dot = write_dot(aig);
+  EXPECT_NE(dot.find("style=dashed"), std::string::npos);
+  EXPECT_NE(dot.find("shape=triangle"), std::string::npos);
 }
 
 }  // namespace

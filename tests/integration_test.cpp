@@ -3,19 +3,18 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batch.hpp"
 #include "core/characterize.hpp"
 #include "core/optimizer.hpp"
-#include "core/report.hpp"
 #include "nl/aiger.hpp"
 #include "nl/netlist_sim.hpp"
 #include "nl/verilog.hpp"
-#include "route/layers.hpp"
+#include "place/placer.hpp"
+#include "route/router.hpp"
 #include "sim/simulator.hpp"
-#include "sta/sizing.hpp"
-#include "synth/buffering.hpp"
+#include "sta/sta.hpp"
+#include "synth/engine.hpp"
 #include "util/rng.hpp"
-#include "workloads/registry.hpp"
+#include "workloads/generators.hpp"
 
 namespace edacloud {
 namespace {
@@ -46,51 +45,32 @@ TEST(IntegrationTest, CharacterizeOptimizeReportPipeline) {
   core::DeploymentOptimizer optimizer;
   const auto stages = optimizer.build_stages(ladders);
   const double fastest = cloud::fastest_completion_seconds(stages);
-  core::ReportInputs inputs;
-  inputs.characterization = characterization;
-  inputs.deadline_seconds = fastest * 1.4;
-  inputs.plan = optimizer.optimize(ladders, inputs.deadline_seconds);
-  inputs.savings = optimizer.savings(ladders, inputs.deadline_seconds);
-  ASSERT_TRUE(inputs.plan.feasible);
-  EXPECT_LE(inputs.plan.total_runtime_seconds,
-            inputs.deadline_seconds + 1.0);
-  EXPECT_LE(inputs.plan.total_cost_usd,
-            inputs.savings.over_provision_cost_usd + 1e-9);
-
-  const std::string markdown = core::markdown_report(inputs);
-  EXPECT_NE(markdown.find("Deployment plan"), std::string::npos);
+  const double deadline = fastest * 1.4;
+  const auto plan = optimizer.optimize(ladders, deadline);
+  const auto savings = optimizer.savings(ladders, deadline);
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_LE(plan.total_runtime_seconds, deadline + 1.0);
+  EXPECT_LE(plan.total_cost_usd, savings.over_provision_cost_usd + 1e-9);
 }
 
 TEST(IntegrationTest, PhysicalPipelineInvariantsHold) {
-  // synthesis -> buffering -> sizing -> placement -> routing -> layers,
-  // with functional equivalence maintained throughout.
+  // synthesis -> placement -> routing, with functional equivalence of the
+  // mapped netlist.
   const nl::Aig design = workloads::gen_alu(12);
   synth::SynthesisEngine synthesis(library());
   const nl::Netlist mapped =
       synthesis.synthesize(design, synth::default_recipe()).netlist;
 
-  const auto buffered = synth::buffer_high_fanout(mapped, {6});
-  sta::StaOptions timing_options;
-  sta::StaEngine probe;
-  timing_options.clock_period_ps =
-      probe.run(buffered.netlist, nullptr, {}).critical_path_ps * 0.95;
-  sta::StaEngine engine(timing_options);
-  const auto sized = sta::size_gates(buffered.netlist, nullptr, engine);
-
-  // Function preserved through the whole chain.
   util::Rng rng(17);
   std::vector<std::uint64_t> words(design.input_count());
   for (auto& w : words) w = rng();
-  EXPECT_EQ(design.simulate(words), nl::simulate(sized.netlist, words));
+  EXPECT_EQ(design.simulate(words), nl::simulate(mapped, words));
 
   place::QuadraticPlacer placer;
-  const auto placement = placer.place(sized.netlist);
+  const auto placement = placer.place(mapped);
   route::GridRouter router;
-  const auto routing = router.run(sized.netlist, placement, {});
+  const auto routing = router.run(mapped, placement, {});
   EXPECT_EQ(routing.routed_count, routing.connection_count);
-
-  const auto layers = route::assign_layers(routing);
-  EXPECT_GT(layers.via_count, 0u);
 }
 
 TEST(IntegrationTest, InterchangeFormatsComposeAcrossTheFlow) {
@@ -111,59 +91,6 @@ TEST(IntegrationTest, InterchangeFormatsComposeAcrossTheFlow) {
   for (auto& w : words) w = rng();
   EXPECT_EQ(original.simulate(words),
             nl::simulate(verilog_round.netlist, words));
-}
-
-TEST(IntegrationTest, BatchPlanNeverWorseThanIndependentPlans) {
-  // Joint optimization with a shared deadline must cost no more than
-  // splitting the deadline proportionally across designs.
-  core::Characterizer characterizer(library());
-  std::vector<core::BatchDesign> designs;
-  std::vector<core::RuntimeLadders> ladders_list;
-  for (const char* family : {"adder", "decoder"}) {
-    workloads::BenchmarkSpec spec;
-    spec.family = family;
-    spec.size = family == std::string("adder") ? 32 : 6;
-    spec.seed = 5;
-    const nl::Aig aig = workloads::generate(spec);
-    const auto report = characterizer.characterize(aig);
-    core::BatchDesign design;
-    design.name = family;
-    for (core::JobKind job : core::kAllJobs) {
-      const auto* row = report.find(job, core::recommended_family(job));
-      ASSERT_NE(row, nullptr);
-      design.ladders[static_cast<int>(job)] = row->runtime_seconds;
-    }
-    ladders_list.push_back(design.ladders);
-    designs.push_back(std::move(design));
-  }
-
-  core::BatchPlanner planner;
-  core::DeploymentOptimizer optimizer;
-  const auto stages = planner.build_stages(designs);
-  const double fastest = cloud::fastest_completion_seconds(stages);
-  const double deadline = fastest * 1.5;
-
-  const auto joint = planner.plan(designs, deadline);
-  ASSERT_TRUE(joint.feasible);
-
-  // Proportional split baseline.
-  double split_cost = 0.0;
-  bool split_feasible = true;
-  for (const auto& ladders : ladders_list) {
-    const auto design_stages = optimizer.build_stages(ladders);
-    const double share =
-        deadline * cloud::fastest_completion_seconds(design_stages) /
-        fastest;
-    const auto plan = optimizer.optimize(ladders, share);
-    if (!plan.feasible) {
-      split_feasible = false;
-      break;
-    }
-    split_cost += plan.total_cost_usd;
-  }
-  if (split_feasible) {
-    EXPECT_LE(joint.total_cost_usd, split_cost + 1e-9);
-  }
 }
 
 TEST(IntegrationTest, MeasuredActivityTightensPowerEstimate) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "obs/trace.hpp"
 #include "perf/instrument.hpp"
 #include "place/placer.hpp"
@@ -27,6 +34,24 @@ PlacedDesign prepare(const nl::Aig& aig) {
   place::QuadraticPlacer placer;
   design.placement = placer.place(design.netlist);
   return design;
+}
+
+/// A cell of the routing grid.
+struct Cell {
+  int x = 0;
+  int y = 0;
+  bool operator==(const Cell&) const = default;
+};
+
+/// The grid cell holding `node`'s placed position: its fraction of the die
+/// times the grid side, clamped into the grid.
+Cell pin_cell(const place::Placement& placement, nl::NodeId node, int grid) {
+  auto axis = [grid](double position, double extent) {
+    return std::clamp(static_cast<int>(position / extent * grid), 0,
+                      grid - 1);
+  };
+  return {axis(placement.x[node], placement.die_width_um),
+          axis(placement.y[node], placement.die_height_um)};
 }
 
 TEST(RouterTest, RoutesAllConnections) {
@@ -93,26 +118,15 @@ TEST(RouterTest, WirelengthAtLeastManhattanLowerBound) {
   // Recompute the lower bound from gcell coordinates.
   const int grid = result.grid_size;
   const auto fanout = design.netlist.build_fanout_csr();
-  auto gcell = [&](nl::NodeId node) {
-    const int gx = std::clamp(
-        static_cast<int>(design.placement.x[node] /
-                         design.placement.die_width_um * grid),
-        0, grid - 1);
-    const int gy = std::clamp(
-        static_cast<int>(design.placement.y[node] /
-                         design.placement.die_height_um * grid),
-        0, grid - 1);
-    return std::pair<int, int>(gx, gy);
-  };
   std::uint64_t lower_bound = 0;
   for (nl::NodeId driver = 0; driver < design.netlist.node_count();
        ++driver) {
     const auto [begin, end] = fanout.range(driver);
-    const auto [sx, sy] = gcell(driver);
+    const Cell from = pin_cell(design.placement, driver, grid);
     for (std::uint32_t e = begin; e < end; ++e) {
-      const auto [tx, ty] = gcell(fanout.targets[e]);
-      lower_bound += static_cast<std::uint64_t>(std::abs(sx - tx) +
-                                                std::abs(sy - ty));
+      const Cell to = pin_cell(design.placement, fanout.targets[e], grid);
+      lower_bound += static_cast<std::uint64_t>(std::abs(from.x - to.x) +
+                                                std::abs(from.y - to.y));
     }
   }
   EXPECT_GE(result.wirelength_gedges, lower_bound);
@@ -267,6 +281,123 @@ TEST(RouterTest, RoutedPathsPinned) {
     EXPECT_EQ(result.wirelength_gedges, pin.wirelength);
     EXPECT_EQ(result.overflowed_edges, pin.overflowed);
     EXPECT_EQ(result.rrr_iterations, pin.rrr_iterations);
+  }
+}
+
+/// Checks a routing against the placement and its grid size alone: the
+/// star-model connections (driver to each sink in another cell, drivers in
+/// node order) each own one path, each path is a simple 4-connected walk
+/// from the sink's cell to the driver's (backtrack order), and edge usage,
+/// overflow against `edge_capacity` and wirelength recomputed from the
+/// paths equal the result's. Grid edges of a G-sided grid are numbered
+/// y(G-1)+x for (x,y)-(x+1,y), then G(G-1) + x(G-1)+y for (x,y)-(x,y+1).
+/// Returns the first discrepancy, or "" when there is none.
+std::string check_routing(const nl::Netlist& netlist,
+                          const place::Placement& placement,
+                          const RoutingResult& result, int edge_capacity) {
+  const int grid = result.grid_size;
+  const auto side = static_cast<std::uint32_t>(grid);
+  const std::uint32_t h_edges = side * (side - 1);
+  auto endpoints = [&](std::uint32_t edge) {
+    if (edge < h_edges) {
+      const Cell a{static_cast<int>(edge % (side - 1)),
+                   static_cast<int>(edge / (side - 1))};
+      return std::pair<Cell, Cell>(a, {a.x + 1, a.y});
+    }
+    const std::uint32_t v = edge - h_edges;
+    const Cell a{static_cast<int>(v / (side - 1)),
+                 static_cast<int>(v % (side - 1))};
+    return std::pair<Cell, Cell>(a, {a.x, a.y + 1});
+  };
+
+  std::vector<std::uint32_t> usage(2 * h_edges, 0);
+  std::uint64_t wirelength = 0;
+  std::size_t connection = 0;
+  const auto fanout = netlist.build_fanout_csr();
+  for (nl::NodeId driver = 0; driver < netlist.node_count(); ++driver) {
+    const Cell from = pin_cell(placement, driver, grid);
+    const auto [begin, end] = fanout.range(driver);
+    for (std::uint32_t e = begin; e < end; ++e) {
+      const Cell to = pin_cell(placement, fanout.targets[e], grid);
+      if (to == from) continue;
+      const std::string where = "connection " + std::to_string(connection);
+      if (connection >= result.connection_edges.size()) {
+        return where + " has no path";
+      }
+      const auto& path = result.connection_edges[connection++];
+      Cell cursor = to;
+      std::vector<bool> visited(static_cast<std::size_t>(grid) * side, false);
+      visited[static_cast<std::size_t>(cursor.y) * side + cursor.x] = true;
+      for (std::uint32_t edge : path) {
+        if (edge >= usage.size()) return where + ": edge out of range";
+        const auto [a, b] = endpoints(edge);
+        if (cursor == a) {
+          cursor = b;
+        } else if (cursor == b) {
+          cursor = a;
+        } else {
+          return where + ": edge " + std::to_string(edge) +
+                 " does not touch the walk";
+        }
+        auto seen = visited[static_cast<std::size_t>(cursor.y) * side +
+                            cursor.x];
+        if (seen) return where + ": walk revisits a cell";
+        seen = true;
+        ++usage[edge];
+      }
+      if (cursor != from) return where + ": walk ends off the driver";
+      wirelength += path.size();
+    }
+  }
+  if (connection != result.connection_edges.size()) {
+    return "result has paths for connections the netlist lacks";
+  }
+  if (result.connection_count != connection ||
+      result.routed_count != connection) {
+    return "connection_count or routed_count is not " +
+           std::to_string(connection);
+  }
+  const auto overflowed = static_cast<std::size_t>(
+      std::count_if(usage.begin(), usage.end(), [&](std::uint32_t used) {
+        return used > static_cast<std::uint32_t>(edge_capacity);
+      }));
+  if (result.overflowed_edges != overflowed) {
+    return "overflowed_edges " + std::to_string(result.overflowed_edges) +
+           ", recomputed " + std::to_string(overflowed);
+  }
+  if (result.wirelength_gedges != wirelength) {
+    return "wirelength_gedges " + std::to_string(result.wirelength_gedges) +
+           ", recomputed " + std::to_string(wirelength);
+  }
+  return "";
+}
+
+TEST(RouterTest, ResultMatchesPathsCheckedFromPlacement) {
+  // RoutedPathsPinned's designs, the congested one through rip-up rounds.
+  const std::pair<nl::Aig, int> cases[] = {
+      {workloads::gen_alu(16), 32}, {workloads::gen_multiplier(12), 6}};
+  for (const auto& [aig, edge_capacity] : cases) {
+    SCOPED_TRACE(edge_capacity);
+    const PlacedDesign design = prepare(aig);
+    RouterOptions options;
+    options.edge_capacity = edge_capacity;
+    RoutingResult result =
+        GridRouter(options).run(design.netlist, design.placement, {});
+    EXPECT_EQ(check_routing(design.netlist, design.placement, result,
+                            edge_capacity),
+              "");
+
+    // The checker is not vacuous: a broken walk and a wirelength that
+    // counts one path twice are both reported.
+    RoutingResult doubled = result;
+    doubled.wirelength_gedges += doubled.connection_edges.front().size();
+    EXPECT_NE(check_routing(design.netlist, design.placement, doubled,
+                            edge_capacity),
+              "");
+    result.connection_edges.front().pop_back();
+    EXPECT_NE(check_routing(design.netlist, design.placement, result,
+                            edge_capacity),
+              "");
   }
 }
 

@@ -209,6 +209,29 @@ TEST(StaTest, EndpointCountMatchesOutputs) {
   EXPECT_EQ(report.endpoint_count, netlist.outputs().size());
 }
 
+TEST(StaPowerTest, PowerReportPopulated) {
+  const nl::Netlist netlist = synthesize(workloads::gen_alu(8));
+  StaEngine engine;
+  const TimingReport report = engine.run(netlist, nullptr, {});
+  EXPECT_GT(report.leakage_power_nw, 0.0);
+  EXPECT_GT(report.dynamic_power_uw, 0.0);
+}
+
+TEST(StaSlewTest, SlewGrowsWithFanout) {
+  // A cell driving many sinks sees more load -> larger output slew.
+  nl::Netlist n("slew", &library());
+  const auto a = n.add_input();
+  const auto light = n.add_cell(*library().find("INV_X1"), {a});
+  const auto heavy = n.add_cell(*library().find("INV_X1"), {a});
+  n.add_output(light);
+  for (int i = 0; i < 6; ++i) {
+    n.add_output(n.add_cell(*library().find("BUF_X1"), {heavy}));
+  }
+  StaEngine engine;
+  const TimingReport report = engine.run(n, nullptr, {});
+  EXPECT_GT(report.slew_ps[heavy], report.slew_ps[light]);
+}
+
 TEST(StaTest, InstrumentedCountersPinnedOnBenchLadder) {
   // Every counter of an instrumented, placement-aware STA on the
   // benchmark's ladder, pinned: instrumentation refactors must leave the

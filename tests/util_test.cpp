@@ -6,7 +6,6 @@
 #include "util/csv.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -83,49 +82,6 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(5);
   Rng child = a.fork();
   EXPECT_NE(a(), child());
-}
-
-// ---- stats ------------------------------------------------------------------
-
-TEST(StatsTest, MeanAndStddev) {
-  const std::vector<double> v = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(mean(v), 3.0);
-  EXPECT_NEAR(stddev(v), std::sqrt(2.5), 1e-12);
-}
-
-TEST(StatsTest, EmptyInputsAreZero) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev({}), 0.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
-}
-
-TEST(StatsTest, PercentileInterpolates) {
-  const std::vector<double> v = {0, 10};
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 0.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 10.0);
-}
-
-TEST(StatsTest, MedianOddCount) {
-  EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2.0);
-}
-
-TEST(StatsTest, MapeMatchesHandComputation) {
-  const std::vector<double> truth = {10, 20};
-  const std::vector<double> pred = {11, 18};
-  EXPECT_NEAR(mape(truth, pred), (0.1 + 0.1) / 2, 1e-12);
-}
-
-TEST(StatsTest, PearsonPerfectCorrelation) {
-  const std::vector<double> x = {1, 2, 3, 4};
-  const std::vector<double> y = {2, 4, 6, 8};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-}
-
-TEST(StatsTest, PearsonAnticorrelation) {
-  const std::vector<double> x = {1, 2, 3};
-  const std::vector<double> y = {3, 2, 1};
-  EXPECT_NEAR(pearson(x, y), -1.0, 1e-12);
 }
 
 // ---- strings ----------------------------------------------------------------
